@@ -1,9 +1,10 @@
-"""Timing comparison: compiled loop kernels vs. the plain-numpy twins.
+"""Timing comparison: the C epoch kernel vs. the numpy twin.
 
-Runs one training epoch and one full ranking pass on a synthetic
-workload with each backend and reports best-of-N wall times.  The
-compiled kernels are warmed up before timing so JIT cost never lands
-in a measurement.
+Runs one training epoch with each backend on a synthetic workload, once
+with every other relation as a negative (`--neg all`) and once with
+sampled negatives (`sample:K`), and reports best-of-N wall times.  Each
+timed repeat starts from fresh copies of the same initial tables, made
+outside the timed region, so every repeat does the same work.
 
     python3 benchmarks/bench_kernels.py [--n 20000] [--dim 100] [--relations 200]
 """
@@ -13,16 +14,8 @@ import time
 
 import numpy as np
 
-from jrme.kernels import (
-    HAS_NUMBA,
-    PackedBeliefs,
-    _epoch_loops,
-    _epoch_numpy,
-    _rank_loops,
-    _rank_numpy,
-    enum_negative_table,
-    warmup_jit,
-)
+from jrme.kernels import BACKEND, PackedBeliefs, _epoch_c, _epoch_numpy, enum_negative_table
+from jrme.training import _sample_negative_rows
 
 
 def build_workload(n, n_entities, n_relations, n_words, dim, seed=0):
@@ -42,15 +35,15 @@ def build_workload(n, n_entities, n_relations, n_words, dim, seed=0):
     mflat = rng.integers(n_words, size=int(moff[-1])).astype(np.int64)
     packed = PackedBeliefs(heads, rels, tails, moff, mflat)
     order = rng.permutation(n).astype(np.int64)
-    negs = enum_negative_table(n_relations)
-    return (entity, relation, word), packed, order, negs
+    return (entity, relation, word), packed, order, rng
 
 
-def best_of(fn, repeat=3):
+def best_epoch(impl, tables, epoch_args, repeat):
     times = []
     for _ in range(repeat):
+        copies = tuple(t.copy() for t in tables)
         t0 = time.perf_counter()
-        fn()
+        impl(*copies, *epoch_args)
         times.append(time.perf_counter() - t0)
     return min(times)
 
@@ -62,50 +55,47 @@ def main():
     ap.add_argument("--entities", type=int, default=2000)
     ap.add_argument("--relations", type=int, default=200)
     ap.add_argument("--words", type=int, default=500)
+    ap.add_argument("--sample", type=int, default=10, help="K for the sample:K rows")
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    tables, packed, order, negs = build_workload(
+    tables, packed, order, rng = build_workload(
         args.n, args.entities, args.relations, args.words, args.dim
     )
-    epoch_args = (
-        packed.heads, packed.relations, packed.tails,
-        packed.mention_off, packed.mention_flat,
-        order, negs, True, 0.01, 1.0, True, True, True,
-    )
-    rank_args = (
-        packed.heads, packed.relations, packed.tails,
-        packed.mention_off, packed.mention_flat, True, True,
-    )
-
-    def run_epoch_with(impl):
-        # epochs mutate, so each timed run gets fresh table copies
-        copies = tuple(t.copy() for t in tables)
-        return lambda: impl(*copies, *epoch_args)
+    neg_modes = {
+        "all": (enum_negative_table(args.relations), True),
+        f"sample:{args.sample}": (
+            _sample_negative_rows(packed.relations[order], args.relations, args.sample, rng),
+            False,
+        ),
+    }
+    impls = {"numpy": _epoch_numpy}
+    if BACKEND == "c":
+        impls["c"] = _epoch_c
+    else:
+        print("the C kernel did not build; timing the numpy twin only")
 
     rows = []
-    if HAS_NUMBA:
-        warmup_jit()
-        _epoch_loops(*(t.copy() for t in tables), *epoch_args)
-        _rank_loops(*tables, *rank_args)
-        rows.append(("epoch", "numba", best_of(run_epoch_with(_epoch_loops), args.repeat)))
-        rows.append(("rank", "numba", best_of(lambda: _rank_loops(*tables, *rank_args), args.repeat)))
-    else:
-        print("numba unavailable or disabled; timing the numpy backend only")
-    rows.append(("epoch", "numpy", best_of(run_epoch_with(_epoch_numpy), args.repeat)))
-    rows.append(("rank", "numpy", best_of(lambda: _rank_numpy(*tables, *rank_args), args.repeat)))
+    for neg, (negs, by_relation) in neg_modes.items():
+        epoch_args = (
+            packed.heads, packed.relations, packed.tails,
+            packed.mention_off, packed.mention_flat,
+            order, negs, by_relation, 0.01, 1.0, True, True, True,
+        )
+        for backend, impl in impls.items():
+            rows.append((neg, backend, best_epoch(impl, tables, epoch_args, args.repeat)))
 
     print(
-        f"\nworkload: n={args.n} dim={args.dim} entities={args.entities} "
+        f"\nbackend: {BACKEND}\nworkload: n={args.n} dim={args.dim} entities={args.entities} "
         f"relations={args.relations} words={args.words} (best of {args.repeat})"
     )
-    print(f"{'kernel':<8}{'backend':<9}{'seconds':>10}")
-    for kernel, backend, secs in rows:
-        print(f"{kernel:<8}{backend:<9}{secs:>10.3f}")
-    if HAS_NUMBA:
-        for kernel in ("epoch", "rank"):
-            t = {backend: secs for k, backend, secs in rows if k == kernel}
-            print(f"{kernel}: numba is {t['numpy'] / t['numba']:.1f}x faster")
+    print(f"{'neg':<12}{'backend':<9}{'seconds':>10}{'examples/s':>12}")
+    for neg, backend, secs in rows:
+        print(f"{neg:<12}{backend:<9}{secs:>10.3f}{args.n / secs:>12.0f}")
+    if "c" in impls:
+        for neg in neg_modes:
+            t = {backend: secs for k, backend, secs in rows if k == neg}
+            print(f"{neg}: C is {t['numpy'] / t['c']:.1f}x faster")
 
 
 if __name__ == "__main__":

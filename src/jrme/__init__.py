@@ -42,7 +42,7 @@ from .evaluation import (
     rank_true_relation,
     summarize_ranks,
 )
-from .kernels import BACKEND, HAS_NUMBA
+from .kernels import BACKEND
 from .scoring import belief_score, hinge, mention_distance, mention_vector, triple_distance
 from .training import (
     VARIANTS,
@@ -73,7 +73,6 @@ __all__ = [
     "FormatError",
     "GridPoint",
     "GridResult",
-    "HAS_NUMBA",
     "IdMap",
     "JrmeError",
     "ModelConfig",

@@ -1,0 +1,187 @@
+/* One epoch of margin-ranking SGD over the three variants, in C.
+ *
+ * A line-for-line port of the reference loop that jrme.kernels keeps as
+ * the numpy twin (_epoch_numpy): same update rule, same order of row
+ * writes, same per-example non-finite check.  Per example, all active
+ * hinge terms are accumulated against the pre-step table and applied as
+ * one update.  Negative-relation rows are written during the scan (each
+ * appears at most once per example, and nothing later reads them);
+ * everything else is written afterwards from stashed pre-step values.
+ *
+ * Per active term the descent directions are:
+ *   relation r:   -lr * (2*(h+r-t))        and  -lr * (-m)
+ *   relation r':  -lr * (-2*(h+r'-t))      and  -lr * (+m)
+ *   entity h:     -lr * 2*(r - r')         (tail gets the opposite)
+ *   each word:    -lr * (r' - r)           (per occurrence)
+ * summed over active negatives; wc = sum(r') - a*r collects the shared
+ * vector for the entity and word updates.
+ *
+ * The caller validates every index and shape before passing pointers:
+ * this file trusts its inputs.  It touches no Python object, so ctypes
+ * runs it with the interpreter lock released, and several threads may
+ * run it on the same tables at once (lock-free, Hogwild-style).
+ *
+ * Build flags must keep IEEE semantics: no -ffast-math (isfinite must
+ * work) and -ffp-contract=off (no fused multiply-add), so results do not
+ * depend on the host CPU.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+/* Returns the first example index (an entry of `order`) whose step left a
+ * non-finite value, -1 when the epoch ran clean, or -2 when scratch memory
+ * could not be allocated (nothing was written then).  The loss and active
+ * term count up to and including the returned example go to the out
+ * parameters. */
+int64_t jrme_epoch(
+    double *entity, double *relation, double *word, int64_t d,
+    const int64_t *heads, const int64_t *rels, const int64_t *tails,
+    const int64_t *moff, const int64_t *mflat,
+    const int64_t *order, int64_t n_order,
+    const int64_t *neg_table, int64_t k, int neg_by_relation,
+    double lr, double margin, int use_kg, int use_text, int normalize,
+    double *loss_out, int64_t *active_out)
+{
+    double *scratch = calloc((size_t)(5 * (d > 0 ? d : 1)), sizeof(double));
+    if (scratch == NULL)
+        return -2;
+    double *m = scratch;
+    double *diff_pos = m + d;
+    double *diff_neg = diff_pos + d;
+    double *sum_rneg = diff_neg + d;
+    double *wc = sum_rneg + d;
+    double loss_sum = 0.0;
+    int64_t active_sum = 0;
+    int64_t bad = -1;
+
+    for (int64_t pos = 0; pos < n_order; pos++) {
+        int64_t i = order[pos];
+        int64_t h = heads[i];
+        int64_t r = rels[i];
+        int64_t t = tails[i];
+        double *eh = entity + h * d;
+        double *et = entity + t * d;
+        double *rr = relation + r * d;
+        if (use_text) {
+            for (int64_t q = 0; q < d; q++)
+                m[q] = 0.0;
+            for (int64_t j = moff[i]; j < moff[i + 1]; j++) {
+                const double *wv = word + mflat[j] * d;
+                for (int64_t q = 0; q < d; q++)
+                    m[q] += wv[q];
+            }
+        }
+        double s_pos = 0.0;
+        if (use_kg) {
+            double acc = 0.0;
+            for (int64_t q = 0; q < d; q++) {
+                double v = eh[q] + rr[q] - et[q];
+                diff_pos[q] = v;
+                acc += v * v;
+            }
+            s_pos += acc;
+        }
+        if (use_text) {
+            double acc = 0.0;
+            for (int64_t q = 0; q < d; q++)
+                acc -= rr[q] * m[q];
+            s_pos += acc;
+        }
+
+        const int64_t *negs = neg_table + (neg_by_relation ? r : pos) * k;
+        int64_t a = 0;
+        double loss_i = 0.0;
+        for (int64_t q = 0; q < d; q++)
+            sum_rneg[q] = 0.0;
+        for (int64_t j = 0; j < k; j++) {
+            double *rn = relation + negs[j] * d;
+            double s_neg = 0.0;
+            if (use_kg) {
+                double acc = 0.0;
+                for (int64_t q = 0; q < d; q++) {
+                    double v = eh[q] + rn[q] - et[q];
+                    diff_neg[q] = v;
+                    acc += v * v;
+                }
+                s_neg += acc;
+            }
+            if (use_text) {
+                double acc = 0.0;
+                for (int64_t q = 0; q < d; q++)
+                    acc -= rn[q] * m[q];
+                s_neg += acc;
+            }
+            double term = margin + s_pos - s_neg;
+            if (term > 0.0) {
+                a += 1;
+                loss_i += term;
+                for (int64_t q = 0; q < d; q++)
+                    sum_rneg[q] += rn[q];
+                if (use_kg)
+                    for (int64_t q = 0; q < d; q++)
+                        rn[q] += lr * 2.0 * diff_neg[q];
+                if (use_text)
+                    for (int64_t q = 0; q < d; q++)
+                        rn[q] -= lr * m[q];
+            }
+        }
+
+        if (a > 0) {
+            double af = (double)a;
+            for (int64_t q = 0; q < d; q++)
+                wc[q] = sum_rneg[q] - af * rr[q];
+            if (use_kg)
+                for (int64_t q = 0; q < d; q++)
+                    rr[q] -= lr * 2.0 * af * diff_pos[q];
+            if (use_text)
+                for (int64_t q = 0; q < d; q++)
+                    rr[q] += lr * af * m[q];
+            if (use_kg && h != t) {
+                for (int64_t q = 0; q < d; q++) {
+                    eh[q] += lr * 2.0 * wc[q];
+                    et[q] -= lr * 2.0 * wc[q];
+                }
+                if (normalize) {
+                    double *rows[2] = {eh, et};
+                    for (int e = 0; e < 2; e++) {
+                        double acc = 0.0;
+                        for (int64_t q = 0; q < d; q++)
+                            acc += rows[e][q] * rows[e][q];
+                        double nrm = sqrt(acc);
+                        if (nrm > 0.0)
+                            for (int64_t q = 0; q < d; q++)
+                                rows[e][q] /= nrm;
+                    }
+                }
+            }
+            if (use_text)
+                for (int64_t j = moff[i]; j < moff[i + 1]; j++) {
+                    double *wv = word + mflat[j] * d;
+                    for (int64_t q = 0; q < d; q++)
+                        wv[q] -= lr * wc[q];
+                }
+        }
+
+        loss_sum += loss_i;
+        active_sum += a;
+        int ok = isfinite(loss_i);
+        for (int64_t q = 0; q < d; q++)
+            if (!isfinite(rr[q]))
+                ok = 0;
+        if (use_kg)
+            for (int64_t q = 0; q < d; q++)
+                if (!isfinite(eh[q]))
+                    ok = 0;
+        if (!ok) {
+            bad = i;
+            break;
+        }
+    }
+
+    free(scratch);
+    *loss_out = loss_sum;
+    *active_out = active_sum;
+    return bad;
+}

@@ -22,7 +22,7 @@ from .embeddings import ModelConfig, load_model, save_model
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .evaluation import candidate_scores, evaluate, format_report, write_ranks_tsv
 from .kernels import BACKEND
-from .training import VARIANTS, grid_search, train
+from .training import VARIANTS, grid_search, step_bound, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,11 +114,22 @@ def _report_rejections(rejected: dict, log) -> None:
             print(f"warning: {split}: {count} line(s) rejected (unknown symbols)", file=log)
 
 
+def _warn_step_bound(config, n_relations: int) -> None:
+    bound = step_bound(config, n_relations)
+    if bound > 1.0:
+        print(
+            f"warning: lr * negatives per example = {bound:g} > 1; the positive "
+            f"relation's step can overshoot and training may diverge",
+            file=sys.stderr,
+        )
+
+
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     threads = _resolve_threads(args)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
+    _warn_step_bound(config, len(vocab.relations))
     table, _ = train(dataset, vocab, config, args.variant, n_threads=threads, verbose=True)
     save_model(table, vocab, config, args.out)
     _write_manifest(
@@ -161,6 +172,7 @@ def cmd_grid(args) -> int:
     threads = _resolve_threads(args)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
+    _warn_step_bound(base, len(vocab.relations))
     result = grid_search(
         dataset, vocab,
         args.dims, args.alphas, args.betas, args.gammas,

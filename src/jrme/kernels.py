@@ -1,45 +1,91 @@
-"""Hot numeric kernels, in two interchangeable backends.
+"""Hot numeric kernels: the SGD epoch in C with a numpy twin, and ranking.
 
-The loop kernels are compiled with numba when it is importable; setting
-the environment variable JRME_DISABLE_NUMBA to anything but "0" (or
-empty) forces the vectorized plain-numpy twins instead.  Both backends
-implement the same update and ranking rules; they may differ in the
-last float bits because summation order differs, never in semantics.
-
-The compiled kernels release the GIL, so training shards and evaluation
-chunks can run on real threads.
+The epoch kernel lives in `_epoch.c`.  The first import compiles it with
+the system C compiler into a per-user cache and loads it with ctypes,
+which releases the GIL, so training shards run on real threads.  When
+there is no compiler, the build fails, or the cache cannot be written or
+is writable by other users, the vectorized numpy twin runs instead and
+one stderr line says so.
+`BACKEND` names the one in use, "c" or "numpy".  The twin is also the
+reference the tests hold the C kernel to: the two may differ in the
+last float bits (summation order), never in semantics.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-_DISABLED = os.environ.get("JRME_DISABLE_NUMBA", "0") not in ("", "0")
-
-HAS_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        pass
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-if HAS_NUMBA:
-    _kernel = njit(cache=True, nogil=True)
-else:
-
-    def _kernel(func):
-        return func
+_SOURCE = Path(__file__).with_name("_epoch.c")
+# IEEE semantics on every host: no -march=native, no -ffast-math (which
+# would break isfinite), no fused multiply-add
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+_PTR = ctypes.c_void_p
 
 
-def pyfunc(f):
-    """Uncompiled Python version of a loop kernel (itself when not jitted)."""
-    return getattr(f, "py_func", f)
+def _cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(base) / "jrme"
+
+
+def _load_epoch_kernel():
+    """Build `_epoch.c` once per (source, flags) into the cache and load it.
+
+    The library is compiled from the hashed bytes under a temporary name
+    and renamed into place, so concurrent first runs never load a
+    half-written file.
+    """
+    source = _SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
+    cache = _cache_dir()
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = cache.stat()
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise OSError(f"{cache} is writable by other users")
+    lib_path = cache / f"epoch-{digest}.so"
+    if not lib_path.exists():
+        import subprocess  # only a cache miss pays for it
+
+        fd, tmp = tempfile.mkstemp(prefix=".epoch-", suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(
+                ["cc", *_CFLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
+                input=source, check=True, capture_output=True, timeout=300,
+            )
+            os.replace(tmp, lib_path)
+        except subprocess.SubprocessError as e:
+            raise OSError(f"cc failed: {e}") from None
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    fn = ctypes.CDLL(str(lib_path)).jrme_epoch
+    fn.argtypes = [
+        _PTR, _PTR, _PTR, ctypes.c_int64,  # entity, relation, word, d
+        _PTR, _PTR, _PTR, _PTR, _PTR,  # heads, rels, tails, moff, mflat
+        _PTR, ctypes.c_int64,  # order, n_order
+        _PTR, ctypes.c_int64, ctypes.c_int,  # neg_table, k, neg_by_relation
+        ctypes.c_double, ctypes.c_double,  # lr, margin
+        ctypes.c_int, ctypes.c_int, ctypes.c_int,  # use_kg, use_text, normalize
+        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
+    ]
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+try:
+    _jrme_epoch = _load_epoch_kernel()
+except OSError as e:
+    _jrme_epoch = None
+    print(f"jrme: C epoch kernel unavailable ({e}); using the numpy twin", file=sys.stderr)
+
+BACKEND = "numpy" if _jrme_epoch is None else "c"
 
 
 class PackedBeliefs:
@@ -90,158 +136,9 @@ def enum_negative_table(n_relations: int) -> np.ndarray:
 
 # --- training epoch -------------------------------------------------------
 #
-# Per example, all active hinge terms are accumulated against the
-# pre-step table and applied as one update.  Negative-relation rows are
-# written during the scan (each appears at most once per example, and
-# nothing later reads them); everything else is written afterwards from
-# stashed pre-step quantities.
-#
-# Per active term the descent directions are:
-#   relation r:   -lr * (2*(h+r-t))        and  -lr * (-m)
-#   relation r':  -lr * (-2*(h+r'-t))      and  -lr * (+m)
-#   entity h:     -lr * 2*(r - r')         (tail gets the opposite)
-#   each word:    -lr * (r' - r)           (per occurrence)
-# summed over active negatives; wc = sum(r') - a*r collects the shared
-# vector for the entity and word updates.
-
-
-@_kernel
-def _epoch_loops(
-    entity,
-    relation,
-    word,
-    heads,
-    rels,
-    tails,
-    moff,
-    mflat,
-    order,
-    neg_table,
-    neg_by_relation,
-    lr,
-    margin,
-    use_kg,
-    use_text,
-    normalize,
-):
-    d = relation.shape[1]
-    k = neg_table.shape[1]
-    m = np.zeros(d, dtype=np.float64)
-    diff_pos = np.zeros(d, dtype=np.float64)
-    diff_neg = np.zeros(d, dtype=np.float64)
-    sum_rneg = np.zeros(d, dtype=np.float64)
-    wc = np.zeros(d, dtype=np.float64)
-    loss_sum = 0.0
-    active_sum = 0
-    for pos in range(order.shape[0]):
-        i = order[pos]
-        h = heads[i]
-        r = rels[i]
-        t = tails[i]
-        if use_text:
-            for q in range(d):
-                m[q] = 0.0
-            for j in range(moff[i], moff[i + 1]):
-                w = mflat[j]
-                for q in range(d):
-                    m[q] += word[w, q]
-        s_pos = 0.0
-        if use_kg:
-            acc = 0.0
-            for q in range(d):
-                v = entity[h, q] + relation[r, q] - entity[t, q]
-                diff_pos[q] = v
-                acc += v * v
-            s_pos += acc
-        if use_text:
-            acc = 0.0
-            for q in range(d):
-                acc -= relation[r, q] * m[q]
-            s_pos += acc
-
-        nrow = r if neg_by_relation else pos
-        a = 0
-        loss_i = 0.0
-        for q in range(d):
-            sum_rneg[q] = 0.0
-        for j in range(k):
-            rp = neg_table[nrow, j]
-            s_neg = 0.0
-            if use_kg:
-                acc = 0.0
-                for q in range(d):
-                    v = entity[h, q] + relation[rp, q] - entity[t, q]
-                    diff_neg[q] = v
-                    acc += v * v
-                s_neg += acc
-            if use_text:
-                acc = 0.0
-                for q in range(d):
-                    acc -= relation[rp, q] * m[q]
-                s_neg += acc
-            term = margin + s_pos - s_neg
-            if term > 0.0:
-                a += 1
-                loss_i += term
-                for q in range(d):
-                    sum_rneg[q] += relation[rp, q]
-                if use_kg:
-                    for q in range(d):
-                        relation[rp, q] += lr * 2.0 * diff_neg[q]
-                if use_text:
-                    for q in range(d):
-                        relation[rp, q] -= lr * m[q]
-
-        if a > 0:
-            af = float(a)
-            for q in range(d):
-                wc[q] = sum_rneg[q] - af * relation[r, q]
-            if use_kg:
-                for q in range(d):
-                    relation[r, q] -= lr * 2.0 * af * diff_pos[q]
-            if use_text:
-                for q in range(d):
-                    relation[r, q] += lr * af * m[q]
-            if use_kg and h != t:
-                for q in range(d):
-                    entity[h, q] += lr * 2.0 * wc[q]
-                    entity[t, q] -= lr * 2.0 * wc[q]
-                if normalize:
-                    acc = 0.0
-                    for q in range(d):
-                        acc += entity[h, q] * entity[h, q]
-                    nrm = np.sqrt(acc)
-                    if nrm > 0.0:
-                        for q in range(d):
-                            entity[h, q] /= nrm
-                    acc = 0.0
-                    for q in range(d):
-                        acc += entity[t, q] * entity[t, q]
-                    nrm = np.sqrt(acc)
-                    if nrm > 0.0:
-                        for q in range(d):
-                            entity[t, q] /= nrm
-            if use_text:
-                for j in range(moff[i], moff[i + 1]):
-                    w = mflat[j]
-                    for q in range(d):
-                        word[w, q] -= lr * wc[q]
-
-        loss_sum += loss_i
-        active_sum += a
-        if not np.isfinite(loss_i):
-            return loss_sum, active_sum, i
-        ok = True
-        for q in range(d):
-            if not np.isfinite(relation[r, q]):
-                ok = False
-        if use_kg:
-            for q in range(d):
-                if not np.isfinite(entity[h, q]):
-                    ok = False
-        if not ok:
-            return loss_sum, active_sum, i
-    return loss_sum, active_sum, np.int64(-1)
+# The update rule is documented in _epoch.c.  _epoch_numpy is its
+# vectorized twin and _epoch_c guards the pointers handed to it; both
+# take the same arguments and return (loss_sum, active_count, bad_index).
 
 
 def _epoch_numpy(
@@ -327,54 +224,88 @@ def _epoch_numpy(
     return loss_sum, active_sum, -1
 
 
+def _check_ids(what: str, ids: np.ndarray, n: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError(f"{what} out of range [0, {n})")
+
+
+def _epoch_c(
+    entity,
+    relation,
+    word,
+    heads,
+    rels,
+    tails,
+    moff,
+    mflat,
+    order,
+    neg_table,
+    neg_by_relation,
+    lr,
+    margin,
+    use_kg,
+    use_text,
+    normalize,
+):
+    """The C kernel, after the checks that keep bad input out of memory.
+
+    Raises ValueError for a wrong dtype, layout or shape and IndexError
+    for an id outside its table, before any row is written.
+    """
+    d = relation.shape[1] if relation.ndim == 2 else -1
+    for name, t in (("entity", entity), ("relation", relation), ("word", word)):
+        if t.dtype != np.float64 or t.ndim != 2 or t.shape[1] != d:
+            raise ValueError(f"{name} table must be a 2-D float64 array with {d} columns")
+        if not (t.flags.c_contiguous and t.flags.writeable):
+            raise ValueError(f"{name} table must be C-contiguous and writeable")
+    index_arrays = (
+        ("heads", heads, 1), ("rels", rels, 1), ("tails", tails, 1), ("moff", moff, 1),
+        ("mflat", mflat, 1), ("order", order, 1), ("neg_table", neg_table, 2),
+    )
+    for name, a, ndim in index_arrays:
+        if a.dtype != np.int64 or a.ndim != ndim or not a.flags.c_contiguous:
+            raise ValueError(f"{name} must be a {ndim}-D C-contiguous int64 array")
+    n = heads.shape[0]
+    if rels.shape != (n,) or tails.shape != (n,) or moff.shape != (n + 1,):
+        raise ValueError("heads, rels and tails need one entry per belief, moff one more")
+    n_rel = relation.shape[0]
+    rows = n_rel if neg_by_relation else order.shape[0]
+    if neg_table.shape[0] < rows:
+        raise IndexError(f"negative table has {neg_table.shape[0]} rows, needs {rows}")
+    _check_ids("example index", order, n)
+    _check_ids("relation id", rels, n_rel)
+    _check_ids("negative relation id", neg_table, n_rel)
+    _check_ids("entity id", heads, entity.shape[0])
+    _check_ids("entity id", tails, entity.shape[0])
+    if use_text:
+        _check_ids("mention offset", moff, mflat.shape[0] + 1)
+        _check_ids("word id", mflat, word.shape[0])
+
+    loss = ctypes.c_double()
+    active = ctypes.c_int64()
+    bad = _jrme_epoch(
+        entity.ctypes.data, relation.ctypes.data, word.ctypes.data, d,
+        heads.ctypes.data, rels.ctypes.data, tails.ctypes.data,
+        moff.ctypes.data, mflat.ctypes.data,
+        order.ctypes.data, order.shape[0],
+        neg_table.ctypes.data, neg_table.shape[1], bool(neg_by_relation),
+        lr, margin, bool(use_kg), bool(use_text), bool(normalize),
+        ctypes.byref(loss), ctypes.byref(active),
+    )
+    if bad == -2:
+        raise MemoryError("C epoch kernel could not allocate its scratch rows")
+    return loss.value, active.value, bad
+
+
 # --- relation ranking -----------------------------------------------------
 
 
-@_kernel
-def _rank_loops(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
-    n = heads.shape[0]
-    n_rel = relation.shape[0]
-    d = relation.shape[1]
-    ranks = np.empty(n, dtype=np.int64)
-    m = np.zeros(d, dtype=np.float64)
-    scores = np.empty(n_rel, dtype=np.float64)
-    for i in range(n):
-        h = heads[i]
-        r = rels[i]
-        t = tails[i]
-        if use_text:
-            for q in range(d):
-                m[q] = 0.0
-            for j in range(moff[i], moff[i + 1]):
-                w = mflat[j]
-                for q in range(d):
-                    m[q] += word[w, q]
-        for rp in range(n_rel):
-            s = 0.0
-            if use_kg:
-                acc = 0.0
-                for q in range(d):
-                    v = entity[h, q] + relation[rp, q] - entity[t, q]
-                    acc += v * v
-                s += acc
-            if use_text:
-                acc = 0.0
-                for q in range(d):
-                    acc -= relation[rp, q] * m[q]
-                s += acc
-            scores[rp] = s
-        s_true = scores[r]
-        rank = 1
-        for rp in range(n_rel):
-            if rp == r:
-                continue
-            if scores[rp] < s_true or (scores[rp] == s_true and rp < r):
-                rank += 1
-        ranks[i] = rank
-    return ranks
+def rank_all(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
+    """Rank of the true relation for each belief, as an int64 array.
 
-
-def _rank_numpy(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
+    Rank = 1 + #(strictly better candidates) + #(tied candidates with a
+    smaller relation id); raw ranking over all relations.
+    """
     n = heads.shape[0]
     n_rel = relation.shape[0]
     ranks = np.empty(n, dtype=np.int64)
@@ -400,7 +331,7 @@ def _rank_numpy(entity, relation, word, heads, rels, tails, moff, mflat, use_kg,
     return ranks
 
 
-# --- dispatchers ----------------------------------------------------------
+# --- dispatch -------------------------------------------------------------
 
 
 def run_epoch(
@@ -422,7 +353,7 @@ def run_epoch(
     Returns (loss_sum, active_term_count, bad_index); bad_index is the
     first example whose step produced a non-finite value, -1 when clean.
     """
-    impl = _epoch_loops if HAS_NUMBA else _epoch_numpy
+    impl = _epoch_numpy if _jrme_epoch is None else _epoch_c
     loss, active, bad = impl(
         entity,
         relation,
@@ -442,35 +373,3 @@ def run_epoch(
         normalize,
     )
     return float(loss), int(active), int(bad)
-
-
-def rank_all(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
-    """Rank of the true relation for each belief, as an int64 array.
-
-    Rank = 1 + #(strictly better candidates) + #(tied candidates with a
-    smaller relation id); raw ranking over all relations.
-    """
-    impl = _rank_loops if HAS_NUMBA else _rank_numpy
-    return impl(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text)
-
-
-def warmup_jit() -> None:
-    """Force-compile both kernels on tiny inputs so timed code never JITs."""
-    if not HAS_NUMBA:
-        return
-    d = 2
-    entity = np.zeros((2, d))
-    relation = np.zeros((2, d))
-    word = np.zeros((1, d))
-    heads = np.zeros(1, dtype=np.int64)
-    rels = np.zeros(1, dtype=np.int64)
-    tails = np.ones(1, dtype=np.int64)
-    moff = np.array([0, 1], dtype=np.int64)
-    mflat = np.zeros(1, dtype=np.int64)
-    order = np.zeros(1, dtype=np.int64)
-    negs = enum_negative_table(2)
-    _epoch_loops(
-        entity, relation, word, heads, rels, tails, moff, mflat,
-        order, negs, True, 0.01, 1.0, True, True, True,
-    )
-    _rank_loops(entity, relation, word, heads, rels, tails, moff, mflat, True, True)

@@ -48,6 +48,17 @@ def variant_margin(variant: str, config: ModelConfig) -> float:
     return {"kre": config.alpha, "tme": config.beta, "jrme": config.gamma}[variant]
 
 
+def step_bound(config: ModelConfig, n_relations: int) -> float:
+    """Learning rate times the corrupt relations each example scores.
+
+    The positive relation's step is 2*lr*a*(h+r-t) for a active
+    negatives, so once this product exceeds 1 that step can overshoot
+    and the row can grow geometrically instead of converging.
+    """
+    mode, k = parse_neg_mode(config.neg_mode)
+    return config.learning_rate * (n_relations - 1 if mode == "all" else k)
+
+
 def negatives_for(relation: int, n_relations: int, neg_mode: str, rng=None) -> np.ndarray:
     """Corrupt-relation ids for one example.
 
@@ -205,16 +216,31 @@ class EpochReport:
 
 
 def _sample_negative_rows(rels, n_relations, k, rng):
+    """k distinct corrupt relations per example; each row a uniform draw.
+
+    Rows are drawn whole from the n_relations - 1 other ids and redrawn
+    while they hold a duplicate.  When a row is unlikely to come out
+    distinct, so that rejection would draw more numbers per row than a
+    shuffle of all the ids, each row instead takes the first k ids of a
+    random order.  Ids at or above the row's own relation then shift up
+    by one.
+    """
     if k > n_relations - 1:
         raise ConfigError(
             f"cannot sample {k} distinct negatives from {n_relations - 1} other relations"
         )
-    rows = np.empty((rels.shape[0], k), dtype=np.int64)
-    for pos in range(rels.shape[0]):
-        r = rels[pos]
-        draw = rng.choice(n_relations - 1, size=k, replace=False).astype(np.int64)
-        rows[pos] = np.where(draw >= r, draw + 1, draw)
-    return rows
+    n, m = rels.shape[0], n_relations - 1
+    p_distinct = np.prod(1.0 - np.arange(k) / m)
+    if k <= m * p_distinct:
+        rows = rng.integers(0, m, size=(n, k), dtype=np.int64)
+        redo = np.arange(n)
+        while redo.size:
+            s = np.sort(rows[redo], axis=1)
+            redo = redo[(s[:, 1:] == s[:, :-1]).any(axis=1)]
+            rows[redo] = rng.integers(0, m, size=(redo.size, k), dtype=np.int64)
+    else:
+        rows = np.argsort(rng.random((n, m)), axis=1)[:, :k]
+    return rows + (rows >= rels[:, None])
 
 
 def train(

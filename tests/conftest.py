@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from jrme.kernels import BACKEND, warmup_jit
-
-
-def pytest_configure(config):
-    # compile the hot kernels once, before anything that measures time
-    warmup_jit()
+from jrme.kernels import BACKEND
 
 
 def pytest_report_header(config):
-    return f"jrme kernel backend: {BACKEND}"
+    return f"jrme epoch kernel backend: {BACKEND}"
 
 
 @pytest.fixture

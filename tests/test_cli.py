@@ -126,6 +126,29 @@ class TestTrainCommand:
         assert "avg_rank=" in out
 
 
+class TestStepBoundWarning:
+    def test_warns_at_defaults_with_many_relations(self, tmp_path, capsys):
+        # --neg all at lr 0.01 scores 119 negatives per example: 1.19 > 1
+        train = tmp_path / "train.tsv"
+        train.write_text("".join(f"e{i % 7}\tr{i}\te{i % 5}\tw{i % 3}\n" for i in range(120)))
+        code, _, err = run(
+            capsys, "train", "--train", train, "--out", tmp_path / "m.bin",
+            "--dim", 4, "--epochs", 1,
+        )
+        assert code == 0
+        warnings = [line for line in err.splitlines() if "overshoot" in line]
+        assert len(warnings) == 1
+        assert "1.19 > 1" in warnings[0]
+
+    def test_silent_below_the_bound(self, corpus, capsys):
+        tmp, train, _ = corpus
+        code, _, err = run(
+            capsys, "train", "--train", train, "--out", tmp / "m.bin", "--dim", 4, "--epochs", 1,
+        )
+        assert code == 0
+        assert "overshoot" not in err
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert run(capsys, "train", "--train", "x.tsv")[0] == 1  # no --out

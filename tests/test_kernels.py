@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -8,21 +9,21 @@ import pytest
 
 import jrme
 from jrme.data import Belief
+from jrme.evaluation import candidate_scores, rank_true_relation
 from jrme.kernels import (
     BACKEND,
-    HAS_NUMBA,
     PackedBeliefs,
-    _epoch_loops,
+    _epoch_c,
     _epoch_numpy,
-    _rank_loops,
-    _rank_numpy,
     enum_negative_table,
-    pyfunc,
     rank_all,
     run_epoch,
-    warmup_jit,
 )
+from jrme.training import _sample_negative_rows, variant_flags
 from synth_data import make_vocab, random_table
+from test_evaluation import oracle_rank
+
+needs_c = pytest.mark.skipif(BACKEND != "c", reason="the C kernel did not build here")
 
 
 def random_packed(rng, n, n_entities, n_relations, n_words, max_mention=4):
@@ -76,22 +77,25 @@ def _epoch_args(rng, n=40, d=6, n_entities=12, n_relations=7, n_words=9):
 
 
 class TestBackendAgreement:
-    """The compiled loops, their pure-Python originals, and the numpy
-    twins must implement identical update rules; only summation order
-    may differ, so comparisons allow float-reassociation noise."""
+    """The C kernel and the numpy twin implement identical update rules;
+    only summation order may differ, so comparisons allow
+    float-reassociation noise."""
 
+    @needs_c
     @pytest.mark.parametrize("use_kg,use_text", [(True, False), (False, True), (True, True)])
     def test_epoch_numpy_matches_loops(self, rng, use_kg, use_text):
-        for trial in range(5):
+        for neg_by_relation, normalize, trial in product((True, False), (True, False), range(3)):
             table, packed, order, negs = _epoch_args(rng)
+            if not neg_by_relation:
+                negs = _sample_negative_rows(packed.relations[order], 7, 3, rng)
             args = (
                 packed.heads, packed.relations, packed.tails,
                 packed.mention_off, packed.mention_flat,
-                order, negs, True, 0.01, 1.0, use_kg, use_text, True,
+                order, negs, neg_by_relation, 0.01, 1.0, use_kg, use_text, normalize,
             )
             ta = table.copy()
             tb = table.copy()
-            la, aa, bada = _epoch_loops(ta.entity_vecs, ta.relation_vecs, ta.word_vecs, *args)
+            la, aa, bada = _epoch_c(ta.entity_vecs, ta.relation_vecs, ta.word_vecs, *args)
             lb, ab, badb = _epoch_numpy(tb.entity_vecs, tb.relation_vecs, tb.word_vecs, *args)
             assert aa == ab
             assert bada == badb == -1
@@ -100,51 +104,90 @@ class TestBackendAgreement:
             np.testing.assert_allclose(ta.relation_vecs, tb.relation_vecs, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(ta.word_vecs, tb.word_vecs, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="needs the compiled backend")
-    def test_compiled_epoch_matches_its_python_source(self, rng):
+    @needs_c
+    def test_run_epoch_runs_the_c_kernel(self, rng):
         table, packed, order, negs = _epoch_args(rng, n=15)
-        args = (
+        ta = table.copy()
+        tb = table.copy()
+        la, aa, _ = run_epoch(
+            ta.entity_vecs, ta.relation_vecs, ta.word_vecs,
+            packed, order, negs, True, 0.01, 1.5, True, True, True,
+        )
+        lb, ab, _ = _epoch_c(
+            tb.entity_vecs, tb.relation_vecs, tb.word_vecs,
             packed.heads, packed.relations, packed.tails,
             packed.mention_off, packed.mention_flat,
             order, negs, True, 0.01, 1.5, True, True, True,
         )
-        ta = table.copy()
-        tb = table.copy()
-        la, aa, _ = _epoch_loops(ta.entity_vecs, ta.relation_vecs, ta.word_vecs, *args)
-        lb, ab, _ = pyfunc(_epoch_loops)(tb.entity_vecs, tb.relation_vecs, tb.word_vecs, *args)
-        assert aa == ab
-        assert la == pytest.approx(lb, rel=1e-12)
-        np.testing.assert_allclose(ta.relation_vecs, tb.relation_vecs, rtol=1e-12)
+        assert (la, aa) == (lb, ab)
+        np.testing.assert_array_equal(ta.relation_vecs, tb.relation_vecs)
+        np.testing.assert_array_equal(ta.entity_vecs, tb.entity_vecs)
+        np.testing.assert_array_equal(ta.word_vecs, tb.word_vecs)
 
-    def test_rank_backends_agree_exactly(self, rng):
+
+def _rank_case(rng, n):
+    table = random_table(make_vocab(12, 7, 9), 6, rng, scale=0.5)
+    packed, beliefs = random_packed(rng, n, 12, 7, 9)
+    return table, packed, beliefs
+
+
+def _oracle_ranks(table, beliefs, variant):
+    return [
+        oracle_rank(list(candidate_scores(table, b.head, b.tail, b.mention, variant)), b.relation)
+        for b in beliefs
+    ]
+
+
+class TestRanking:
+    """rank_all against the brute-force sort of every candidate's score."""
+
+    def test_rank_all_matches_oracle(self, rng):
         for trial in range(10):
-            table, packed, order, negs = _epoch_args(rng, n=30)
-            for use_kg, use_text in [(True, False), (False, True), (True, True)]:
-                args = (
+            table, packed, beliefs = _rank_case(rng, 30)
+            for variant in ("kre", "tme", "jrme"):
+                use_kg, use_text = variant_flags(variant)
+                ranks = rank_all(
                     table.entity_vecs, table.relation_vecs, table.word_vecs,
                     packed.heads, packed.relations, packed.tails,
                     packed.mention_off, packed.mention_flat, use_kg, use_text,
                 )
-                np.testing.assert_array_equal(_rank_loops(*args), _rank_numpy(*args))
+                np.testing.assert_array_equal(ranks, _oracle_ranks(table, beliefs, variant))
+                np.testing.assert_array_equal(
+                    ranks, [rank_true_relation(table, b, variant) for b in beliefs])
 
-    def test_rank_backends_agree_on_forced_ties(self, rng):
-        table, packed, order, negs = _epoch_args(rng, n=20)
+    def test_rank_all_matches_oracle_on_forced_ties(self, rng):
+        table, packed, beliefs = _rank_case(rng, 20)
         table.relation_vecs[:] = table.relation_vecs[0]
-        args = (
+        ranks = rank_all(
             table.entity_vecs, table.relation_vecs, table.word_vecs,
             packed.heads, packed.relations, packed.tails,
             packed.mention_off, packed.mention_flat, True, True,
         )
-        a = _rank_loops(*args)
-        b = _rank_numpy(*args)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(ranks, _oracle_ranks(table, beliefs, "jrme"))
         # with every score tied, rank is the id-order position
-        np.testing.assert_array_equal(a, packed.relations + 1)
+        np.testing.assert_array_equal(ranks, packed.relations + 1)
+
+
+def _child_env(**extra):
+    # the child must import the same jrme the suite imported, installed
+    # or run from src/, so its package directory goes first on the path
+    pkg_root = str(Path(jrme.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def _child(code, env):
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
+    )
 
 
 class TestDispatch:
     def test_backend_constant_is_consistent(self):
-        assert BACKEND == ("numba" if HAS_NUMBA else "numpy")
+        from jrme.kernels import _jrme_epoch
+
+        assert BACKEND == ("numpy" if _jrme_epoch is None else "c")
+        assert jrme.BACKEND == BACKEND
 
     def test_run_epoch_and_rank_all_wrappers(self, rng):
         table, packed, order, negs = _epoch_args(rng, n=10)
@@ -162,32 +205,101 @@ class TestDispatch:
         assert ranks.shape == (10,)
         assert (ranks >= 1).all() and (ranks <= table.relation_vecs.shape[0]).all()
 
-    def test_warmup_is_idempotent(self):
-        warmup_jit()
-        warmup_jit()
+    def test_missing_compiler_falls_back_to_numpy(self, tmp_path):
+        no_cc = tmp_path / "bin"
+        no_cc.mkdir()
+        env = _child_env(PATH=str(no_cc), XDG_CACHE_HOME=str(tmp_path / "cache"))
+        out = _child("import jrme.kernels as k; print(k.BACKEND)", env)
+        assert out.stdout.split() == ["numpy"]
+        assert len(out.stderr.splitlines()) == 1 and "numpy twin" in out.stderr
 
-    def test_env_flag_selects_numpy_backend(self):
-        # the child must import the same jrme the suite imported, installed
-        # or run from src/, so its package directory goes first on the path
-        pkg_root = str(Path(jrme.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, JRME_DISABLE_NUMBA="1", PYTHONPATH=pythonpath)
-        code = "import jrme.kernels as k; print(k.BACKEND, k.HAS_NUMBA)"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True,
-            env=env,
+        train = tmp_path / "train.tsv"
+        train.write_text("".join(f"e{i % 5}\tr{i % 3}\te{(i + 1) % 5}\tw{i % 3}\n" for i in range(30)))
+        run = subprocess.run(
+            [sys.executable, "-m", "jrme.cli", "train", "--train", str(train),
+             "--out", str(tmp_path / "model.bin"), "--dim", "4", "--epochs", "2"],
+            capture_output=True, text=True, env=env,
         )
-        assert out.stdout.split() == ["numpy", "False"]
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "model.bin").exists()
+
+    @needs_c
+    def test_second_import_reuses_the_cached_library(self, tmp_path):
+        env = _child_env(XDG_CACHE_HOME=str(tmp_path))
+        code = "import jrme.kernels as k; print(k.BACKEND)"
+        assert _child(code, env).stdout.split() == ["c"]
+        cache = tmp_path / "jrme"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        (lib,) = cache.iterdir()
+        built = lib.stat().st_mtime_ns
+        assert _child(code, env).stdout.split() == ["c"]
+        assert list(cache.iterdir()) == [lib]
+        assert lib.stat().st_mtime_ns == built
+
+
+class TestPointerGuards:
+    """Bad input to the C wrapper raises before any row is written."""
+
+    def _call(self, table, packed, order, negs, neg_by_relation=True):
+        return _epoch_c(
+            table.entity_vecs, table.relation_vecs, table.word_vecs,
+            packed.heads, packed.relations, packed.tails,
+            packed.mention_off, packed.mention_flat,
+            order, negs, neg_by_relation, 0.01, 1.0, True, True, True,
+        )
+
+    @pytest.mark.parametrize("field,value", [
+        ("heads", 12), ("tails", -1), ("relations", 7), ("mention_flat", 9),
+        ("mention_off", 10_000), ("order", 40), ("negs", 7),
+    ])
+    def test_out_of_range_index_raises(self, rng, field, value):
+        table, packed, order, negs = _epoch_args(rng)
+        target = order if field == "order" else negs if field == "negs" else getattr(packed, field)
+        target[-1] = value
+        before = table.copy()
+        with pytest.raises(IndexError):
+            self._call(table, packed, order, negs)
+        np.testing.assert_array_equal(table.relation_vecs, before.relation_vecs)
+        np.testing.assert_array_equal(table.entity_vecs, before.entity_vecs)
+
+    def test_short_negative_table_raises(self, rng):
+        table, packed, order, negs = _epoch_args(rng)
+        with pytest.raises(IndexError):
+            self._call(table, packed, order, negs[:3], neg_by_relation=False)
+
+    def test_bad_table_layout_or_dtype_raises(self, rng):
+        table, packed, order, negs = _epoch_args(rng)
+        wide = np.repeat(table.entity_vecs, 2, axis=1)
+        for entity in (
+            np.asfortranarray(table.entity_vecs),
+            wide[:, ::2],
+            table.entity_vecs.astype(np.float32),
+            table.entity_vecs[:, :-1].copy(),
+        ):
+            table.entity_vecs = entity
+            with pytest.raises(ValueError):
+                self._call(table, packed, order, negs)
+        with pytest.raises(ValueError):
+            self._call(table, packed, order.astype(np.int32), negs)
+        with pytest.raises(ValueError):
+            self._call(table, packed, order, np.asfortranarray(negs))
 
 
 class TestNonFiniteDetection:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_epoch_reports_first_bad_example(self, rng):
         table, packed, order, negs = _epoch_args(rng, n=8)
-        table.relation_vecs[packed.relations[order[3]]] = np.inf
-        loss, active, bad = run_epoch(
-            table.entity_vecs, table.relation_vecs, table.word_vecs,
-            packed, order, negs, True, 0.01, 1.0, True, False, True,
+        poisoned = packed.relations[order[3]]
+        table.relation_vecs[poisoned] = np.inf
+        first = int(order[np.flatnonzero(packed.relations[order] == poisoned)[0]])
+        args = (
+            packed.heads, packed.relations, packed.tails,
+            packed.mention_off, packed.mention_flat, order, negs, True, 0.01, 1.0,
         )
-        assert bad >= 0
+        impls = [_epoch_numpy] + ([_epoch_c] if BACKEND == "c" else [])
+        for use_kg, use_text in [(True, False), (False, True), (True, True)]:
+            for impl in impls:
+                t = table.copy()
+                _, _, bad = impl(t.entity_vecs, t.relation_vecs, t.word_vecs, *args,
+                                 use_kg, use_text, True)
+                assert bad == first, (impl.__name__, use_kg, use_text)

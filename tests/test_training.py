@@ -1,5 +1,6 @@
 import io
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from jrme.embeddings import EmbeddingTable, ModelConfig, init_embeddings
 from jrme.errors import ConfigError, DataError, TrainingDivergedError
 from jrme.training import (
     VARIANTS,
+    _sample_negative_rows,
     example_gradients,
     example_loss,
     jrme_example_loss,
     kre_example_loss,
     negatives_for,
     sgd_step,
+    step_bound,
     tme_example_loss,
     train,
     variant_flags,
@@ -81,6 +84,53 @@ class TestNegatives:
     def test_oversized_sample_rejected(self, rng):
         with pytest.raises(ConfigError):
             negatives_for(0, 4, "sample:4", rng)
+
+
+# (relations, k): rejection of whole rows, and the first-k-of-a-shuffle
+# path taken when a row of k draws rarely comes out distinct
+SAMPLER_CASES = [(20, 3), (8, 5), (8, 7)]
+
+
+class TestSampleNegativeRows:
+    @pytest.mark.parametrize("n_relations,k", SAMPLER_CASES)
+    def test_rows_are_distinct_and_exclude_own_relation(self, rng, n_relations, k):
+        rels = rng.integers(n_relations, size=500)
+        rows = _sample_negative_rows(rels, n_relations, k, rng)
+        assert rows.shape == (500, k) and rows.dtype == np.int64
+        assert rows.flags.c_contiguous
+        assert ((rows >= 0) & (rows < n_relations)).all()
+        assert (rows != rels[:, None]).all()
+        assert all(len(set(row)) == k for row in rows.tolist())
+
+    @pytest.mark.parametrize("n_relations,k", SAMPLER_CASES)
+    def test_same_seed_same_rows(self, n_relations, k):
+        rels = np.arange(300) % n_relations
+
+        def draw(seed):
+            return _sample_negative_rows(rels, n_relations, k, np.random.default_rng(seed))
+
+        np.testing.assert_array_equal(draw(7), draw(7))
+        assert not np.array_equal(draw(7), draw(8))
+
+    @pytest.mark.parametrize("n_relations,k", SAMPLER_CASES[:2])
+    def test_other_ids_drawn_uniformly(self, rng, n_relations, k):
+        n, own = 20000, 2
+        rows = _sample_negative_rows(np.full(n, own), n_relations, k, rng)
+        counts = np.bincount(rows.ravel(), minlength=n_relations)
+        assert counts[own] == 0
+        expected = n * k / (n_relations - 1)
+        # about six standard deviations of a binomial count
+        np.testing.assert_allclose(np.delete(counts, own), expected, rtol=0.1)
+
+    def test_oversized_sample_rejected(self, rng):
+        with pytest.raises(ConfigError):
+            _sample_negative_rows(np.zeros(3, dtype=np.int64), 4, 4, rng)
+
+
+class TestStepBound:
+    def test_counts_negatives_per_example(self):
+        assert step_bound(ModelConfig(learning_rate=0.01), 201) == pytest.approx(2.0)
+        assert step_bound(ModelConfig(learning_rate=0.1, neg_mode="sample:5"), 201) == 0.5
 
 
 class TestExampleLosses:
@@ -417,6 +467,23 @@ class TestTrain:
         table, reports = train(ds, vocab, cfg, "jrme", n_threads=3)
         assert table.all_finite()
         assert len(reports) == 3
+
+    def test_threaded_shards_cover_every_example_once(self, rng):
+        # more threads than cores, switching often; a step too small to move
+        # any value keeps the tables fixed, so every shard's hinge terms are
+        # those of the single-threaded pass and a lost or doubled shard shows
+        ds, vocab = tiny_dataset(rng, n=400)
+        cfg = ModelConfig(dim=6, epochs=2, seed=2, learning_rate=1e-300)
+        _, single = train(ds, vocab, cfg, "jrme")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, threaded = train(ds, vocab, cfg, "jrme", n_threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.active for r in threaded] == [r.active for r in single]
+        for a, b in zip(threaded, single):
+            assert a.loss == pytest.approx(b.loss, rel=1e-12)
 
     def test_separable_text_dataset_reaches_perfect_hit_at_1(self):
         from jrme.evaluation import evaluate
