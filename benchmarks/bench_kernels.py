@@ -1,10 +1,11 @@
-"""Timing comparison: the C epoch kernel vs. the numpy twin.
+"""Timing comparison: the C epoch kernel vs. the numpy twin, and ranking.
 
 Runs one training epoch with each backend on a synthetic workload, once
 with every other relation as a negative (`--neg all`) and once with
 sampled negatives (`sample:K`), and reports best-of-N wall times.  Each
 timed repeat starts from fresh copies of the same initial tables, made
-outside the timed region, so every repeat does the same work.
+outside the timed region, so every repeat does the same work.  Then it
+times `rank_all` over the same beliefs for each variant, in µs per belief.
 
     python3 benchmarks/bench_kernels.py [--n 20000] [--dim 100] [--relations 200]
 """
@@ -14,8 +15,8 @@ import time
 
 import numpy as np
 
-from jrme.kernels import BACKEND, PackedBeliefs, _epoch_c, _epoch_numpy, enum_negative_table
-from jrme.training import _sample_negative_rows
+from jrme.kernels import BACKEND, PackedBeliefs, _epoch_c, _epoch_numpy, enum_negative_table, rank_all
+from jrme.training import VARIANTS, _sample_negative_rows, variant_flags
 
 
 def build_workload(n, n_entities, n_relations, n_words, dim, seed=0):
@@ -44,6 +45,19 @@ def best_epoch(impl, tables, epoch_args, repeat):
         copies = tuple(t.copy() for t in tables)
         t0 = time.perf_counter()
         impl(*copies, *epoch_args)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def best_rank(tables, packed, variant, repeat):
+    args = (
+        packed.heads, packed.relations, packed.tails, packed.mention_off, packed.mention_flat,
+        *variant_flags(variant),
+    )
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        rank_all(*tables, *args)
         times.append(time.perf_counter() - t0)
     return min(times)
 
@@ -96,6 +110,11 @@ def main():
         for neg in neg_modes:
             t = {backend: secs for k, backend, secs in rows if k == neg}
             print(f"{neg}: C is {t['numpy'] / t['c']:.1f}x faster")
+
+    print(f"\n{'rank_all':<12}{'seconds':>10}{'us/belief':>12}")
+    for variant in VARIANTS:
+        secs = best_rank(tables, packed, variant, args.repeat)
+        print(f"{variant:<12}{secs:>10.3f}{secs / args.n * 1e6:>12.1f}")
 
 
 if __name__ == "__main__":

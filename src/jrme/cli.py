@@ -138,7 +138,7 @@ def cmd_train(args) -> int:
         {"model": args.out},
     )
     if dataset.valid:
-        report = evaluate(table, dataset.valid, args.variant, n_workers=threads)
+        report = evaluate(table, dataset.valid, args.variant)
         print(format_report(report, args.variant.upper()))
     return 0
 
@@ -153,8 +153,7 @@ def cmd_eval(args) -> int:
         )
     if not result.beliefs:
         raise DataError(f"{args.test}: no evaluable beliefs (all lines rejected)")
-    threads = _resolve_threads(args) if args.threads > 1 else 1
-    report = evaluate(table, result.beliefs, args.variant, n_workers=threads)
+    report = evaluate(table, result.beliefs, args.variant)
     print(format_report(report, args.variant.upper()))
     if args.ranks_out:
         write_ranks_tsv(report, args.ranks_out)
@@ -240,12 +239,13 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _add_common_model_flags(p) -> None:
+def _add_common_model_flags(p, ranks_only: bool = False) -> None:
     p.add_argument("--variant", choices=VARIANTS, default="jrme")
-    p.add_argument("--threads", type=int, default=1)
+    note = "; accepted and ignored: ranking is single-threaded and exact" if ranks_only else ""
+    p.add_argument("--threads", type=int, default=1, help="training threads" + note)
     p.add_argument(
         "--nondeterministic-ok", action="store_true",
-        help="acknowledge that --threads > 1 is not bit-reproducible",
+        help="acknowledge that --threads > 1 is not bit-reproducible" + note,
     )
 
 
@@ -290,7 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--ranks-out", help="write per-example ranks as TSV")
-    _add_common_model_flags(p)
+    _add_common_model_flags(p, ranks_only=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grid", help="hyperparameter grid search on a validation split")

@@ -203,6 +203,8 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig]:
                 raise FormatError(f"{path}: header missing {key!r}")
         config = _config_from_dict(header["config"])
         dim = int(header["dim"])
+        if dim != config.dim:
+            raise FormatError(f"{path}: header dim {dim} disagrees with config dim {config.dim}")
         vocab = Vocabulary.from_names(header["entities"], header["relations"], header["words"])
 
         def read_table(n_rows: int, what: str) -> np.ndarray:

@@ -4,12 +4,13 @@ Every candidate relation is substituted for the true one and scored;
 candidates are ranked ascending (lower score is better).  Ranking is
 raw: nothing is filtered out, and the candidate set always includes
 the true relation itself.  Ties are broken by relation id, which makes
-every rank deterministic.
+every rank deterministic.  Every score is
+`kernels.relation_scores` and every rank `kernels.tie_ranks`, so a
+belief gets the same score and rank alone as inside `evaluate`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .data import Belief
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .kernels import PackedBeliefs, rank_all
+from .kernels import PackedBeliefs, rank_all, relation_scores, tie_ranks
 from .training import variant_flags
 
 
@@ -58,72 +59,39 @@ def candidate_scores(table: EmbeddingTable, head: int, tail: int, mention, varia
         raise IndexError(f"entity id {head} out of range [0, {table.n_entities})")
     if not 0 <= tail < table.n_entities:
         raise IndexError(f"entity id {tail} out of range [0, {table.n_entities})")
-    scores = np.zeros(table.n_relations, dtype=np.float64)
-    if use_kg:
-        diff = (table.entity_vecs[head] - table.entity_vecs[tail])[None, :] + table.relation_vecs
-        scores += np.einsum("ij,ij->i", diff, diff)
-    if use_text and len(mention):
-        ids = np.asarray(mention, dtype=np.int64)
-        if ids.min() < 0 or ids.max() >= table.n_words:
-            raise IndexError(f"word id out of range [0, {table.n_words})")
-        scores -= table.relation_vecs @ table.word_vecs[ids].sum(axis=0)
-    return scores
+    ids = np.asarray(mention, dtype=np.int64)
+    if use_text and ids.size and (ids.min() < 0 or ids.max() >= table.n_words):
+        raise IndexError(f"word id out of range [0, {table.n_words})")
+    return relation_scores(
+        table.entity_vecs, table.relation_vecs, table.word_vecs,
+        np.array([head]), np.array([tail]), np.array([0, ids.size]), ids,
+        use_kg, use_text,
+    )[0]
 
 
 def rank_true_relation(table: EmbeddingTable, belief: Belief, variant: str) -> int:
-    """Ascending-sort position of the true relation among all candidates.
-
-    rank = 1 + #(candidates scoring strictly lower)
-             + #(candidates tied with a smaller relation id).
-    """
+    """Ascending-sort position of the true relation among all candidates,
+    by the tie rule of `kernels.tie_ranks`."""
     scores = candidate_scores(table, belief.head, belief.tail, belief.mention, variant)
     r = belief.relation
     if not 0 <= r < table.n_relations:
         raise IndexError(f"relation id {r} out of range [0, {table.n_relations})")
-    s_true = scores[r]
-    ids = np.arange(table.n_relations)
-    return int(1 + np.count_nonzero(scores < s_true) + np.count_nonzero((scores == s_true) & (ids < r)))
+    return int(tie_ranks(scores[None, :], np.array([r]))[0])
 
 
-def _rank_chunk(table, packed, lo, hi, use_kg, use_text):
-    # moff keeps absolute offsets, so the shared flat word array needs no copy
-    return rank_all(
-        table.entity_vecs,
-        table.relation_vecs,
-        table.word_vecs,
-        packed.heads[lo:hi],
-        packed.relations[lo:hi],
-        packed.tails[lo:hi],
-        packed.mention_off[lo : hi + 1],
-        packed.mention_flat,
-        use_kg,
-        use_text,
-    )
-
-
-def evaluate(table: EmbeddingTable, beliefs, variant: str, n_workers: int = 1) -> EvalReport:
-    """Rank every belief's true relation and aggregate the metrics.
-
-    Read-only over the table and embarrassingly parallel: results are
-    merged in belief order, so the report is identical for any worker
-    count.
-    """
+def evaluate(table: EmbeddingTable, beliefs, variant: str) -> EvalReport:
+    """Rank every belief's true relation and aggregate the metrics."""
     beliefs = list(beliefs)
     if not beliefs:
         raise DataError("evaluation split is empty")
     use_kg, use_text = variant_flags(variant)
     packed = PackedBeliefs.from_beliefs(beliefs)
-    n = len(beliefs)
-    if n_workers <= 1 or n < 2 * n_workers:
-        ranks = _rank_chunk(table, packed, 0, n, use_kg, use_text)
-    else:
-        bounds = np.linspace(0, n, n_workers + 1).astype(np.int64)
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = [
-                pool.submit(_rank_chunk, table, packed, int(bounds[w]), int(bounds[w + 1]), use_kg, use_text)
-                for w in range(n_workers)
-            ]
-            ranks = np.concatenate([p.result() for p in parts])
+    ranks = rank_all(
+        table.entity_vecs, table.relation_vecs, table.word_vecs,
+        packed.heads, packed.relations, packed.tails,
+        packed.mention_off, packed.mention_flat,
+        use_kg, use_text,
+    )
     avg, hit10, hit1 = summarize_ranks(int(r) for r in ranks)
     return EvalReport(avg, hit10, hit1, tuple((i, int(r)) for i, r in enumerate(ranks)))
 

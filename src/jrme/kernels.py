@@ -8,7 +8,9 @@ is writable by other users, the vectorized numpy twin runs instead and
 one stderr line says so.
 `BACKEND` names the one in use, "c" or "numpy".  The twin is also the
 reference the tests hold the C kernel to: the two may differ in the
-last float bits (summation order), never in semantics.
+last float bits (summation order), never in semantics.  Ranking, numpy on
+both backends, has one scorer (`relation_scores`) and one tie rule
+(`tie_ranks`) behind `rank_all` and every single-belief score.
 """
 
 from __future__ import annotations
@@ -299,35 +301,53 @@ def _epoch_c(
 
 # --- relation ranking -----------------------------------------------------
 
+# beliefs per block: a (block x R) score array stays near one (R x d)
+# table in size, so peak memory does not grow
+RANK_BLOCK = 64
 
-def rank_all(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
-    """Rank of the true relation for each belief, as an int64 array.
 
-    Rank = 1 + #(strictly better candidates) + #(tied candidates with a
-    smaller relation id); raw ranking over all relations.
+def relation_scores(entity, relation, word, heads, tails, moff, mflat, use_kg, use_text):
+    """(n, R) score of every relation as the candidate for each belief.
+
+    ||h - t||^2 + q.r' + ||r'||^2 with q = 2(h - t) - m, m the sum of the
+    belief's word rows (moff: n + 1 absolute offsets into mflat); `tme`
+    drops the kg part, `kre` the text part.  q.r' is an unoptimized
+    einsum, not BLAS `@`: it sums each element in a fixed order, so a row
+    has the same bits alone or anywhere in a block and equal relations
+    tie exactly.  GEMM keeps neither, which breaks the tie rule.
     """
     n = heads.shape[0]
-    n_rel = relation.shape[0]
-    ranks = np.empty(n, dtype=np.int64)
-    rel_ids = np.arange(n_rel)
-    for i in range(n):
-        h = int(heads[i])
-        r = int(rels[i])
-        t = int(tails[i])
-        scores = np.zeros(n_rel, dtype=np.float64)
-        if use_kg:
-            diff = (entity[h] - entity[t])[None, :] + relation
-            scores += np.einsum("ij,ij->i", diff, diff)
-        if use_text:
-            ids = mflat[moff[i] : moff[i + 1]]
-            if ids.size:
-                scores -= relation @ word[ids].sum(axis=0)
-        s_true = scores[r]
-        ranks[i] = (
-            1
-            + int(np.count_nonzero(scores < s_true))
-            + int(np.count_nonzero((scores == s_true) & (rel_ids < r)))
+    q = np.zeros((n, relation.shape[1]))
+    if use_kg:
+        diff = entity[heads] - entity[tails]
+        q += 2.0 * diff
+    if use_text:
+        # unbuffered, in index order: each row takes its words left to right
+        np.subtract.at(q, np.repeat(np.arange(n), np.diff(moff)), word[mflat[moff[0] : moff[-1]]])
+    scores = np.einsum("bd,dr->br", q, relation.T)
+    if use_kg:
+        scores += np.einsum("bd,bd->b", diff, diff)[:, None]
+        scores += np.einsum("rd,rd->r", relation, relation)
+    return scores
+
+
+def tie_ranks(scores, true_ids):
+    """Per row: 1 + #(scores below the true id's) + #(ties with a smaller id)."""
+    s_true = scores[np.arange(len(true_ids)), true_ids][:, None]
+    tied_before = (scores == s_true) & (np.arange(scores.shape[1]) < true_ids[:, None])
+    return 1 + np.count_nonzero(scores < s_true, axis=1) + np.count_nonzero(tied_before, axis=1)
+
+
+def rank_all(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
+    """Raw rank of the true relation for each belief, as an int64 array."""
+    ranks = np.empty(heads.shape[0], dtype=np.int64)
+    for lo in range(0, heads.shape[0], RANK_BLOCK):
+        hi = lo + RANK_BLOCK
+        scores = relation_scores(
+            entity, relation, word, heads[lo:hi], tails[lo:hi], moff[lo : hi + 1], mflat,
+            use_kg, use_text,
         )
+        ranks[lo:hi] = tie_ranks(scores, rels[lo:hi])
     return ranks
 
 

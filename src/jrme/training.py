@@ -384,7 +384,7 @@ def grid_search(
             normalize_entities=base.normalize_entities,
         )
         table, _ = train(dataset, vocab, config, variant, n_threads=n_threads)
-        report = evaluate(table, dataset.valid, variant, n_workers=n_threads)
+        report = evaluate(table, dataset.valid, variant)
         point = GridPoint(config, report)
         points.append(point)
         if verbose:

@@ -201,6 +201,14 @@ class TestEvalCommand:
         # the corpus is separable by mentions, so it beats the 1/6 chance rate
         assert hit1 >= 0.9
 
+    def test_threads_flags_accepted_and_ignored(self, corpus, capsys):
+        tmp, model, test = self._train(corpus, capsys)
+        one = run(capsys, "eval", "--model", model, "--test", test, "--threads", 1)
+        two = run(capsys, "eval", "--model", model, "--test", test,
+                  "--threads", 2, "--nondeterministic-ok")
+        assert one[0] == two[0] == 0
+        assert two[1] == one[1]
+
     def test_ranks_tsv_written(self, corpus, capsys):
         tmp, model, test = self._train(corpus, capsys)
         ranks = tmp / "ranks.tsv"

@@ -163,6 +163,14 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_header_dim_must_match_config_dim(self, tmp_path):
+        table, vocab, _ = self._fixture(dim=4)
+        path = tmp_path / "model.bin"
+        save_model(table, vocab, ModelConfig(dim=7), path)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert "dim 4" in str(err.value) and "dim 7" in str(err.value)
+
     def test_copy_is_deep(self):
         table, _, _ = self._fixture()
         dup = table.copy()

@@ -13,6 +13,7 @@ from jrme.evaluation import (
     summarize_ranks,
     write_ranks_tsv,
 )
+from jrme.kernels import RANK_BLOCK
 from synth_data import make_vocab, random_table
 
 
@@ -127,7 +128,8 @@ class TestEvaluate:
         return t, beliefs
 
     def test_report_matches_per_belief_ranks(self, rng):
-        t, beliefs = self._setup(rng)
+        # more than two ranking blocks, the last one partial
+        t, beliefs = self._setup(rng, n=2 * RANK_BLOCK + 13)
         for variant in ("kre", "tme", "jrme"):
             report = evaluate(t, beliefs, variant)
             expected = [rank_true_relation(t, b, variant) for b in beliefs]
@@ -143,12 +145,14 @@ class TestEvaluate:
         assert 1.0 <= report.avg_rank <= t.n_relations
         assert report.n_examples == len(beliefs)
 
-    def test_parallel_equals_serial(self, rng):
-        t, beliefs = self._setup(rng, n=101)
-        for variant in ("kre", "jrme"):
-            serial = evaluate(t, beliefs, variant, n_workers=1)
-            parallel = evaluate(t, beliefs, variant, n_workers=4)
-            assert serial == parallel
+    def test_rank_does_not_depend_on_block_position(self, rng):
+        t, beliefs = self._setup(rng, n=2 * RANK_BLOCK + 5)
+        for variant in ("kre", "tme", "jrme"):
+            whole = [r for _, r in evaluate(t, beliefs, variant).ranks]
+            # shifting the split moves every belief to another block offset
+            for skip in (1, RANK_BLOCK - 1, RANK_BLOCK + 3):
+                tail = [r for _, r in evaluate(t, beliefs[skip:], variant).ranks]
+                assert tail == whole[skip:]
 
     def test_kre_ignores_word_table_and_tme_ignores_entities(self, rng):
         t, beliefs = self._setup(rng)

@@ -12,13 +12,16 @@ from jrme.data import Belief
 from jrme.evaluation import candidate_scores, rank_true_relation
 from jrme.kernels import (
     BACKEND,
+    RANK_BLOCK,
     PackedBeliefs,
     _epoch_c,
     _epoch_numpy,
     enum_negative_table,
     rank_all,
+    relation_scores,
     run_epoch,
 )
+from jrme.scoring import belief_score
 from jrme.training import _sample_negative_rows, variant_flags
 from synth_data import make_vocab, random_table
 from test_evaluation import oracle_rank
@@ -156,16 +159,49 @@ class TestRanking:
                     ranks, [rank_true_relation(table, b, variant) for b in beliefs])
 
     def test_rank_all_matches_oracle_on_forced_ties(self, rng):
-        table, packed, beliefs = _rank_case(rng, 20)
-        table.relation_vecs[:] = table.relation_vecs[0]
-        ranks = rank_all(
+        # within one block, and across several with a partial last block
+        for n in (20, 2 * RANK_BLOCK + 7):
+            table, packed, beliefs = _rank_case(rng, n)
+            table.relation_vecs[:] = table.relation_vecs[0]
+            ranks = rank_all(
+                table.entity_vecs, table.relation_vecs, table.word_vecs,
+                packed.heads, packed.relations, packed.tails,
+                packed.mention_off, packed.mention_flat, True, True,
+            )
+            np.testing.assert_array_equal(ranks, _oracle_ranks(table, beliefs, "jrme"))
+            # with every score tied, rank is the id-order position
+            np.testing.assert_array_equal(ranks, packed.relations + 1)
+
+    def test_block_row_is_bitwise_the_single_belief_score(self, rng):
+        # wide enough that a BLAS product blocks its work and rounds a
+        # row differently alone than inside a block
+        n, n_rel, d = RANK_BLOCK, 120, 100
+        table = random_table(make_vocab(12, n_rel, 9), d, rng)
+        packed, beliefs = random_packed(rng, n, 12, n_rel, 9)
+        lo, hi = 5, n - 3
+        for variant in ("kre", "tme", "jrme"):
+            use_kg, use_text = variant_flags(variant)
+            block = relation_scores(
+                table.entity_vecs, table.relation_vecs, table.word_vecs,
+                packed.heads[lo:hi], packed.tails[lo:hi],
+                packed.mention_off[lo : hi + 1], packed.mention_flat, use_kg, use_text,
+            )
+            for i in range(lo + 1, hi):
+                b = beliefs[i]
+                alone = candidate_scores(table, b.head, b.tail, b.mention, variant)
+                assert alone.tobytes() == block[i - lo].tobytes(), (variant, i)
+
+    def test_relation_scores_match_reference_scoring(self, rng):
+        table, packed, beliefs = _rank_case(rng, 25)
+        scores = relation_scores(
             table.entity_vecs, table.relation_vecs, table.word_vecs,
-            packed.heads, packed.relations, packed.tails,
-            packed.mention_off, packed.mention_flat, True, True,
+            packed.heads, packed.tails, packed.mention_off, packed.mention_flat, True, True,
         )
-        np.testing.assert_array_equal(ranks, _oracle_ranks(table, beliefs, "jrme"))
-        # with every score tied, rank is the id-order position
-        np.testing.assert_array_equal(ranks, packed.relations + 1)
+        expected = [
+            [belief_score(table, Belief(b.head, r, b.tail, b.mention)) for r in range(7)]
+            for b in beliefs
+        ]
+        np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=1e-12)
 
 
 def _child_env(**extra):
