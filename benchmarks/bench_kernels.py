@@ -6,6 +6,9 @@ sampled negatives (`sample:K`), and reports best-of-N wall times.  Each
 timed repeat starts from fresh copies of the same initial tables, made
 outside the timed region, so every repeat does the same work.  Then it
 times `rank_all` over the same beliefs for each variant, in µs per belief.
+Last it times one `grid_search` in the shape of the benchmark's grid_dup
+workload (16 points, 4 of them distinct, `--neg all`, the jrme variant)
+and counts its `train` calls.
 
     python3 benchmarks/bench_kernels.py [--n 20000] [--dim 100] [--relations 200]
 """
@@ -15,8 +18,16 @@ import time
 
 import numpy as np
 
+import jrme.training as training
+from jrme.data import Belief, Dataset, Vocabulary
+from jrme.embeddings import ModelConfig
 from jrme.kernels import BACKEND, PackedBeliefs, _epoch_c, _epoch_numpy, enum_negative_table, rank_all
 from jrme.training import VARIANTS, _sample_negative_rows, variant_flags
+
+# grid_dup's corpus sizes, training settings and grid
+GRID_SHAPE = dict(entities=240, relations=30, words=130, train=500, valid=500)
+GRID_BASE = ModelConfig(learning_rate=0.005, epochs=2, neg_mode="all", seed=1)
+GRID = ([20, 50], [0.5, 1.0], [0.5, 1.0], [1.0, 2.0])
 
 
 def build_workload(n, n_entities, n_relations, n_words, dim, seed=0):
@@ -60,6 +71,47 @@ def best_rank(tables, packed, variant, repeat):
         rank_all(*tables, *args)
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def grid_dataset(entities, relations, words, train, valid, seed=0):
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary.from_names(
+        [f"e{i}" for i in range(entities)],
+        [f"r{i}" for i in range(relations)],
+        [f"w{i}" for i in range(words)],
+    )
+    beliefs = [
+        Belief(int(h), int(r), int(t), (int(r), int(w)))
+        for h, r, t, w in zip(
+            rng.integers(entities, size=train + valid),
+            rng.integers(relations, size=train + valid),
+            rng.integers(entities, size=train + valid),
+            rng.integers(relations, words, size=train + valid),
+        )
+    ]
+    return Dataset(beliefs[:train], valid=beliefs[train:]), vocab
+
+
+def best_grid(dataset, vocab, repeat):
+    """Best-of-N seconds of one grid_search and the train calls it made."""
+    real_train = training.train
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(args[2])
+        return real_train(*args, **kwargs)
+
+    times = []
+    training.train = counting_train
+    try:
+        for _ in range(repeat):
+            calls.clear()
+            t0 = time.perf_counter()
+            training.grid_search(dataset, vocab, *GRID, GRID_BASE, "jrme")
+            times.append(time.perf_counter() - t0)
+    finally:
+        training.train = real_train
+    return min(times), len(calls)
 
 
 def main():
@@ -115,6 +167,13 @@ def main():
     for variant in VARIANTS:
         secs = best_rank(tables, packed, variant, args.repeat)
         print(f"{variant:<12}{secs:>10.3f}{secs / args.n * 1e6:>12.1f}")
+
+    dataset, vocab = grid_dataset(**GRID_SHAPE)
+    points = np.prod([len(v) for v in GRID])
+    distinct = len(GRID[0]) * len(GRID[3])
+    secs, calls = best_grid(dataset, vocab, args.repeat)
+    print(f"\n{'grid_search':<12}{'points':>8}{'distinct':>10}{'train calls':>13}{'seconds':>10}")
+    print(f"{'jrme':<12}{points:>8}{distinct:>10}{calls:>13}{secs:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -31,4 +31,4 @@ class FormatError(DataError):
 
 
 class TrainingDivergedError(JrmeError):
-    """A training step produced a non-finite value."""
+    """Training produced a non-finite value or grew past the divergence limit."""

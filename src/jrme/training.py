@@ -32,6 +32,11 @@ VARIANTS = ("kre", "tme", "jrme")
 
 _SEED_MASK = (1 << 64) - 1
 
+# Rows start with norm at most 6 and a healthy mean loss stays within a
+# few thousand; an epoch that ends with the mean loss or any row norm past
+# this has overshot and is growing geometrically, so training stops.
+DIVERGENCE_LIMIT = 1e6
+
 
 def variant_flags(variant: str) -> tuple[bool, bool]:
     """(use_kg, use_text) for a variant name."""
@@ -210,9 +215,18 @@ class EpochReport:
     loss: float
     active: int
     seconds: float = 0.0
+    max_norm: float = 0.0
 
     def line(self) -> str:
         return f"epoch={self.epoch} loss={self.loss!r} active={self.active}"
+
+
+def max_row_norm(table: EmbeddingTable) -> float:
+    """Largest Euclidean row norm over the entity, relation and word tables."""
+    return math.sqrt(max(
+        float(np.einsum("ij,ij->i", vecs, vecs).max(initial=0.0))
+        for vecs in (table.entity_vecs, table.relation_vecs, table.word_vecs)
+    ))
 
 
 def _sample_negative_rows(rels, n_relations, k, rng):
@@ -258,6 +272,9 @@ def train(
     dataset, variant).  With n_threads > 1, each epoch's visiting order
     is split into contiguous shards updated lock-free on real threads;
     races are benign for convergence but bit-reproducibility is gone.
+
+    Raises TrainingDivergedError when an epoch leaves a non-finite value,
+    or a mean loss or row norm above DIVERGENCE_LIMIT.
     """
     use_kg, use_text = variant_flags(variant)
     margin = variant_margin(variant, config)
@@ -323,7 +340,15 @@ def train(
                     f"non-finite value at epoch {epoch}, training example {bad} "
                     f"(head={b.head}, relation={b.relation}, tail={b.tail})"
                 )
-        report = EpochReport(epoch, loss_sum / n, active, time.perf_counter() - t0)
+        report = EpochReport(
+            epoch, loss_sum / n, active, time.perf_counter() - t0, max_row_norm(table)
+        )
+        if not (report.loss <= DIVERGENCE_LIMIT and report.max_norm <= DIVERGENCE_LIMIT):
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch}: mean loss {report.loss:.3g}, "
+                f"largest row norm {report.max_norm:.3g} (limit {DIVERGENCE_LIMIT:g}); "
+                f"lower the learning rate"
+            )
         reports.append(report)
         if verbose:
             print(report.line(), file=log, flush=True)
@@ -355,8 +380,14 @@ def grid_search(
     verbose: bool = False,
     log=None,
 ):
-    """Train one model per (dim, alpha, beta, gamma) point, evaluate on
-    the validation split, return all points plus the winner.
+    """Evaluate every (dim, alpha, beta, gamma) point on the validation
+    split, return all points plus the winner.
+
+    A variant reads one margin (`variant_margin`), and every other field
+    comes from `base`, so points that differ only in margins the variant
+    ignores train the same model.  Each distinct (dim, margin) is trained
+    and evaluated once, and its points share that report: `points` still
+    holds one entry per grid point, in lexicographic order.
 
     Best = lowest average rank, ties broken by higher Hit@10, then
     higher Hit@1, then by lexicographically smaller (dim, alpha, beta,
@@ -374,6 +405,7 @@ def grid_search(
         raise DataError("grid search needs a non-empty validation split")
 
     points = []
+    reports = {}
     best = None
     best_key = None
     for d, a, b, g in product(dims, alphas, betas, gammas):
@@ -383,8 +415,11 @@ def grid_search(
             neg_mode=base.neg_mode, seed=base.seed,
             normalize_entities=base.normalize_entities,
         )
-        table, _ = train(dataset, vocab, config, variant, n_threads=n_threads)
-        report = evaluate(table, dataset.valid, variant)
+        effective = (d, variant_margin(variant, config))
+        report = reports.get(effective)
+        if report is None:
+            table, _ = train(dataset, vocab, config, variant, n_threads=n_threads)
+            report = reports[effective] = evaluate(table, dataset.valid, variant)
         point = GridPoint(config, report)
         points.append(point)
         if verbose:

@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -177,6 +178,28 @@ class TestExitCodes:
         assert "non-finite" in err
         assert not (tmp / "m.bin").exists()
 
+    @pytest.mark.parametrize("lr, code", [("0.002", 0), ("0.004", 3), ("0.01", 3)])
+    def test_noisy_200_relation_corpus_stays_bounded_or_exits_3(self, tmp_path, rng, capsys,
+                                                                 lr, code):
+        # --neg all scores 199 negatives per example: lr 0.004 stays under the
+        # step bound (0.8, no warning), yet the rows grow tenfold per epoch
+        train = tmp_path / "train.tsv"
+        train.write_text("".join(
+            f"e{rng.integers(100)}\trel{i % 200}\te{rng.integers(100)}\t"
+            f"sig{i % 200} pad{rng.integers(4)}\n"
+            for i in range(1000)
+        ))
+        model = tmp_path / "m.bin"
+        got, _, err = run(
+            capsys, "train", "--train", train, "--out", model, "--epochs", 4, "--seed", 1,
+            "--lr", lr,
+        )
+        assert got == code
+        assert ("overshoot" in err) == (float(lr) * 199 > 1)
+        assert model.exists() == (code == 0)
+        if code == 3:
+            assert "diverged" in err.splitlines()[-1]
+
     def test_unknown_subcommand_is_1(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 
@@ -300,6 +323,52 @@ class TestGridCommand:
         best = json.loads(best_out.read_text())
         assert best["dim"] == 6
         assert best["alpha"] in (0.5, 1.0)
+
+    def test_duplicate_points_print_in_order_as_single_point_runs(self, corpus, capsys):
+        # jrme reads only gamma, so each alpha pair and beta pair is a duplicate
+        tmp, train, test = corpus
+        best_out = tmp / "best.json"
+        grid = {"--dims": ["4", "6"], "--alphas": ["0.5", "1.0"], "--betas": ["1.0", "3.0"],
+                "--gammas": ["1.0", "2.0"]}
+        common = ["--train", train, "--valid", test, "--epochs", 3, "--seed", 2]
+        code, out, _ = run(
+            capsys, "grid", *common, *(a for k, v in grid.items() for a in (k, ",".join(v))),
+            "--out", best_out,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 17
+
+        singles = []
+        for point in product(*grid.values()):
+            code, single, _ = run(
+                capsys, "grid", *common, *(a for k, v in zip(grid, point) for a in (k, v)),
+            )
+            assert code == 0
+            singles.append(single.splitlines()[0])
+        assert lines[:16] == singles
+
+        def metrics(line):
+            return line.split(" avg_rank=")[1]
+
+        by_effective = {}
+        for line in lines[:16]:
+            fields = dict(f.split("=") for f in line.split())
+            by_effective.setdefault((fields["dim"], fields["gamma"]), set()).add(metrics(line))
+        assert len(by_effective) == 4
+        assert all(len(m) == 1 for m in by_effective.values())
+
+        def key(line):
+            fields = dict(f.split("=") for f in line.split())
+            return (float(fields["avg_rank"]), -float(fields["hit@10"]), -float(fields["hit@1"]))
+
+        first_best = min(lines[:16], key=key)
+        best = json.loads(best_out.read_text())
+        assert lines[16] == "best: " + first_best.split(" avg_rank=")[0]
+        assert (best["alpha"], best["beta"]) == (0.5, 1.0)
+        assert first_best.startswith(
+            f"dim={best['dim']} alpha={best['alpha']} beta={best['beta']} gamma={best['gamma']} "
+        )
 
     def test_empty_grid_is_usage_error(self, corpus, capsys):
         tmp, train, test = corpus

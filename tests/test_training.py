@@ -450,6 +450,33 @@ class TestTrain:
         assert "example" in str(err.value)
         assert "epoch" in str(err.value)
 
+    def test_mean_loss_past_the_limit_stops_training(self, rng, monkeypatch):
+        import jrme.training as training
+
+        ds, vocab = tiny_dataset(rng)
+        cfg = ModelConfig(dim=4, epochs=1, seed=0)
+        _, (first,) = train(ds, vocab, cfg, "jrme")
+        assert first.max_norm < first.loss
+        monkeypatch.setattr(training, "DIVERGENCE_LIMIT", (first.max_norm + first.loss) / 2)
+        with pytest.raises(TrainingDivergedError, match="diverged at epoch 0"):
+            train(ds, vocab, cfg, "jrme")
+
+    def test_row_norm_past_the_limit_stops_training(self, rng, monkeypatch):
+        import jrme.training as training
+
+        ds, _ = tiny_dataset(rng)
+        vocab = make_vocab(8, 4, 7)  # word 6 is in no mention, so the loss never sees it
+        real_init = training.init_embeddings
+
+        def init_with_far_word(vocab, config):
+            table = real_init(vocab, config)
+            table.word_vecs[6] = 1e7
+            return table
+
+        monkeypatch.setattr(training, "init_embeddings", init_with_far_word)
+        with pytest.raises(TrainingDivergedError, match="diverged at epoch 0"):
+            train(ds, vocab, ModelConfig(dim=4, epochs=1), "jrme")
+
     def test_empty_train_split_rejected(self, rng):
         _, vocab = tiny_dataset(rng)
         with pytest.raises(DataError):
@@ -551,3 +578,75 @@ class TestGridSearch:
         ds.valid.clear()
         with pytest.raises(DataError):
             grid_search(ds, vocab, [4], [1.0], [1.0], [2.0], ModelConfig(epochs=1), "jrme")
+
+    @pytest.mark.parametrize("variant, field", [("kre", "alpha"), ("tme", "beta"), ("jrme", "gamma")])
+    def test_trains_once_per_dim_and_read_margin(self, rng, monkeypatch, variant, field):
+        import jrme.training as training
+
+        ds, vocab = self._data(rng)
+        calls = []
+        real_train = training.train
+
+        def counting_train(dataset, vocab, config, variant, **kw):
+            calls.append((config.dim, getattr(config, field)))
+            return real_train(dataset, vocab, config, variant, **kw)
+
+        monkeypatch.setattr(training, "train", counting_train)
+        base = ModelConfig(epochs=1, seed=5)
+        result = training.grid_search(
+            ds, vocab, [2, 4], [0.5, 1.0], [0.25, 3.0], [1.5, 2.0], base, variant
+        )
+        assert len(result.points) == 16
+        distinct = {(p.config.dim, getattr(p.config, field)) for p in result.points}
+        assert len(distinct) == 4
+        assert sorted(calls) == sorted(distinct)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_point_reports_its_own_training(self, rng, variant):
+        from itertools import product
+
+        from jrme.evaluation import evaluate
+        from jrme.training import grid_search
+
+        ds, vocab = self._data(rng)
+        base = ModelConfig(epochs=2, seed=11)
+        grid = ([2, 4], [0.5, 1.0], [0.25, 3.0], [1.5, 2.0])
+        result = grid_search(ds, vocab, *grid, base, variant)
+        assert [(p.config.dim, p.config.alpha, p.config.beta, p.config.gamma)
+                for p in result.points] == list(product(*grid))
+        for point in result.points:
+            table, _ = train(ds, vocab, point.config, variant)
+            own = evaluate(table, ds.valid, variant)
+            assert (point.report.avg_rank, point.report.hit_at_10, point.report.hit_at_1) == (
+                own.avg_rank, own.hit_at_10, own.hit_at_1
+            )
+
+
+def test_benchmark_workloads_stay_far_below_the_divergence_limit(tmp_path, monkeypatch):
+    """Every corpus and training setting the benchmark runs peaks at a mean
+    loss and row norm at least 1000x below the limit that stops training."""
+    from itertools import product
+    from pathlib import Path
+
+    from jrme.data import load_dataset
+    from jrme.training import DIVERGENCE_LIMIT
+
+    bench = Path(__file__).resolve().parents[1] / "jrmebench"
+    monkeypatch.setattr(sys, "path", [str(bench), *sys.path])
+    from corpus import write
+    from run import WORKLOADS
+
+    for w in WORKLOADS.values():
+        paths = write(w.corpus, 1, tmp_path / w.name)
+        ds, vocab, _ = load_dataset(paths["train"])
+        if w.grid:
+            dims = [int(d) for d in w.grid["dims"].split(",")]
+            gammas = [float(g) for g in w.grid["gammas"].split(",")]
+        else:
+            dims, gammas = [w.dim], [ModelConfig().gamma]
+        for dim, gamma in product(dims, gammas):
+            config = ModelConfig(dim=dim, gamma=gamma, learning_rate=w.lr, epochs=w.epochs,
+                                 neg_mode=w.neg, seed=1)
+            _, reports = train(ds, vocab, config, "jrme")
+            peak = max(max(r.loss, r.max_norm) for r in reports)
+            assert peak < DIVERGENCE_LIMIT / 1000, (w.name, dim, gamma, peak)
