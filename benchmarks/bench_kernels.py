@@ -89,7 +89,8 @@ def grid_dataset(entities, relations, words, train, valid, seed=0):
             rng.integers(relations, words, size=train + valid),
         )
     ]
-    return Dataset(beliefs[:train], valid=beliefs[train:]), vocab
+    pack = PackedBeliefs.from_beliefs
+    return Dataset(pack(beliefs[:train]), valid=pack(beliefs[train:])), vocab
 
 
 def best_grid(dataset, vocab, repeat):

@@ -11,6 +11,7 @@ from .data import (
     Dataset,
     DatasetStats,
     IdMap,
+    PackedBeliefs,
     Vocabulary,
     dataset_stats,
     format_stats,
@@ -76,6 +77,7 @@ __all__ = [
     "IdMap",
     "JrmeError",
     "ModelConfig",
+    "PackedBeliefs",
     "ParseError",
     "TrainingDivergedError",
     "VARIANTS",

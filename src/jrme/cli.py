@@ -9,6 +9,7 @@ overrides --seed everywhere a seed is taken.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -82,17 +83,7 @@ def _file_sha256(paths) -> str:
 
 def _write_manifest(out_path, config, variant, inputs, outputs) -> None:
     manifest = {
-        "config": {
-            "dim": config.dim,
-            "alpha": config.alpha,
-            "beta": config.beta,
-            "gamma": config.gamma,
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "neg_mode": config.neg_mode,
-            "seed": config.seed,
-            "normalize_entities": config.normalize_entities,
-        },
+        "config": dataclasses.asdict(config),
         "variant": variant,
         "inputs": {k: v for k, v in inputs.items() if v is not None},
         "dataset_sha256": _file_sha256(inputs.values()),
@@ -131,7 +122,7 @@ def cmd_train(args) -> int:
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(config, len(vocab.relations))
     table, _ = train(dataset, vocab, config, args.variant, n_threads=threads, verbose=True)
-    save_model(table, vocab, config, args.out)
+    save_model(table, vocab, config, args.out, args.variant)
     _write_manifest(
         args.out, config, args.variant,
         {"train": args.train, "valid": args.valid},
@@ -144,7 +135,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    table, vocab, _ = load_model(args.model)
+    table, vocab, _, stored_variant = load_model(args.model)
+    variant = args.variant or stored_variant
     result = parse_belief_file(args.test, vocab, mode="frozen")
     if result.rejected:
         print(
@@ -153,8 +145,8 @@ def cmd_eval(args) -> int:
         )
     if not result.beliefs:
         raise DataError(f"{args.test}: no evaluable beliefs (all lines rejected)")
-    report = evaluate(table, result.beliefs, args.variant)
-    print(format_report(report, args.variant.upper()))
+    report = evaluate(table, result.beliefs, variant)
+    print(format_report(report, variant.upper()))
     if args.ranks_out:
         write_ranks_tsv(report, args.ranks_out)
     return 0
@@ -188,15 +180,7 @@ def cmd_grid(args) -> int:
     if args.out:
         tmp = f"{args.out}.tmp"
         with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(
-                {
-                    "dim": b.dim, "alpha": b.alpha, "beta": b.beta, "gamma": b.gamma,
-                    "learning_rate": b.learning_rate, "epochs": b.epochs,
-                    "neg_mode": b.neg_mode, "seed": b.seed,
-                    "normalize_entities": b.normalize_entities,
-                },
-                f, indent=2, sort_keys=True,
-            )
+            json.dump(dataclasses.asdict(b), f, indent=2, sort_keys=True)
             f.write("\n")
         os.replace(tmp, args.out)
     return 0
@@ -205,7 +189,7 @@ def cmd_grid(args) -> int:
 def cmd_predict(args) -> int:
     if args.topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
-    table, vocab, _ = load_model(args.model)
+    table, vocab, _, variant = load_model(args.model)
     with open(args.input, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -224,7 +208,7 @@ def cmd_predict(args) -> int:
                 continue
             words = [vocab.words.get(w) for w in tokenize_mention(mention_s)]
             mention = tuple(w for w in words if w is not None)
-            scores = candidate_scores(table, h, t, mention, "jrme")
+            scores = candidate_scores(table, h, t, mention, variant)
             k = min(args.topk, table.n_relations)
             top = np.argsort(scores, kind="stable")[:k]
             for pos, rid in enumerate(top, 1):
@@ -240,7 +224,10 @@ def cmd_stats(args) -> int:
 
 
 def _add_common_model_flags(p, ranks_only: bool = False) -> None:
-    p.add_argument("--variant", choices=VARIANTS, default="jrme")
+    p.add_argument(
+        "--variant", choices=VARIANTS, default=None if ranks_only else "jrme",
+        help="default: the variant the model was trained as" if ranks_only else None,
+    )
     note = "; accepted and ignored: ranking is single-threaded and exact" if ranks_only else ""
     p.add_argument("--threads", type=int, default=1, help="training threads" + note)
     p.add_argument(

@@ -9,11 +9,19 @@ The mention column may be empty.  Lines starting with '#' are comments
 and are skipped.  Example line::
 
     caroline\tcitylocatedinstate\tmaryland\tCounty and State of
+
+The parser writes each split straight into a `PackedBeliefs`, the int64
+id arrays that training, evaluation and grid search read.  `Belief`, one
+example as a frozen tuple of ids, is the form of the reference scorers
+and of tests; `PackedBeliefs.from_beliefs` and indexing convert between
+the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigError, ParseError
 
@@ -83,16 +91,59 @@ class Belief:
     mention: tuple[int, ...] = ()
 
 
+class PackedBeliefs:
+    """Beliefs as int64 id arrays, the form the kernels read.
+
+    Mentions are ragged, so they live in one flat array indexed by
+    per-belief offsets: belief i's words are
+    mention_flat[mention_off[i]:mention_off[i + 1]].  The constructor
+    converts id lists (or arrays) to int64 arrays; with no arguments it
+    holds no beliefs.
+    """
+
+    __slots__ = ("heads", "relations", "tails", "mention_off", "mention_flat")
+
+    def __init__(self, heads=(), relations=(), tails=(), mention_off=(0,), mention_flat=()):
+        self.heads = np.asarray(heads, dtype=np.int64)
+        self.relations = np.asarray(relations, dtype=np.int64)
+        self.tails = np.asarray(tails, dtype=np.int64)
+        self.mention_off = np.asarray(mention_off, dtype=np.int64)
+        self.mention_flat = np.asarray(mention_flat, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.heads.shape[0]
+
+    def __getitem__(self, i: int) -> Belief:
+        i = range(len(self))[i]
+        words = self.mention_flat[self.mention_off[i] : self.mention_off[i + 1]]
+        return Belief(
+            int(self.heads[i]), int(self.relations[i]), int(self.tails[i]),
+            tuple(int(w) for w in words),
+        )
+
+    @classmethod
+    def from_beliefs(cls, beliefs) -> "PackedBeliefs":
+        off = [0]
+        words = []
+        for b in beliefs:
+            words.extend(b.mention)
+            off.append(len(words))
+        return cls(
+            [b.head for b in beliefs], [b.relation for b in beliefs], [b.tail for b in beliefs],
+            off, words,
+        )
+
+
 @dataclass
 class Dataset:
-    train: list[Belief]
-    valid: list[Belief] = field(default_factory=list)
-    test: list[Belief] = field(default_factory=list)
+    train: PackedBeliefs
+    valid: PackedBeliefs = field(default_factory=PackedBeliefs)
+    test: PackedBeliefs = field(default_factory=PackedBeliefs)
 
 
 @dataclass
 class ParseResult:
-    beliefs: list[Belief]
+    beliefs: PackedBeliefs
     rejected: int = 0
 
 
@@ -106,7 +157,7 @@ def tokenize_mention(raw: str) -> list[str]:
 
 
 def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResult:
-    """Read a belief file into id-space beliefs.
+    """Read a belief file into packed id-space beliefs.
 
     mode="build" registers unseen entities, relations and words.
     mode="frozen" rejects lines whose head, relation or tail is unknown
@@ -118,7 +169,10 @@ def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResu
     if mode not in ("build", "frozen"):
         raise ConfigError(f"unknown parse mode: {mode!r}")
     build = mode == "build"
-    beliefs: list[Belief] = []
+    entity = vocab.entities.add if build else vocab.entities.get
+    relation = vocab.relations.add if build else vocab.relations.get
+    word = vocab.words.add if build else vocab.words.get
+    heads, relations, tails, off, words = [], [], [], [0], []
     rejected = 0
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
@@ -129,23 +183,16 @@ def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResu
             if len(cols) != 4:
                 raise ParseError(path, line_no, f"expected 4 tab-separated columns, got {len(cols)}")
             head_s, rel_s, tail_s, mention_s = cols
-            tokens = tokenize_mention(mention_s)
-            if build:
-                h = vocab.entities.add(head_s)
-                r = vocab.relations.add(rel_s)
-                t = vocab.entities.add(tail_s)
-                m = tuple(vocab.words.add(w) for w in tokens)
-            else:
-                h = vocab.entities.get(head_s)
-                r = vocab.relations.get(rel_s)
-                t = vocab.entities.get(tail_s)
-                if h is None or r is None or t is None:
-                    rejected += 1
-                    continue
-                ids = (vocab.words.get(w) for w in tokens)
-                m = tuple(i for i in ids if i is not None)
-            beliefs.append(Belief(h, r, t, m))
-    return ParseResult(beliefs, rejected)
+            h, r, t = entity(head_s), relation(rel_s), entity(tail_s)
+            if h is None or r is None or t is None:
+                rejected += 1
+                continue
+            heads.append(h)
+            relations.append(r)
+            tails.append(t)
+            words.extend(w for w in map(word, tokenize_mention(mention_s)) if w is not None)
+            off.append(len(words))
+    return ParseResult(PackedBeliefs(heads, relations, tails, off, words), rejected)
 
 
 def belief_to_line(belief: Belief, vocab: Vocabulary) -> str:
@@ -173,8 +220,7 @@ def load_dataset(train_path, valid_path=None, test_path=None):
     vocab = Vocabulary()
     train = parse_belief_file(train_path, vocab, "build")
     rejected = {"train": train.rejected}
-    valid = ParseResult([])
-    test = ParseResult([])
+    valid = test = ParseResult(PackedBeliefs())
     if valid_path is not None:
         valid = parse_belief_file(valid_path, vocab, "frozen")
         rejected["valid"] = valid.rejected

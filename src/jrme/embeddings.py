@@ -4,7 +4,8 @@ Model file layout (all integers little-endian):
 
     bytes 0..5    magic b"JRME1\\n"
     bytes 6..13   uint64 length of the JSON header
-    header        UTF-8 JSON: config plus entity/relation/word names in id order
+    header        UTF-8 JSON: config, the variant the model was trained as, and
+                  entity/relation/word names in id order
     payload       entity, relation and word tables, row-major float64
 """
 
@@ -14,6 +15,7 @@ import dataclasses
 import json
 import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,8 @@ from .data import Vocabulary
 from .errors import ConfigError, FormatError
 
 MAGIC = b"JRME1\n"
+
+VARIANTS = ("kre", "tme", "jrme")
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -134,10 +138,6 @@ def init_embeddings(vocab: Vocabulary, config: ModelConfig) -> EmbeddingTable:
     return EmbeddingTable(entity, relation, word)
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def _config_from_dict(d: dict) -> ModelConfig:
     fields = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(d) - fields
@@ -149,14 +149,17 @@ def _config_from_dict(d: dict) -> ModelConfig:
         raise FormatError(f"model header config is invalid: {e}") from None
 
 
-def save_model(table: EmbeddingTable, vocab: Vocabulary, config: ModelConfig, path) -> None:
-    """Write table + vocabulary + config as one self-describing file.
+def save_model(
+    table: EmbeddingTable, vocab: Vocabulary, config: ModelConfig, path, variant: str
+) -> None:
+    """Write table + vocabulary + config + variant as one self-describing file.
 
     The write is atomic: the payload goes to a sibling temp file that is
     renamed over the target, so a failed save never leaves a partial model.
     """
     header = {
-        "config": _config_to_dict(config),
+        "config": dataclasses.asdict(config),
+        "variant": variant,
         "dim": table.dim,
         "entities": vocab.entities.names,
         "relations": vocab.relations.names,
@@ -186,8 +189,12 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return buf
 
 
-def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig]:
-    """Exact inverse of save_model."""
+def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
+    """Exact inverse of save_model: (table, vocab, config, variant).
+
+    A file written before the header recorded the variant loads as
+    "jrme", with one warning on stderr.
+    """
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
@@ -202,6 +209,13 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig]:
             if key not in header:
                 raise FormatError(f"{path}: header missing {key!r}")
         config = _config_from_dict(header["config"])
+        variant = header.get("variant")
+        if variant is None:
+            variant = "jrme"
+            print(f"warning: {path}: model file records no variant; assuming jrme",
+                  file=sys.stderr)
+        elif variant not in VARIANTS:
+            raise FormatError(f"{path}: unknown variant {variant!r} in header")
         dim = int(header["dim"])
         if dim != config.dim:
             raise FormatError(f"{path}: header dim {dim} disagrees with config dim {config.dim}")
@@ -216,4 +230,4 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig]:
         word = read_table(len(vocab.words), "word")
         if f.read(1):
             raise FormatError(f"{path}: trailing data after word table")
-    return EmbeddingTable(entity, relation, word), vocab, config
+    return EmbeddingTable(entity, relation, word), vocab, config, variant

@@ -7,6 +7,8 @@ the true relation itself.  Ties are broken by relation id, which makes
 every rank deterministic.  Every score is
 `kernels.relation_scores` and every rank `kernels.tie_ranks`, so a
 belief gets the same score and rank alone as inside `evaluate`.
+`evaluate` takes a split as the parser packed it (`data.PackedBeliefs`);
+`rank_true_relation` scores one `Belief`, the reference form.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Belief
+from .data import Belief, PackedBeliefs
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .kernels import PackedBeliefs, rank_all, relation_scores, tie_ranks
+from .kernels import rank_all, relation_scores, tie_ranks
 from .training import variant_flags
 
 
@@ -79,18 +81,15 @@ def rank_true_relation(table: EmbeddingTable, belief: Belief, variant: str) -> i
     return int(tie_ranks(scores[None, :], np.array([r]))[0])
 
 
-def evaluate(table: EmbeddingTable, beliefs, variant: str) -> EvalReport:
+def evaluate(table: EmbeddingTable, beliefs: PackedBeliefs, variant: str) -> EvalReport:
     """Rank every belief's true relation and aggregate the metrics."""
-    beliefs = list(beliefs)
     if not beliefs:
         raise DataError("evaluation split is empty")
-    use_kg, use_text = variant_flags(variant)
-    packed = PackedBeliefs.from_beliefs(beliefs)
     ranks = rank_all(
         table.entity_vecs, table.relation_vecs, table.word_vecs,
-        packed.heads, packed.relations, packed.tails,
-        packed.mention_off, packed.mention_flat,
-        use_kg, use_text,
+        beliefs.heads, beliefs.relations, beliefs.tails,
+        beliefs.mention_off, beliefs.mention_flat,
+        *variant_flags(variant),
     )
     avg, hit10, hit1 = summarize_ranks(int(r) for r in ranks)
     return EvalReport(avg, hit10, hit1, tuple((i, int(r)) for i, r in enumerate(ranks)))

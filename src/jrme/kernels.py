@@ -11,6 +11,9 @@ reference the tests hold the C kernel to: the two may differ in the
 last float bits (summation order), never in semantics.  Ranking, numpy on
 both backends, has one scorer (`relation_scores`) and one tie rule
 (`tie_ranks`) behind `rank_all` and every single-belief score.
+
+Both read beliefs as the id arrays of `data.PackedBeliefs`, the form the
+parser writes; the class is importable from here too.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .data import PackedBeliefs
 
 _SOURCE = Path(__file__).with_name("_epoch.c")
 # IEEE semantics on every host: no -march=native, no -ffast-math (which
@@ -88,44 +93,6 @@ except OSError as e:
     print(f"jrme: C epoch kernel unavailable ({e}); using the numpy twin", file=sys.stderr)
 
 BACKEND = "numpy" if _jrme_epoch is None else "c"
-
-
-class PackedBeliefs:
-    """Belief list flattened to int64 arrays the kernels can chew on.
-
-    Mentions are ragged, so they live in one flat array indexed by
-    per-belief offsets: belief i's words are
-    mention_flat[mention_off[i]:mention_off[i + 1]].
-    """
-
-    __slots__ = ("heads", "relations", "tails", "mention_off", "mention_flat")
-
-    def __init__(self, heads, relations, tails, mention_off, mention_flat):
-        self.heads = heads
-        self.relations = relations
-        self.tails = tails
-        self.mention_off = mention_off
-        self.mention_flat = mention_flat
-
-    def __len__(self) -> int:
-        return self.heads.shape[0]
-
-    @classmethod
-    def from_beliefs(cls, beliefs) -> "PackedBeliefs":
-        n = len(beliefs)
-        heads = np.empty(n, dtype=np.int64)
-        relations = np.empty(n, dtype=np.int64)
-        tails = np.empty(n, dtype=np.int64)
-        mention_off = np.zeros(n + 1, dtype=np.int64)
-        words = []
-        for i, b in enumerate(beliefs):
-            heads[i] = b.head
-            relations[i] = b.relation
-            tails[i] = b.tail
-            words.extend(b.mention)
-            mention_off[i + 1] = len(words)
-        mention_flat = np.asarray(words, dtype=np.int64)
-        return cls(heads, relations, tails, mention_off, mention_flat)
 
 
 def enum_negative_table(n_relations: int) -> np.ndarray:

@@ -13,6 +13,7 @@ batched kernels must match them and the unit tests enforce that.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 import time
@@ -22,13 +23,11 @@ from itertools import product
 
 import numpy as np
 
-from .data import Belief, Dataset, Vocabulary
-from .embeddings import EmbeddingTable, ModelConfig, init_embeddings, parse_neg_mode
+from .data import Dataset, PackedBeliefs, Vocabulary
+from .embeddings import VARIANTS, EmbeddingTable, ModelConfig, init_embeddings, parse_neg_mode
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .kernels import PackedBeliefs, enum_negative_table, run_epoch
+from .kernels import enum_negative_table, run_epoch
 from .scoring import mention_distance, mention_vector, triple_distance
-
-VARIANTS = ("kre", "tme", "jrme")
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -65,26 +64,21 @@ def step_bound(config: ModelConfig, n_relations: int) -> float:
 
 
 def negatives_for(relation: int, n_relations: int, neg_mode: str, rng=None) -> np.ndarray:
-    """Corrupt-relation ids for one example.
+    """Corrupt-relation ids for one example: the row training would use.
 
-    "all" enumerates every other relation in ascending id order;
-    "sample:K" draws K of them uniformly without replacement, in draw
-    order, from the supplied generator.
+    "all" enumerates every other relation in ascending id order (a row of
+    `enum_negative_table`); "sample:K" draws K of them uniformly without
+    replacement from the supplied generator (a row of
+    `_sample_negative_rows`).
     """
     mode, k = parse_neg_mode(neg_mode)
     if n_relations < 2:
         raise ConfigError("need at least 2 relations to build corrupt triples")
     if mode == "all":
-        ids = np.arange(n_relations, dtype=np.int64)
-        return ids[ids != relation]
-    if k > n_relations - 1:
-        raise ConfigError(
-            f"cannot sample {k} distinct negatives from {n_relations - 1} other relations"
-        )
+        return enum_negative_table(n_relations)[relation]
     if rng is None:
         raise ConfigError("sample mode needs a random generator")
-    draw = rng.choice(n_relations - 1, size=k, replace=False).astype(np.int64)
-    return np.where(draw >= relation, draw + 1, draw)
+    return _sample_negative_rows(np.array([relation]), n_relations, k, rng)[0]
 
 
 def _hinge_terms(table, belief, negatives, margin, use_kg, use_text):
@@ -266,7 +260,8 @@ def train(
     verbose: bool = False,
     log=None,
 ):
-    """Initialize tables and run the full SGD schedule.
+    """Initialize tables and run the full SGD schedule over the packed
+    `dataset.train`.
 
     Single-threaded runs are a deterministic function of (seed, config,
     dataset, variant).  With n_threads > 1, each epoch's visiting order
@@ -278,80 +273,66 @@ def train(
     """
     use_kg, use_text = variant_flags(variant)
     margin = variant_margin(variant, config)
-    if not dataset.train:
+    packed = dataset.train
+    if not packed:
         raise DataError("training split is empty")
     if len(vocab.relations) < 2:
         raise ConfigError("need at least 2 relations to build corrupt triples")
+    if n_threads < 1:
+        raise ConfigError(f"n_threads must be >= 1, got {n_threads}")
     if log is None:
         log = sys.stderr
 
     table = init_embeddings(vocab, config)
-    packed = PackedBeliefs.from_beliefs(dataset.train)
-    n = len(dataset.train)
+    n = len(packed)
     n_rel = table.n_relations
     mode, k = parse_neg_mode(config.neg_mode)
-    if mode == "all":
+    by_relation = mode == "all"
+    if by_relation:
         neg_table = enum_negative_table(n_rel)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed & _SEED_MASK, spawn_key=(1,)))
+    # contiguous shards of each epoch's order, one per thread; the calling
+    # thread runs the first, so a single thread starts no worker
+    bounds = np.linspace(0, n, n_threads + 1).astype(np.int64)
+    shards = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+    def shard_args(lo, hi):
+        return (
+            table.entity_vecs, table.relation_vecs, table.word_vecs,
+            packed, order[lo:hi], neg_table if by_relation else neg_table[lo:hi],
+            by_relation, config.learning_rate, margin, use_kg, use_text,
+            config.normalize_entities,
+        )
 
     reports = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = rng.permutation(n).astype(np.int64)
-        if mode == "sample":
-            neg_table = _sample_negative_rows(packed.relations[order], n_rel, k, rng)
-        by_relation = mode == "all"
-
-        if n_threads <= 1:
-            loss_sum, active, bad = run_epoch(
-                table.entity_vecs, table.relation_vecs, table.word_vecs,
-                packed, order, neg_table, by_relation,
-                config.learning_rate, margin, use_kg, use_text,
-                config.normalize_entities,
-            )
-            bads = [bad]
-        else:
-            bounds = np.linspace(0, n, n_threads + 1).astype(np.int64)
-            jobs = []
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                for w in range(n_threads):
-                    lo, hi = int(bounds[w]), int(bounds[w + 1])
-                    if lo == hi:
-                        continue
-                    shard_negs = neg_table if by_relation else neg_table[lo:hi]
-                    jobs.append(
-                        pool.submit(
-                            run_epoch,
-                            table.entity_vecs, table.relation_vecs, table.word_vecs,
-                            packed, order[lo:hi], shard_negs, by_relation,
-                            config.learning_rate, margin, use_kg, use_text,
-                            config.normalize_entities,
-                        )
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            order = rng.permutation(n).astype(np.int64)
+            if not by_relation:
+                neg_table = _sample_negative_rows(packed.relations[order], n_rel, k, rng)
+            jobs = [pool.submit(run_epoch, *shard_args(lo, hi)) for lo, hi in shards[1:]]
+            parts = [run_epoch(*shard_args(*shards[0]))] + [j.result() for j in jobs]
+            for _, _, bad in parts:
+                if bad >= 0:
+                    raise TrainingDivergedError(
+                        f"non-finite value at epoch {epoch}, training example {bad} "
+                        f"(head={packed.heads[bad]}, relation={packed.relations[bad]}, "
+                        f"tail={packed.tails[bad]})"
                     )
-                parts = [j.result() for j in jobs]
-            loss_sum = sum(p[0] for p in parts)
-            active = sum(p[1] for p in parts)
-            bads = [p[2] for p in parts]
-
-        for bad in bads:
-            if bad >= 0:
-                b = dataset.train[bad]
-                raise TrainingDivergedError(
-                    f"non-finite value at epoch {epoch}, training example {bad} "
-                    f"(head={b.head}, relation={b.relation}, tail={b.tail})"
-                )
-        report = EpochReport(
-            epoch, loss_sum / n, active, time.perf_counter() - t0, max_row_norm(table)
-        )
-        if not (report.loss <= DIVERGENCE_LIMIT and report.max_norm <= DIVERGENCE_LIMIT):
-            raise TrainingDivergedError(
-                f"training diverged at epoch {epoch}: mean loss {report.loss:.3g}, "
-                f"largest row norm {report.max_norm:.3g} (limit {DIVERGENCE_LIMIT:g}); "
-                f"lower the learning rate"
+            report = EpochReport(
+                epoch, sum(p[0] for p in parts) / n, sum(p[1] for p in parts),
+                time.perf_counter() - t0, max_row_norm(table),
             )
-        reports.append(report)
-        if verbose:
-            print(report.line(), file=log, flush=True)
+            if not (report.loss <= DIVERGENCE_LIMIT and report.max_norm <= DIVERGENCE_LIMIT):
+                raise TrainingDivergedError(
+                    f"training diverged at epoch {epoch}: mean loss {report.loss:.3g}, "
+                    f"largest row norm {report.max_norm:.3g} (limit {DIVERGENCE_LIMIT:g}); "
+                    f"lower the learning rate"
+                )
+            reports.append(report)
+            if verbose:
+                print(report.line(), file=log, flush=True)
     return table, reports
 
 
@@ -409,12 +390,7 @@ def grid_search(
     best = None
     best_key = None
     for d, a, b, g in product(dims, alphas, betas, gammas):
-        config = ModelConfig(
-            dim=d, alpha=a, beta=b, gamma=g,
-            learning_rate=base.learning_rate, epochs=base.epochs,
-            neg_mode=base.neg_mode, seed=base.seed,
-            normalize_entities=base.normalize_entities,
-        )
+        config = dataclasses.replace(base, dim=d, alpha=a, beta=b, gamma=g)
         effective = (d, variant_margin(variant, config))
         report = reports.get(effective)
         if report is None:

@@ -147,7 +147,7 @@ def test_training_is_bit_deterministic(accept, tmp_path):
     for run in range(2):
         table, _ = train(dataset, vocab, config, "jrme")
         path = tmp_path / f"run{run}.bin"
-        save_model(table, vocab, config, path)
+        save_model(table, vocab, config, path, "jrme")
         paths.append(path)
         reports.append(evaluate(table, dataset.valid, "jrme"))
     elapsed = time.perf_counter() - t0
@@ -234,11 +234,11 @@ def test_reload_preserves_evaluation(accept, tmp_path):
     table, _ = train(dataset, vocab, config, "jrme")
     before = evaluate(table, dataset.valid, "jrme")
     path = tmp_path / "model.bin"
-    save_model(table, vocab, config, path)
-    loaded, vocab2, config2 = load_model(path)
+    save_model(table, vocab, config, path, "jrme")
+    loaded, vocab2, config2, variant2 = load_model(path)
     after = evaluate(loaded, dataset.valid, "jrme")
     accept(
         "saved model evaluates identically after reload",
-        before == after and config2 == config,
+        before == after and config2 == config and variant2 == "jrme",
         f"avg_rank {before.avg_rank!r} == {after.avg_rank!r}",
     )

@@ -1,13 +1,18 @@
+import dataclasses
 import json
 import re
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jrme.cli import main
-from jrme.data import Vocabulary, parse_belief_file
+from jrme.data import PackedBeliefs, Vocabulary, parse_belief_file
 from jrme.embeddings import ModelConfig, init_embeddings, load_model
+from jrme.evaluation import candidate_scores
+from test_embeddings import edit_header
 
 
 @pytest.fixture
@@ -44,12 +49,13 @@ class TestTrainCommand:
         lines = [line for line in err.splitlines() if line.startswith("epoch=")]
         assert len(lines) == 5
         assert re.match(r"^epoch=0 loss=[0-9eE.+-]+ active=\d+$", lines[0])
-        table, vocab, config = load_model(model)
+        table, vocab, config, _ = load_model(model)
         assert config.dim == 8 and config.seed == 3
         assert table.n_relations == 6
 
         manifest = json.loads((tmp / "model.bin.manifest.json").read_text())
         assert manifest["config"]["dim"] == 8
+        assert manifest["config"] == dataclasses.asdict(config)
         assert manifest["variant"] == "jrme"
         assert len(manifest["dataset_sha256"]) == 64
         assert "created" in manifest
@@ -62,7 +68,7 @@ class TestTrainCommand:
             "--dim", 6, "--epochs", 0, "--seed", 9,
         )
         assert code == 0
-        table, vocab, config = load_model(model)
+        table, vocab, config, _ = load_model(model)
         fresh = init_embeddings(vocab, config)
         assert (table.entity_vecs == fresh.entity_vecs).all()
         assert (table.word_vecs == fresh.word_vecs).all()
@@ -285,9 +291,7 @@ class TestPredictCommand:
         code, out, _ = run(capsys, "predict", "--model", model, "--input", inp,
                            "--topk", 6)
         assert code == 0
-        table, vocab, _ = load_model(model)
-        from jrme.evaluation import candidate_scores
-
+        table, vocab, _, _ = load_model(model)
         kre_scores = candidate_scores(table, vocab.entities.get("e1"),
                                       vocab.entities.get("e2"), (), "kre")
         expected = [vocab.relations.name(int(i)) for i in np.argsort(kre_scores, kind="stable")]
@@ -387,3 +391,93 @@ class TestStatsCommand:
         assert "#(ENTITIES)" in out
         assert "#(TESTING EX.)" in out
         assert "240" in out
+
+
+class TestStoredVariant:
+    def _model(self, corpus, capsys, variant):
+        tmp, train, test = corpus
+        model = tmp / f"{variant}.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--variant", variant,
+                   "--dim", 8, "--epochs", 5, "--seed", 4)[0] == 0
+        return tmp, model, test
+
+    def test_eval_defaults_to_the_stored_variant(self, corpus, capsys):
+        _, model, test = self._model(corpus, capsys, "tme")
+        default = run(capsys, "eval", "--model", model, "--test", test)
+        explicit = run(capsys, "eval", "--model", model, "--test", test, "--variant", "tme")
+        assert default[0] == 0 and default == explicit
+        assert "TME" in default[1]
+
+    def test_explicit_variant_overrides_the_stored_one(self, corpus, capsys):
+        _, model, test = self._model(corpus, capsys, "tme")
+        code, out, _ = run(capsys, "eval", "--model", model, "--test", test, "--variant", "kre")
+        assert code == 0
+        assert "KRE" in out and "TME" not in out
+
+    def test_predict_scores_with_the_stored_variant(self, corpus, capsys):
+        tmp, model, _ = self._model(corpus, capsys, "tme")
+        inp = tmp / "q.tsv"
+        inp.write_text("e1\te2\tsig3 pad0\n")
+        code, out, _ = run(capsys, "predict", "--model", model, "--input", inp, "--topk", 6)
+        assert code == 0
+        table, vocab, _, _ = load_model(model)
+        mention = tuple(vocab.words.get(w) for w in ("sig3", "pad0"))
+        scores = candidate_scores(table, vocab.entities.get("e1"), vocab.entities.get("e2"),
+                                  mention, "tme")
+        expected = [
+            f"1\t{pos}\t{vocab.relations.name(int(rid))}\t{float(scores[rid])!r}"
+            for pos, rid in enumerate(np.argsort(scores, kind="stable"), 1)
+        ]
+        assert out.splitlines() == expected
+
+    def test_legacy_model_warns_once_and_scores_as_jrme(self, corpus, capsys):
+        tmp, model, test = self._model(corpus, capsys, "tme")
+        edit_header(model, lambda h: h.pop("variant"))
+        code, out, err = run(capsys, "eval", "--model", model, "--test", test)
+        assert code == 0
+        assert [line for line in err.splitlines() if "warning" in line] == [
+            f"warning: {model}: model file records no variant; assuming jrme"
+        ]
+        assert out == run(capsys, "eval", "--model", model, "--test", test, "--variant", "jrme")[1]
+
+
+def test_cli_commands_never_pack_belief_lists(corpus, capsys, monkeypatch):
+    """The parser packs every split, so no command builds Belief objects."""
+
+    def refuse(cls, beliefs):
+        raise AssertionError("PackedBeliefs.from_beliefs called on the CLI path")
+
+    monkeypatch.setattr(PackedBeliefs, "from_beliefs", classmethod(refuse))
+    tmp, train, test = corpus
+    model = tmp / "m.bin"
+    common = ["--train", train, "--valid", test, "--epochs", 2]
+    assert run(capsys, "train", *common, "--out", model, "--dim", 4)[0] == 0
+    assert run(capsys, "eval", "--model", model, "--test", test)[0] == 0
+    assert run(capsys, "grid", *common, "--dims", "4", "--alphas", "1", "--betas", "1",
+               "--gammas", "1,2")[0] == 0
+    assert run(capsys, "stats", "--train", train, "--test", test)[0] == 0
+
+
+def test_benchmark_tracer_still_finds_every_entry_point(corpus, monkeypatch):
+    """The benchmark's traced mode swaps engine functions by name; a train
+    plus eval under it must record parse and epoch spans and leave every
+    original in place afterwards."""
+    bench = Path(__file__).resolve().parents[1] / "jrmebench"
+    monkeypatch.setattr(sys, "path", [str(bench), *sys.path])
+    import spans
+
+    owners = [(o, a) for _, _, pairs in spans._entry_points() for o, a in pairs]
+    before = [vars(o)[a] for o, a in owners]
+    tmp, train, test = corpus
+    model = tmp / "m.bin"
+    tracer = spans.Tracer()
+    with tracer.patched():
+        assert main(["train", "--train", str(train), "--out", str(model), "--dim", "4",
+                     "--epochs", "3", "--threads", "1"]) == 0
+        assert main(["eval", "--model", str(model), "--test", str(test)]) == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["data.lines_per_s"] > 0
+    assert metrics["kernels.epoch_calls"] == 3
+    assert metrics["kernels.pack_s"] == 0
+    assert tracer.nested_ok()
+    assert all(vars(o)[a] is original for (o, a), original in zip(owners, before))

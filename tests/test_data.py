@@ -1,9 +1,12 @@
 import pytest
 
+import numpy as np
+
 from jrme.data import (
     Belief,
     DatasetStats,
     IdMap,
+    PackedBeliefs,
     Vocabulary,
     belief_to_line,
     dataset_stats,
@@ -102,7 +105,7 @@ class TestParse:
         built = parse_belief_file(p, vocab, mode="build")
         frozen = parse_belief_file(p, vocab, mode="frozen")
         assert frozen.rejected == 0
-        assert frozen.beliefs == built.beliefs
+        assert list(frozen.beliefs) == list(built.beliefs)
 
     def test_unknown_mode_rejected(self, tmp_path):
         p = self._write(tmp_path, "")
@@ -117,7 +120,93 @@ class TestParse:
         assert line == "a\tr\tb\tword word again"
         p2 = self._write(tmp_path, line + "\n")
         again = parse_belief_file(p2, vocab, mode="frozen")
-        assert again.beliefs == result.beliefs
+        assert list(again.beliefs) == list(result.beliefs)
+
+
+def assert_packed(p, heads, relations, tails, mention_off, mention_flat):
+    for got, want in (
+        (p.heads, heads), (p.relations, relations), (p.tails, tails),
+        (p.mention_off, mention_off), (p.mention_flat, mention_flat),
+    ):
+        assert got.dtype == np.int64 and got.ndim == 1
+        assert got.tolist() == want
+
+
+class TestPackedParse:
+    """The parser's arrays, worked out by hand from the file text."""
+
+    def _write(self, tmp_path, name, text):
+        p = tmp_path / name
+        p.write_text(text, encoding="utf-8")
+        return p
+
+    def test_comments_empty_mentions_and_repeated_words(self, tmp_path):
+        p = self._write(
+            tmp_path, "train.tsv",
+            "# entities a b c, relations r q, words x y\n"
+            "a\tr\tb\tX y x\n"
+            "b\tq\ta\t\n"
+            "#a\tr\tb\tz\n"
+            "a\tq\tc\ty\n",
+        )
+        vocab = Vocabulary()
+        result = parse_belief_file(p, vocab, mode="build")
+        assert result.rejected == 0
+        assert_packed(result.beliefs, [0, 1, 0], [0, 1, 1], [1, 0, 2], [0, 3, 3, 4], [0, 1, 0, 1])
+        assert (vocab.entities.names, vocab.relations.names, vocab.words.names) == (
+            ["a", "b", "c"], ["r", "q"], ["x", "y"]
+        )
+
+    def test_frozen_mode_rejects_lines_and_drops_unknown_words(self, tmp_path):
+        vocab = Vocabulary()
+        parse_belief_file(self._write(tmp_path, "train.tsv", "a\tr\tb\tx y\n"), vocab, "build")
+        test = self._write(
+            tmp_path, "test.tsv",
+            "a\tr\tb\tz x z y\n"  # kept, z dropped twice
+            "a\tnope\tb\tx\n"  # unknown relation
+            "ghost\tr\tb\t\n"  # unknown head
+            "b\tr\ta\tz\n",  # kept, mention empties out
+        )
+        result = parse_belief_file(test, vocab, mode="frozen")
+        assert result.rejected == 2
+        assert_packed(result.beliefs, [0, 1], [0, 0], [1, 0], [0, 2, 2], [0, 1])
+        assert (len(vocab.entities), len(vocab.relations), len(vocab.words)) == (2, 1, 2)
+
+    def test_empty_file_packs_no_beliefs(self, tmp_path):
+        result = parse_belief_file(self._write(tmp_path, "e.tsv", "# nothing\n"), Vocabulary())
+        assert len(result.beliefs) == 0
+        assert_packed(result.beliefs, [], [], [], [0], [])
+
+    def test_column_error_names_its_line_after_comments(self, tmp_path):
+        p = self._write(tmp_path, "bad.tsv", "# c\na\tr\tb\tx\na\tr\tb\tx\textra\n")
+        with pytest.raises(ParseError) as err:
+            parse_belief_file(p, Vocabulary(), mode="build")
+        assert ":3:" in str(err.value)
+        assert "got 5" in str(err.value)
+
+    def test_parser_and_from_beliefs_agree(self, tmp_path):
+        p = self._write(tmp_path, "t.tsv", "a\tr\tb\tx x y\nb\tq\ta\t\nc\tr\ta\ty\n")
+        parsed = parse_belief_file(p, Vocabulary()).beliefs
+        beliefs = [Belief(0, 0, 1, (0, 0, 1)), Belief(1, 1, 0, ()), Belief(2, 0, 0, (1,))]
+        assert list(parsed) == beliefs
+        packed = PackedBeliefs.from_beliefs(beliefs)
+        for name in PackedBeliefs.__slots__:
+            assert getattr(packed, name).tolist() == getattr(parsed, name).tolist()
+
+
+class TestPackedBeliefs:
+    def test_indexing_returns_beliefs_and_bounds_checks(self):
+        beliefs = [Belief(0, 1, 2, (3, 3)), Belief(1, 0, 0, ()), Belief(2, 1, 1, (0,))]
+        p = PackedBeliefs.from_beliefs(beliefs)
+        assert [p[i] for i in range(3)] == beliefs
+        assert p[-1] == beliefs[-1]
+        with pytest.raises(IndexError):
+            p[3]
+
+    def test_default_is_empty(self):
+        assert len(PackedBeliefs()) == 0
+        assert not PackedBeliefs()
+        assert_packed(PackedBeliefs.from_beliefs([]), [], [], [], [0], [])
 
 
 class TestLoadDataset:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,16 @@ from jrme.embeddings import (
 )
 from jrme.errors import ConfigError, FormatError
 from synth_data import make_vocab
+
+
+def edit_header(path, edit):
+    """Rewrite a model file's JSON header in place through edit(header)."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[6:14])
+    header = json.loads(blob[14 : 14 + n])
+    edit(header)
+    new = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:6] + struct.pack("<Q", len(new)) + new + blob[14 + n :])
 
 
 class TestModelConfig:
@@ -105,9 +118,10 @@ class TestPersistence:
     def test_round_trip_is_bitwise(self, tmp_path):
         table, vocab, cfg = self._fixture()
         path = tmp_path / "model.bin"
-        save_model(table, vocab, cfg, path)
-        table2, vocab2, cfg2 = load_model(path)
+        save_model(table, vocab, cfg, path, "tme")
+        table2, vocab2, cfg2, variant2 = load_model(path)
         assert cfg2 == cfg
+        assert variant2 == "tme"
         assert vocab2.entities.names == vocab.entities.names
         assert vocab2.relations.names == vocab.relations.names
         assert vocab2.words.names == vocab.words.names
@@ -117,7 +131,7 @@ class TestPersistence:
 
     def test_no_temp_file_left_behind(self, tmp_path):
         table, vocab, cfg = self._fixture()
-        save_model(table, vocab, cfg, tmp_path / "model.bin")
+        save_model(table, vocab, cfg, tmp_path / "model.bin", "jrme")
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -130,7 +144,7 @@ class TestPersistence:
     def test_truncation_names_the_missing_section(self, tmp_path):
         table, vocab, cfg = self._fixture()
         path = tmp_path / "model.bin"
-        save_model(table, vocab, cfg, path)
+        save_model(table, vocab, cfg, path, "jrme")
         blob = path.read_bytes()
         for cut, needle in [
             (10, "header"),
@@ -145,7 +159,7 @@ class TestPersistence:
     def test_trailing_garbage_rejected(self, tmp_path):
         table, vocab, cfg = self._fixture()
         path = tmp_path / "model.bin"
-        save_model(table, vocab, cfg, path)
+        save_model(table, vocab, cfg, path, "jrme")
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError) as err:
             load_model(path)
@@ -154,7 +168,7 @@ class TestPersistence:
     def test_header_with_bad_config_rejected(self, tmp_path):
         table, vocab, _ = self._fixture()
         path = tmp_path / "model.bin"
-        save_model(table, vocab, ModelConfig(dim=6), path)
+        save_model(table, vocab, ModelConfig(dim=6), path, "jrme")
         raw = bytearray(path.read_bytes())
         # corrupt the JSON header in place
         idx = raw.find(b'"dim": 6')
@@ -166,10 +180,29 @@ class TestPersistence:
     def test_header_dim_must_match_config_dim(self, tmp_path):
         table, vocab, _ = self._fixture(dim=4)
         path = tmp_path / "model.bin"
-        save_model(table, vocab, ModelConfig(dim=7), path)
+        save_model(table, vocab, ModelConfig(dim=7), path, "jrme")
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert "dim 4" in str(err.value) and "dim 7" in str(err.value)
+
+    def test_header_without_variant_loads_as_jrme_with_one_warning(self, tmp_path, capsys):
+        table, vocab, cfg = self._fixture()
+        path = tmp_path / "model.bin"
+        save_model(table, vocab, cfg, path, "tme")
+        edit_header(path, lambda h: h.pop("variant"))
+        loaded, _, cfg2, variant = load_model(path)
+        assert variant == "jrme" and cfg2 == cfg
+        assert (loaded.relation_vecs == table.relation_vecs).all()
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1 and "no variant" in warnings[0]
+
+    def test_unknown_variant_rejected(self, tmp_path):
+        table, vocab, cfg = self._fixture()
+        path = tmp_path / "model.bin"
+        save_model(table, vocab, cfg, path, "tme")
+        edit_header(path, lambda h: h.update(variant="kme"))
+        with pytest.raises(FormatError, match="kme"):
+            load_model(path)
 
     def test_copy_is_deep(self):
         table, _, _ = self._fixture()

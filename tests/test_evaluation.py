@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jrme.data import Belief
+from jrme.data import Belief, PackedBeliefs
 from jrme.embeddings import EmbeddingTable
 from jrme.errors import DataError
 from jrme.evaluation import (
@@ -15,6 +15,8 @@ from jrme.evaluation import (
 )
 from jrme.kernels import RANK_BLOCK
 from synth_data import make_vocab, random_table
+
+pack = PackedBeliefs.from_beliefs
 
 
 def oracle_rank(scores, true_id):
@@ -131,7 +133,7 @@ class TestEvaluate:
         # more than two ranking blocks, the last one partial
         t, beliefs = self._setup(rng, n=2 * RANK_BLOCK + 13)
         for variant in ("kre", "tme", "jrme"):
-            report = evaluate(t, beliefs, variant)
+            report = evaluate(t, pack(beliefs), variant)
             expected = [rank_true_relation(t, b, variant) for b in beliefs]
             assert [r for _, r in report.ranks] == expected
             assert [i for i, _ in report.ranks] == list(range(len(beliefs)))
@@ -140,7 +142,7 @@ class TestEvaluate:
 
     def test_invariant_bounds(self, rng):
         t, beliefs = self._setup(rng)
-        report = evaluate(t, beliefs, "jrme")
+        report = evaluate(t, pack(beliefs), "jrme")
         assert report.hit_at_1 <= report.hit_at_10
         assert 1.0 <= report.avg_rank <= t.n_relations
         assert report.n_examples == len(beliefs)
@@ -148,33 +150,33 @@ class TestEvaluate:
     def test_rank_does_not_depend_on_block_position(self, rng):
         t, beliefs = self._setup(rng, n=2 * RANK_BLOCK + 5)
         for variant in ("kre", "tme", "jrme"):
-            whole = [r for _, r in evaluate(t, beliefs, variant).ranks]
+            whole = [r for _, r in evaluate(t, pack(beliefs), variant).ranks]
             # shifting the split moves every belief to another block offset
             for skip in (1, RANK_BLOCK - 1, RANK_BLOCK + 3):
-                tail = [r for _, r in evaluate(t, beliefs[skip:], variant).ranks]
+                tail = [r for _, r in evaluate(t, pack(beliefs[skip:]), variant).ranks]
                 assert tail == whole[skip:]
 
     def test_kre_ignores_word_table_and_tme_ignores_entities(self, rng):
         t, beliefs = self._setup(rng)
-        base_kre = evaluate(t, beliefs, "kre")
-        base_tme = evaluate(t, beliefs, "tme")
+        base_kre = evaluate(t, pack(beliefs), "kre")
+        base_tme = evaluate(t, pack(beliefs), "tme")
         scrambled = t.copy()
         scrambled.word_vecs += rng.normal(size=t.word_vecs.shape)
-        assert evaluate(scrambled, beliefs, "kre") == base_kre
+        assert evaluate(scrambled, pack(beliefs), "kre") == base_kre
         scrambled = t.copy()
         scrambled.entity_vecs += rng.normal(size=t.entity_vecs.shape)
-        assert evaluate(scrambled, beliefs, "tme") == base_tme
+        assert evaluate(scrambled, pack(beliefs), "tme") == base_tme
 
     def test_empty_split_rejected(self, rng):
         t, _ = self._setup(rng)
         with pytest.raises(DataError):
-            evaluate(t, [], "jrme")
+            evaluate(t, pack([]), "jrme")
 
     def test_single_perfect_belief(self, rng):
         vocab = make_vocab(3, 4, 2)
         t = random_table(vocab, 3, rng)
         t.relation_vecs[1] = t.entity_vecs[2] - t.entity_vecs[0]
-        report = evaluate(t, [Belief(0, 1, 2, ())], "kre")
+        report = evaluate(t, pack([Belief(0, 1, 2, ())]), "kre")
         assert report.avg_rank == 1.0
         assert report.hit_at_10 == 1.0
         assert report.hit_at_1 == 1.0
@@ -195,7 +197,7 @@ class TestReportOutput:
         vocab = make_vocab(4, 5, 3)
         t = random_table(vocab, 3, rng)
         beliefs = random_beliefs(rng, 12, 4, 5, 3)
-        report = evaluate(t, beliefs, "jrme")
+        report = evaluate(t, pack(beliefs), "jrme")
         path = tmp_path / "ranks.tsv"
         write_ranks_tsv(report, path)
         lines = path.read_text().splitlines()

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from jrme.data import Belief, Dataset
+from jrme.data import Belief, Dataset, PackedBeliefs
 from jrme.embeddings import EmbeddingTable, ModelConfig, init_embeddings
 from jrme.errors import ConfigError, DataError, TrainingDivergedError
 from jrme.training import (
@@ -84,6 +84,16 @@ class TestNegatives:
     def test_oversized_sample_rejected(self, rng):
         with pytest.raises(ConfigError):
             negatives_for(0, 4, "sample:4", rng)
+
+    def test_rows_are_the_training_samplers_rows(self):
+        from jrme.kernels import enum_negative_table
+
+        for r in range(6):
+            np.testing.assert_array_equal(negatives_for(r, 6, "all"), enum_negative_table(6)[r])
+        for n_relations, k in SAMPLER_CASES:
+            got = negatives_for(2, n_relations, f"sample:{k}", np.random.default_rng(4))
+            row = _sample_negative_rows(np.array([2]), n_relations, k, np.random.default_rng(4))
+            np.testing.assert_array_equal(got, row[0])
 
 
 # (relations, k): rejection of whole rows, and the first-k-of-a-shuffle
@@ -377,7 +387,10 @@ def tiny_dataset(rng, n=60, n_entities=8, n_relations=4, n_words=6):
         for _ in range(n)
     ]
     cut = max(1, n // 4)
-    return Dataset(beliefs[cut:], valid=beliefs[:cut]), make_vocab(n_entities, n_relations, n_words)
+    pack = PackedBeliefs.from_beliefs
+    return Dataset(pack(beliefs[cut:]), valid=pack(beliefs[:cut])), make_vocab(
+        n_entities, n_relations, n_words
+    )
 
 
 class TestTrain:
@@ -480,13 +493,18 @@ class TestTrain:
     def test_empty_train_split_rejected(self, rng):
         _, vocab = tiny_dataset(rng)
         with pytest.raises(DataError):
-            train(Dataset([]), vocab, ModelConfig(dim=4, epochs=1), "kre")
+            train(Dataset(PackedBeliefs()), vocab, ModelConfig(dim=4, epochs=1), "kre")
 
     def test_single_relation_vocab_rejected(self, rng):
         ds, _ = tiny_dataset(rng, n_relations=1)
         vocab = make_vocab(8, 1, 6)
         with pytest.raises(ConfigError):
             train(ds, vocab, ModelConfig(dim=4, epochs=1), "kre")
+
+    def test_thread_count_below_one_rejected(self, rng):
+        ds, vocab = tiny_dataset(rng)
+        with pytest.raises(ConfigError, match="n_threads"):
+            train(ds, vocab, ModelConfig(dim=4, epochs=1), "kre", n_threads=0)
 
     def test_threaded_training_runs_and_stays_finite(self, rng):
         ds, vocab = tiny_dataset(rng, n=120)
@@ -575,7 +593,7 @@ class TestGridSearch:
         from jrme.training import grid_search
 
         ds, vocab = tiny_dataset(rng)
-        ds.valid.clear()
+        ds.valid = PackedBeliefs()
         with pytest.raises(DataError):
             grid_search(ds, vocab, [4], [1.0], [1.0], [2.0], ModelConfig(epochs=1), "jrme")
 
