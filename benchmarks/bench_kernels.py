@@ -5,23 +5,35 @@ with every other relation as a negative (`--neg all`) and once with
 sampled negatives (`sample:K`), and reports best-of-N wall times.  Each
 timed repeat starts from fresh copies of the same initial tables, made
 outside the timed region, so every repeat does the same work.  Then it
-times `rank_all` over the same beliefs for each variant, in µs per belief.
-Last it times one `grid_search` in the shape of the benchmark's grid_dup
-workload (16 points, 4 of them distinct, `--neg all`, the jrme variant)
-and counts its `train` calls.
+times `rank_all` (BLAS scores with an error band) over the same beliefs
+for each variant, in µs per belief, next to the exact scorer alone, once
+more with a fifth of the relation rows forced equal, where it also counts
+the rows rescored exactly, and `jrme predict` on 1000 queries.  Last it
+times one `grid_search` in the shape of the benchmark's grid_dup workload
+(16 points, 4 of them distinct, `--neg all`, the jrme variant) and counts
+its `train` calls.
 
     python3 benchmarks/bench_kernels.py [--n 20000] [--dim 100] [--relations 200]
 """
 
 import argparse
+import contextlib
+import io
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
+import jrme.kernels as kernels
 import jrme.training as training
+from jrme.cli import main as cli_main
 from jrme.data import Belief, Dataset, Vocabulary
-from jrme.embeddings import ModelConfig
-from jrme.kernels import BACKEND, PackedBeliefs, _epoch_c, _epoch_numpy, enum_negative_table, rank_all
+from jrme.embeddings import EmbeddingTable, ModelConfig, save_model
+from jrme.kernels import (
+    BACKEND, RANK_BLOCK, PackedBeliefs, _epoch_c, _epoch_numpy, enum_negative_table, rank_all,
+    relation_scores, tie_ranks,
+)
 from jrme.training import VARIANTS, _sample_negative_rows, variant_flags
 
 # grid_dup's corpus sizes, training settings and grid
@@ -60,16 +72,70 @@ def best_epoch(impl, tables, epoch_args, repeat):
     return min(times)
 
 
-def best_rank(tables, packed, variant, repeat):
+def rank_exact(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
+    """rank_all without the band: every block through the exact scorer."""
+    ranks = np.empty(heads.shape[0], dtype=np.int64)
+    for lo in range(0, heads.shape[0], RANK_BLOCK):
+        hi = lo + RANK_BLOCK
+        scores = relation_scores(
+            entity, relation, word, heads[lo:hi], tails[lo:hi], moff[lo : hi + 1], mflat,
+            use_kg, use_text,
+        )
+        ranks[lo:hi] = tie_ranks(scores, rels[lo:hi])
+    return ranks
+
+
+def best_rank(rank, tables, packed, variant, repeat):
+    """Best-of-N seconds of rank(...) and the rows it rescored exactly."""
     args = (
         packed.heads, packed.relations, packed.tails, packed.mention_off, packed.mention_flat,
         *variant_flags(variant),
     )
+    real_exact = kernels._exact_scores
+    rescored = []
+
+    def counting_exact(q, *rest):
+        rescored.append(q.shape[0])
+        return real_exact(q, *rest)
+
     times = []
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        rank_all(*tables, *args)
-        times.append(time.perf_counter() - t0)
+    kernels._exact_scores = counting_exact
+    try:
+        for _ in range(repeat):
+            rescored.clear()
+            t0 = time.perf_counter()
+            ranks = rank(*tables, *args)
+            times.append(time.perf_counter() - t0)
+    finally:
+        kernels._exact_scores = real_exact
+    return min(times), sum(rescored), ranks
+
+
+def best_predict(tables, n_queries, repeat, seed=0):
+    """Best-of-N seconds of `jrme predict --topk 10` on n_queries lines."""
+    entity, relation, word = tables
+    vocab = Vocabulary.from_names(
+        [f"e{i}" for i in range(len(entity))],
+        [f"r{i}" for i in range(len(relation))],
+        [f"w{i}" for i in range(len(word))],
+    )
+    rng = np.random.default_rng(seed)
+    lines = [
+        f"e{h}\te{t}\t" + " ".join(f"w{w}" for w in rng.integers(len(word), size=3))
+        for h, t in rng.integers(len(entity), size=(n_queries, 2))
+    ]
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        model, queries = Path(tmp) / "model.bin", Path(tmp) / "queries.tsv"
+        save_model(EmbeddingTable(entity, relation, word), vocab,
+                   ModelConfig(dim=entity.shape[1]), model, "jrme")
+        queries.write_text("\n".join(lines) + "\n")
+        argv = ["predict", "--model", str(model), "--input", str(queries), "--topk", "10"]
+        for _ in range(repeat):
+            with contextlib.redirect_stdout(io.StringIO()):
+                t0 = time.perf_counter()
+                cli_main(argv)
+                times.append(time.perf_counter() - t0)
     return min(times)
 
 
@@ -164,10 +230,24 @@ def main():
             t = {backend: secs for k, backend, secs in rows if k == neg}
             print(f"{neg}: C is {t['numpy'] / t['c']:.1f}x faster")
 
-    print(f"\n{'rank_all':<12}{'seconds':>10}{'us/belief':>12}")
+    entity, relation, word = tables
+    tied = relation.copy()
+    tied[::5] = tied[0]
+    cases = [("", tables), (" tied", (entity, tied, word))]
+    print(f"\n{'rank':<12}{'banded us/belief':>18}{'exact us/belief':>17}{'rescored':>10}")
     for variant in VARIANTS:
-        secs = best_rank(tables, packed, variant, args.repeat)
-        print(f"{variant:<12}{secs:>10.3f}{secs / args.n * 1e6:>12.1f}")
+        for label, case in cases:
+            secs, rescored, ranks = best_rank(rank_all, case, packed, variant, args.repeat)
+            exact, _, expected = best_rank(rank_exact, case, packed, variant, args.repeat)
+            if not np.array_equal(ranks, expected):
+                raise SystemExit(f"{variant}{label}: rank_all disagrees with the exact scorer")
+            print(f"{variant + label:<12}{secs / args.n * 1e6:>18.1f}"
+                  f"{exact / args.n * 1e6:>17.1f}{rescored:>10}")
+
+    n_queries = 1000
+    secs = best_predict(tables, n_queries, args.repeat)
+    print(f"\n{'predict':<12}{'queries':>8}{'seconds':>10}{'us/query':>10}")
+    print(f"{'jrme':<12}{n_queries:>8}{secs:>10.3f}{secs / n_queries * 1e6:>10.1f}")
 
     dataset, vocab = grid_dataset(**GRID_SHAPE)
     points = np.prod([len(v) for v in GRID])

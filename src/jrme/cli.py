@@ -21,9 +21,10 @@ import numpy as np
 from .data import dataset_stats, format_stats, load_dataset, parse_belief_file, tokenize_mention
 from .embeddings import ModelConfig, load_model, save_model
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .evaluation import candidate_scores, evaluate, format_report, write_ranks_tsv
-from .kernels import BACKEND
-from .training import VARIANTS, grid_search, step_bound, train
+# candidate_scores stays importable here: the benchmark's tracer patches it by this name
+from .evaluation import candidate_scores, evaluate, format_report, write_ranks_tsv  # noqa: F401
+from .kernels import BACKEND, RANK_BLOCK, relation_scores, top_k
+from .training import VARIANTS, grid_search, step_bound, train, variant_flags
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,9 +188,40 @@ def cmd_grid(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Top-k relations per query line, scored one block of lines at a time.
+
+    Each block is one `relation_scores` call, whose rows have the bits of
+    a single-line call, and its output is one write, so ERROR lines keep
+    their places and memory is bounded by the block.
+    """
     if args.topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
     table, vocab, _, variant = load_model(args.model)
+    flags = variant_flags(variant)
+    k = min(args.topk, table.n_relations)
+    names = vocab.relations.names
+    out = []  # output per line in order; a scorable line's slot is filled on flush
+    slots, heads, tails, offsets, words = [], [], [], [0], []
+
+    def flush():
+        if slots:
+            scores = relation_scores(
+                table.entity_vecs, table.relation_vecs, table.word_vecs,
+                np.array(heads, dtype=np.int64), np.array(tails, dtype=np.int64),
+                np.array(offsets, dtype=np.int64), np.array(words, dtype=np.int64), *flags,
+            )
+            top = top_k(scores, k)
+            top_scores = np.take_along_axis(scores, top, axis=1).tolist()
+            for (slot, line_no), ids, values in zip(slots, top.tolist(), top_scores):
+                out[slot] = "".join(
+                    f"{line_no}\t{pos}\t{names[rid]}\t{value!r}\n"
+                    for pos, (rid, value) in enumerate(zip(ids, values), 1)
+                )
+        sys.stdout.write("".join(out))
+        for pending in (out, slots, heads, tails, words):
+            pending.clear()
+        del offsets[1:]
+
     with open(args.input, encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             line = line.rstrip("\n")
@@ -197,22 +229,25 @@ def cmd_predict(args) -> int:
                 continue
             cols = line.split("\t")
             if len(cols) != 3:
-                print(f"{line_no}\tERROR\texpected 3 tab-separated columns, got {len(cols)}")
-                continue
-            head_s, tail_s, mention_s = cols
-            h = vocab.entities.get(head_s)
-            t = vocab.entities.get(tail_s)
-            if h is None or t is None:
-                missing = head_s if h is None else tail_s
-                print(f"{line_no}\tERROR\tunknown entity {missing!r}")
-                continue
-            words = [vocab.words.get(w) for w in tokenize_mention(mention_s)]
-            mention = tuple(w for w in words if w is not None)
-            scores = candidate_scores(table, h, t, mention, variant)
-            k = min(args.topk, table.n_relations)
-            top = np.argsort(scores, kind="stable")[:k]
-            for pos, rid in enumerate(top, 1):
-                print(f"{line_no}\t{pos}\t{vocab.relations.name(int(rid))}\t{float(scores[rid])!r}")
+                out.append(f"{line_no}\tERROR\texpected 3 tab-separated columns, got {len(cols)}\n")
+            else:
+                head_s, tail_s, mention_s = cols
+                h = vocab.entities.get(head_s)
+                t = vocab.entities.get(tail_s)
+                if h is None or t is None:
+                    missing = head_s if h is None else tail_s
+                    out.append(f"{line_no}\tERROR\tunknown entity {missing!r}\n")
+                else:
+                    ids = (vocab.words.get(w) for w in tokenize_mention(mention_s))
+                    words.extend(w for w in ids if w is not None)
+                    offsets.append(len(words))
+                    heads.append(h)
+                    tails.append(t)
+                    slots.append((len(out), line_no))
+                    out.append(None)
+            if len(out) == RANK_BLOCK:
+                flush()
+    flush()
     return 0
 
 
@@ -228,7 +263,7 @@ def _add_common_model_flags(p, ranks_only: bool = False) -> None:
         "--variant", choices=VARIANTS, default=None if ranks_only else "jrme",
         help="default: the variant the model was trained as" if ranks_only else None,
     )
-    note = "; accepted and ignored: ranking is single-threaded and exact" if ranks_only else ""
+    note = "; accepted and ignored: ranks are exact for any thread count" if ranks_only else ""
     p.add_argument("--threads", type=int, default=1, help="training threads" + note)
     p.add_argument(
         "--nondeterministic-ok", action="store_true",

@@ -5,8 +5,10 @@ candidates are ranked ascending (lower score is better).  Ranking is
 raw: nothing is filtered out, and the candidate set always includes
 the true relation itself.  Ties are broken by relation id, which makes
 every rank deterministic.  Every score is
-`kernels.relation_scores` and every rank `kernels.tie_ranks`, so a
-belief gets the same score and rank alone as inside `evaluate`.
+`kernels.relation_scores` and every rank `kernels.tie_ranks` of it, so a
+belief gets the same score and rank alone as inside `evaluate`, whose
+`kernels.rank_all` sorts by BLAS scores and rescores exactly every belief
+whose order they cannot settle.
 `evaluate` takes a split as the parser packed it (`data.PackedBeliefs`);
 `rank_true_relation` scores one `Belief`, the reference form.
 """

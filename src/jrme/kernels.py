@@ -9,8 +9,11 @@ one stderr line says so.
 `BACKEND` names the one in use, "c" or "numpy".  The twin is also the
 reference the tests hold the C kernel to: the two may differ in the
 last float bits (summation order), never in semantics.  Ranking, numpy on
-both backends, has one scorer (`relation_scores`) and one tie rule
-(`tie_ranks`) behind `rank_all` and every single-belief score.
+both backends, has one exact scorer (`relation_scores`) and one tie rule
+(`tie_ranks`) behind every score and rank.  `rank_all` orders each block
+by BLAS GEMM and rescores with the exact scorer only the beliefs with a
+candidate inside the GEMM error band of the true relation, so its ranks
+are the exact scorer's whatever the BLAS, its threads or the block.
 
 Both read beliefs as the id arrays of `data.PackedBeliefs`, the form the
 parser writes; the class is importable from here too.
@@ -268,9 +271,42 @@ def _epoch_c(
 
 # --- relation ranking -----------------------------------------------------
 
-# beliefs per block: a (block x R) score array stays near one (R x d)
-# table in size, so peak memory does not grow
-RANK_BLOCK = 64
+# beliefs per block, in rank_all and predict: a (block x R) score array
+# stays below one (R x d) table in size for d >= 128, and larger blocks
+# were no faster at R = 500, d = 100 but raised peak memory
+RANK_BLOCK = 128
+
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_ETA = np.finfo(np.float64).smallest_subnormal
+
+
+def _queries(entity, word, heads, tails, moff, mflat, d, use_kg, use_text):
+    """(q, c) per belief: q = 2(h - t) - m and c = ||h - t||^2 (None
+    without the kg part), m the sum of the belief's word rows."""
+    n = heads.shape[0]
+    q = np.zeros((n, d))
+    c = None
+    if use_kg:
+        diff = entity[heads] - entity[tails]
+        q += 2.0 * diff
+        c = np.einsum("bd,bd->b", diff, diff)
+    if use_text and n:
+        # word by word, left to right in each row, so a row's bits do not
+        # depend on the other rows
+        lengths = np.diff(moff)
+        for j in range(int(lengths.max())):
+            rows = np.flatnonzero(lengths > j)
+            q[rows] -= word[mflat[moff[rows] + j]]
+    return q, c
+
+
+def _exact_scores(q, c, relation, rel_sq):
+    """c + q.r' + ||r'||^2 per (row, relation), summed in a fixed order."""
+    scores = np.einsum("bd,dr->br", q, relation.T)
+    if c is not None:
+        scores += c[:, None]
+        scores += rel_sq
+    return scores
 
 
 def relation_scores(entity, relation, word, heads, tails, moff, mflat, use_kg, use_text):
@@ -283,19 +319,9 @@ def relation_scores(entity, relation, word, heads, tails, moff, mflat, use_kg, u
     has the same bits alone or anywhere in a block and equal relations
     tie exactly.  GEMM keeps neither, which breaks the tie rule.
     """
-    n = heads.shape[0]
-    q = np.zeros((n, relation.shape[1]))
-    if use_kg:
-        diff = entity[heads] - entity[tails]
-        q += 2.0 * diff
-    if use_text:
-        # unbuffered, in index order: each row takes its words left to right
-        np.subtract.at(q, np.repeat(np.arange(n), np.diff(moff)), word[mflat[moff[0] : moff[-1]]])
-    scores = np.einsum("bd,dr->br", q, relation.T)
-    if use_kg:
-        scores += np.einsum("bd,bd->b", diff, diff)[:, None]
-        scores += np.einsum("rd,rd->r", relation, relation)
-    return scores
+    q, c = _queries(entity, word, heads, tails, moff, mflat, relation.shape[1], use_kg, use_text)
+    rel_sq = np.einsum("rd,rd->r", relation, relation) if use_kg else None
+    return _exact_scores(q, c, relation, rel_sq)
 
 
 def tie_ranks(scores, true_ids):
@@ -305,16 +331,93 @@ def tie_ranks(scores, true_ids):
     return 1 + np.count_nonzero(scores < s_true, axis=1) + np.count_nonzero(tied_before, axis=1)
 
 
+def top_k(scores, k):
+    """`np.argsort(scores, axis=1, kind="stable")[:, :k]`, without sorting
+    each whole row.
+
+    The stable argsort orders a row by (score, id), nan after every
+    number and -0.0 equal to 0.0.  Its first k places hold only entries
+    at or below the row's k-th smallest value (every entry when that is
+    nan), and `np.partition` finds that value under the same order.
+    `np.nonzero` lists those entries by (row, id), so one stable lexsort
+    by (row, score) orders each row's as the argsort does, and each row's
+    first k are the argsort's.
+    """
+    n, r = scores.shape
+    if k >= r:
+        return np.argsort(scores, axis=1, kind="stable")
+    kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
+    rows, ids = np.nonzero((scores <= kth) | np.isnan(kth))
+    order = np.lexsort((scores[rows, ids], rows))
+    counts = np.bincount(rows, minlength=n)
+    first = np.cumsum(counts) - counts
+    return ids[order][first[:, None] + np.arange(k)]
+
+
 def rank_all(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
-    """Raw rank of the true relation for each belief, as an int64 array."""
-    ranks = np.empty(heads.shape[0], dtype=np.int64)
-    for lo in range(0, heads.shape[0], RANK_BLOCK):
-        hi = lo + RANK_BLOCK
-        scores = relation_scores(
-            entity, relation, word, heads[lo:hi], tails[lo:hi], moff[lo : hi + 1], mflat,
+    """Raw rank of the true relation for each belief, as an int64 array.
+
+    Equal, rank for rank, to `tie_ranks(relation_scores(...))`, but each
+    block is scored with BLAS: s~ = q @ relation.T (+ ||r'||^2 for the kg
+    variants), without the row constant c = ||h - t||^2, which moves every
+    candidate of a row alike.  A row's rank is read from s~ when no
+    candidate but the true one lies within the row's error band of it;
+    every other row is rescored with the exact scorer in one call.
+
+    The band.  Let P = ||q|| max||r'||, N = max||r'||^2 (0 for `tme`), c
+    as above (0 for `tme`), d the dimension, u the unit roundoff and
+    g = (d + 3)u / (1 - (d + 3)u).  In any summation order, fused or not,
+    |fl(q.r') - q.r'| <= (du / (1 - du)) sum|q_i r'_i| <= g P (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1; Cauchy-Schwarz),
+    and each later addition rounds by at most u times a result of size
+    at most (1 + g)(P + c + N).  So the exact score E_r = fl(fl(fl(q.r')
+    + c) + ||r'||^2) and s~_r + c are both within g(P + c + N) of the
+    real q.r' + c + ||r'||^2, and E_r - E_t is within 4g(P + c + N) of
+    s~_r - s~_t for any two candidates.  The band is twice that,
+    8g(P + c + N) + 8d eta: the factor 2 covers the rounding of the
+    computed norms and of the band test itself, and eta, the smallest
+    subnormal, the underflow of the d products.  Outside the band, s~
+    orders every candidate as E does and no E ties the true one's, so
+    the rank is 1 + #(s~ < s~_t).  A finite 2(P + c + N) means finite q
+    and r' and no overflow in either path, since every partial sum is at
+    most (1 + g)(P + c + N); rows where it is inf or nan go to the exact
+    scorer, and so do `tme` rows with an empty mention (q = 0), whose
+    candidates all tie.
+    The result depends neither on the BLAS nor on its threads or blocks.
+    """
+    n = heads.shape[0]
+    d = relation.shape[1]
+    ranks = np.empty(n, dtype=np.int64)
+    rel_sq = np.einsum("rd,rd->r", relation, relation)
+    r_max = np.sqrt(rel_sq.max()) if rel_sq.size else 0.0
+    n_max = rel_sq.max() if use_kg and rel_sq.size else 0.0
+    g = (d + 3) * _U / (1 - (d + 3) * _U)
+    add_sq = rel_sq if use_kg else None
+    for lo in range(0, n, RANK_BLOCK):
+        hi = min(lo + RANK_BLOCK, n)
+        q, c = _queries(
+            entity, word, heads[lo:hi], tails[lo:hi], moff[lo : hi + 1], mflat, d,
             use_kg, use_text,
         )
-        ranks[lo:hi] = tie_ranks(scores, rels[lo:hi])
+        true = rels[lo:hi]
+        # overflow and inf - inf here only send rows to the exact scorer
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = q @ relation.T
+            if use_kg:
+                s += rel_sq
+            scale = np.sqrt(np.einsum("bd,bd->b", q, q)) * r_max + n_max
+            if c is not None:
+                scale += c
+            band = 8.0 * g * scale + 8.0 * d * _ETA
+            s_true = s[np.arange(hi - lo), true]
+            below = np.count_nonzero(s < (s_true - band)[:, None], axis=1)
+            in_band = np.count_nonzero(s <= (s_true + band)[:, None], axis=1) - below
+            exact = (in_band > 1) | ~np.isfinite(2.0 * scale)
+        ranks[lo:hi] = 1 + below
+        if exact.any():
+            rows = np.flatnonzero(exact)
+            rescored = _exact_scores(q[rows], None if c is None else c[rows], relation, add_sq)
+            ranks[lo + rows] = tie_ranks(rescored, true[rows])
     return ranks
 
 

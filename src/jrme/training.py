@@ -75,7 +75,7 @@ def negatives_for(relation: int, n_relations: int, neg_mode: str, rng=None) -> n
     if n_relations < 2:
         raise ConfigError("need at least 2 relations to build corrupt triples")
     if mode == "all":
-        return enum_negative_table(n_relations)[relation]
+        return np.delete(np.arange(n_relations, dtype=np.int64), relation)
     if rng is None:
         raise ConfigError("sample mode needs a random generator")
     return _sample_negative_rows(np.array([relation]), n_relations, k, rng)[0]

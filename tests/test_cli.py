@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import jrme.cli
 from jrme.cli import main
 from jrme.data import PackedBeliefs, Vocabulary, parse_belief_file
-from jrme.embeddings import ModelConfig, init_embeddings, load_model
+from jrme.embeddings import ModelConfig, init_embeddings, load_model, save_model
 from jrme.evaluation import candidate_scores
+from jrme.kernels import RANK_BLOCK, relation_scores
 from test_embeddings import edit_header
 
 
@@ -309,6 +311,85 @@ class TestPredictCommand:
         assert lines[0].startswith("1\tERROR\t") and "ghost" in lines[0]
         assert lines[1].startswith("2\tERROR\t") and "columns" in lines[1]
         assert lines[2].startswith("4\t1\t")
+
+
+class TestPredictBlocks:
+    """predict scores a block of lines per call; its output must be the
+    per-line candidate_scores result, byte for byte."""
+
+    def _query_file(self, tmp, rng):
+        """More than two blocks of scorable lines, with comments and three
+        kinds of ERROR line between them; returns (path, ERROR count)."""
+        lines, errors = [], 0
+        for i in range(2 * RANK_BLOCK + 90):
+            h, t = rng.integers(25, size=2)
+            words = rng.choice(["sig0", "sig3", "pad1", "SIG2", "unseen", "pad1"],
+                               size=int(rng.integers(4)))
+            lines.append(f"e{h}\te{t}\t{' '.join(words)}")
+            if i % 97 == 5:
+                lines.append("# a comment")
+            if i % 131 == 7:
+                lines += ["ghost\te1\tsig0", "e1\tsig2", ""]
+                errors += 3
+        path = tmp / "queries.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        return path, errors
+
+    @staticmethod
+    def _reference(path, table, vocab, variant, topk):
+        out = []
+        k = min(topk, table.n_relations)
+        for line_no, line in enumerate(path.read_text().split("\n")[:-1], 1):
+            if line.startswith("#"):
+                continue
+            cols = line.split("\t")
+            if len(cols) != 3:
+                out.append(f"{line_no}\tERROR\texpected 3 tab-separated columns, got {len(cols)}")
+                continue
+            h, t = vocab.entities.get(cols[0]), vocab.entities.get(cols[1])
+            if h is None or t is None:
+                missing = cols[0] if h is None else cols[1]
+                out.append(f"{line_no}\tERROR\tunknown entity {missing!r}")
+                continue
+            mention = [vocab.words.get(w) for w in cols[2].lower().split()]
+            scores = candidate_scores(table, h, t, [w for w in mention if w is not None], variant)
+            for pos, rid in enumerate(np.argsort(scores, kind="stable")[:k], 1):
+                out.append(f"{line_no}\t{pos}\t{vocab.relations.name(int(rid))}\t"
+                           f"{float(scores[rid])!r}")
+        return "".join(f"{line}\n" for line in out)
+
+    @pytest.mark.parametrize("variant", ["kre", "tme", "jrme"])
+    def test_blocks_equal_the_per_line_reference(self, corpus, capsys, rng, monkeypatch,
+                                                 variant):
+        tmp, train, _ = corpus
+        model = tmp / "model.bin"
+        assert run(capsys, "train", "--train", train, "--out", model,
+                   "--dim", 10, "--epochs", 3, "--seed", 0)[0] == 0
+        table, vocab, config, _ = load_model(model)
+        # four equal rows, so tied scores straddle the 3rd place
+        table.relation_vecs[[2, 4, 5]] = table.relation_vecs[1]
+        save_model(table, vocab, config, model, variant)
+        queries, errors = self._query_file(tmp, rng)
+        tied = {vocab.relations.name(i) for i in (1, 2, 4, 5)}
+        block_rows = []
+
+        def counting_scores(entity, relation, word, heads, *rest):
+            block_rows.append(len(heads))
+            return relation_scores(entity, relation, word, heads, *rest)
+
+        monkeypatch.setattr(jrme.cli, "relation_scores", counting_scores)
+        for topk in (3, table.n_relations + 3):
+            code, out, _ = run(capsys, "predict", "--model", model, "--input", queries,
+                               "--topk", topk)
+            assert code == 0
+            assert out == self._reference(queries, table, vocab, variant, topk)
+            rows = [line.split("\t") for line in out.splitlines()]
+            assert sum(r[1] == "1" for r in rows) == sum(block_rows) > 2 * RANK_BLOCK
+            assert max(block_rows) <= RANK_BLOCK
+            block_rows.clear()
+            assert sum(r[1] == "ERROR" for r in rows) == errors > 3
+            if topk == 3:
+                assert any(r[1] == "3" and r[2] in tied for r in rows)
 
 
 class TestGridCommand:

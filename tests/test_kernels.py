@@ -20,9 +20,10 @@ from jrme.kernels import (
     rank_all,
     relation_scores,
     run_epoch,
+    top_k,
 )
 from jrme.scoring import belief_score
-from jrme.training import _sample_negative_rows, variant_flags
+from jrme.training import VARIANTS, _sample_negative_rows, variant_flags
 from synth_data import make_vocab, random_table
 from test_evaluation import oracle_rank
 
@@ -202,6 +203,94 @@ class TestRanking:
             for b in beliefs
         ]
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=1e-12)
+
+
+class TestBandedRanking:
+    """rank_all scores with BLAS and rescores near ties exactly; on inputs
+    built to sit inside or break its error band it must still equal the
+    per-belief exact rank for every variant."""
+
+    D = 100  # wide enough that GEMM splits its work into tiles
+
+    def _case(self, rng, n, n_rel, mention=True):
+        table = random_table(make_vocab(30, n_rel, 20), self.D, rng)
+        packed, beliefs = random_packed(rng, n, 30, n_rel, 20, max_mention=4 if mention else 0)
+        return table, packed, beliefs
+
+    def _assert_exact(self, table, packed, beliefs):
+        for variant in VARIANTS:
+            ranks = rank_all(
+                table.entity_vecs, table.relation_vecs, table.word_vecs,
+                packed.heads, packed.relations, packed.tails,
+                packed.mention_off, packed.mention_flat, *variant_flags(variant),
+            )
+            expected = [rank_true_relation(table, b, variant) for b in beliefs]
+            np.testing.assert_array_equal(ranks, expected, err_msg=variant)
+
+    def test_relation_rows_one_ulp_apart(self, rng):
+        table, packed, beliefs = self._case(rng, RANK_BLOCK + 40, 60)
+        rel = table.relation_vecs
+        rel[:] = rel[0]
+        for i in range(1, 60, 2):
+            j = i % self.D
+            rel[i, j] = np.nextafter(rel[i, j], np.inf if i % 4 == 1 else -np.inf)
+        self._assert_exact(table, packed, beliefs)
+
+    def test_forced_equal_rows_across_block_edges(self, rng):
+        for n in (RANK_BLOCK - 1, RANK_BLOCK + 1, 2 * RANK_BLOCK + 7):
+            table, packed, beliefs = self._case(rng, n, 120)
+            rel = table.relation_vecs
+            rel[3::3] = rel[0]  # 40 equal rows spread over the table
+            self._assert_exact(table, packed, beliefs)
+
+    def test_tme_empty_mentions_rank_by_id(self, rng):
+        table, packed, beliefs = self._case(rng, RANK_BLOCK + 9, 50, mention=False)
+        assert packed.mention_flat.size == 0
+        ranks = rank_all(
+            table.entity_vecs, table.relation_vecs, table.word_vecs,
+            packed.heads, packed.relations, packed.tails,
+            packed.mention_off, packed.mention_flat, False, True,
+        )
+        np.testing.assert_array_equal(ranks, packed.relations + 1)
+        self._assert_exact(table, packed, beliefs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_entity_rows(self, rng):
+        table, packed, beliefs = self._case(rng, 90, 40)
+        table.entity_vecs[3, 7] = np.inf
+        table.entity_vecs[5, 0] = -np.inf
+        table.entity_vecs[8, 11] = np.nan
+        touched = np.isin(packed.heads, [3, 5, 8]) | np.isin(packed.tails, [3, 5, 8])
+        assert touched.any() and not touched.all()
+        self._assert_exact(table, packed, beliefs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_row_norms_near_1e150(self, rng):
+        # 1e150 keeps every score finite; 1e155 overflows q.r'
+        for scale in (1e150, 1e155):
+            table, packed, beliefs = self._case(rng, 70, 50)
+            for t in (table.entity_vecs, table.relation_vecs, table.word_vecs):
+                t *= scale / np.linalg.norm(t, axis=1, keepdims=True)
+            table.relation_vecs[10] = table.relation_vecs[20]
+            self._assert_exact(table, packed, beliefs)
+
+
+class TestTopK:
+    def test_equals_the_stable_argsort_prefix(self, rng):
+        # ties, signed zeros, infinities and nan, in every k
+        pool = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 2.5, 1e-300])
+        for trial in range(300):
+            n, r = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+            if trial % 3 == 0:
+                scores = rng.choice(pool, size=(n, r))
+            elif trial % 3 == 1:
+                scores = rng.integers(0, 4, size=(n, r)).astype(float)
+            else:
+                scores = rng.normal(size=(n, r))
+                scores[rng.random((n, r)) < 0.2] = np.nan
+            for k in range(1, r + 2):
+                np.testing.assert_array_equal(
+                    top_k(scores, k), np.argsort(scores, axis=1, kind="stable")[:, :k])
 
 
 def _child_env(**extra):

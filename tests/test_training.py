@@ -95,6 +95,16 @@ class TestNegatives:
             row = _sample_negative_rows(np.array([2]), n_relations, k, np.random.default_rng(4))
             np.testing.assert_array_equal(got, row[0])
 
+    def test_all_row_without_the_full_table(self):
+        from jrme.kernels import enum_negative_table
+
+        for n_relations in (2, 3, 8, 201, 500):
+            table = enum_negative_table(n_relations)
+            for r in (0, n_relations // 2, n_relations - 1):
+                got = negatives_for(r, n_relations, "all")
+                assert got.dtype == table.dtype
+                np.testing.assert_array_equal(got, table[r])
+
 
 # (relations, k): rejection of whole rows, and the first-k-of-a-shuffle
 # path taken when a row of k draws rarely comes out distinct
