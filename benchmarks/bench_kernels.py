@@ -72,25 +72,22 @@ def best_epoch(impl, tables, epoch_args, repeat):
     return min(times)
 
 
-def rank_exact(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
+def rank_exact(entity, relation, word, packed, use_kg, use_text):
     """rank_all without the band: every block through the exact scorer."""
-    ranks = np.empty(heads.shape[0], dtype=np.int64)
-    for lo in range(0, heads.shape[0], RANK_BLOCK):
+    ranks = np.empty(len(packed), dtype=np.int64)
+    for lo in range(0, len(packed), RANK_BLOCK):
         hi = lo + RANK_BLOCK
-        scores = relation_scores(
-            entity, relation, word, heads[lo:hi], tails[lo:hi], moff[lo : hi + 1], mflat,
-            use_kg, use_text,
-        )
-        ranks[lo:hi] = tie_ranks(scores, rels[lo:hi])
+        rels = packed.relations[lo:hi]
+        block = PackedBeliefs(packed.heads[lo:hi], rels, packed.tails[lo:hi],
+                              packed.mention_off[lo : hi + 1], packed.mention_flat)
+        scores = relation_scores(entity, relation, word, block, use_kg, use_text)
+        ranks[lo:hi] = tie_ranks(scores, rels)
     return ranks
 
 
 def best_rank(rank, tables, packed, variant, repeat):
     """Best-of-N seconds of rank(...) and the rows it rescored exactly."""
-    args = (
-        packed.heads, packed.relations, packed.tails, packed.mention_off, packed.mention_flat,
-        *variant_flags(variant),
-    )
+    args = (packed, *variant_flags(variant))
     real_exact = kernels._exact_scores
     rescored = []
 
@@ -210,11 +207,7 @@ def main():
 
     rows = []
     for neg, (negs, by_relation) in neg_modes.items():
-        epoch_args = (
-            packed.heads, packed.relations, packed.tails,
-            packed.mention_off, packed.mention_flat,
-            order, negs, by_relation, 0.01, 1.0, True, True, True,
-        )
+        epoch_args = (packed, order, negs, by_relation, 0.01, 1.0, True, True, True)
         for backend, impl in impls.items():
             rows.append((neg, backend, best_epoch(impl, tables, epoch_args, args.repeat)))
 

@@ -18,13 +18,15 @@ import sys
 
 import numpy as np
 
-from .data import dataset_stats, format_stats, load_dataset, parse_belief_file, tokenize_mention
-from .embeddings import ModelConfig, load_model, save_model
+from .data import (
+    PackedBeliefs, dataset_stats, format_stats, load_dataset, parse_belief_file, tokenize_mention,
+)
+from .embeddings import VARIANTS, ModelConfig, atomic_write, load_model, save_model, variant_flags
 from .errors import ConfigError, DataError, TrainingDivergedError
 # candidate_scores stays importable here: the benchmark's tracer patches it by this name
 from .evaluation import candidate_scores, evaluate, format_report, write_ranks_tsv  # noqa: F401
 from .kernels import BACKEND, RANK_BLOCK, relation_scores, top_k
-from .training import VARIANTS, grid_search, step_bound, train, variant_flags
+from .training import grid_search, step_bound, train
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,12 +94,9 @@ def _write_manifest(out_path, config, variant, inputs, outputs) -> None:
         "backend": BACKEND,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = f"{out_path}.manifest.json"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with atomic_write(f"{out_path}.manifest.json") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    os.replace(tmp, path)
 
 
 def _report_rejections(rejected: dict, log) -> None:
@@ -179,11 +178,9 @@ def cmd_grid(args) -> int:
     b = result.best.config
     print(f"best: dim={b.dim} alpha={b.alpha} beta={b.beta} gamma={b.gamma}")
     if args.out:
-        tmp = f"{args.out}.tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
+        with atomic_write(args.out) as f:
             json.dump(dataclasses.asdict(b), f, indent=2, sort_keys=True)
             f.write("\n")
-        os.replace(tmp, args.out)
     return 0
 
 
@@ -205,10 +202,10 @@ def cmd_predict(args) -> int:
 
     def flush():
         if slots:
+            # relation_scores reads no relations, so the block carries none
+            block = PackedBeliefs(heads, (), tails, offsets, words)
             scores = relation_scores(
-                table.entity_vecs, table.relation_vecs, table.word_vecs,
-                np.array(heads, dtype=np.int64), np.array(tails, dtype=np.int64),
-                np.array(offsets, dtype=np.int64), np.array(words, dtype=np.int64), *flags,
+                table.entity_vecs, table.relation_vecs, table.word_vecs, block, *flags,
             )
             top = top_k(scores, k)
             top_scores = np.take_along_axis(scores, top, axis=1).tolist()

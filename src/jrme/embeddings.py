@@ -16,6 +16,7 @@ import json
 import os
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,21 @@ MAGIC = b"JRME1\n"
 VARIANTS = ("kre", "tme", "jrme")
 
 _SEED_MASK = (1 << 64) - 1
+
+
+def variant_flags(variant: str) -> tuple[bool, bool]:
+    """(use_kg, use_text) for a variant name."""
+    if variant == "kre":
+        return True, False
+    if variant == "tme":
+        return False, True
+    if variant == "jrme":
+        return True, True
+    raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+
+
+def variant_margin(variant: str, config: ModelConfig) -> float:
+    return {"kre": config.alpha, "tme": config.beta, "jrme": config.gamma}[variant]
 
 
 @dataclass(frozen=True)
@@ -149,13 +165,33 @@ def _config_from_dict(d: dict) -> ModelConfig:
         raise FormatError(f"model header config is invalid: {e}") from None
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a sibling `<path>.tmp` for writing and rename it over `path`
+    when the block ends cleanly.
+
+    On any exception, in the block or in the rename, the temp file is
+    removed, so a failed write leaves neither a partial target nor a stray
+    temp file.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_model(
     table: EmbeddingTable, vocab: Vocabulary, config: ModelConfig, path, variant: str
 ) -> None:
     """Write table + vocabulary + config + variant as one self-describing file.
 
-    The write is atomic: the payload goes to a sibling temp file that is
-    renamed over the target, so a failed save never leaves a partial model.
+    The write is atomic (`atomic_write`), so a failed save never leaves a
+    partial model.
     """
     header = {
         "config": dataclasses.asdict(config),
@@ -166,20 +202,13 @@ def save_model(
         "words": vocab.words.names,
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<Q", len(blob)))
-            f.write(blob)
-            f.write(np.ascontiguousarray(table.entity_vecs, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(table.relation_vecs, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(table.word_vecs, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<Q", len(blob)))
+        f.write(blob)
+        f.write(np.ascontiguousarray(table.entity_vecs, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(table.relation_vecs, dtype="<f8").tobytes())
+        f.write(np.ascontiguousarray(table.word_vecs, dtype="<f8").tobytes())
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

@@ -9,8 +9,9 @@ every rank deterministic.  Every score is
 belief gets the same score and rank alone as inside `evaluate`, whose
 `kernels.rank_all` sorts by BLAS scores and rescores exactly every belief
 whose order they cannot settle.
-`evaluate` takes a split as the parser packed it (`data.PackedBeliefs`);
-`rank_true_relation` scores one `Belief`, the reference form.
+`evaluate` hands a split to `rank_all` as the parser packed it
+(`data.PackedBeliefs`); `candidate_scores` packs its one query the same
+way, and `rank_true_relation` scores one `Belief`, the reference form.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Belief, PackedBeliefs
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, variant_flags
 from .errors import DataError
 from .kernels import rank_all, relation_scores, tie_ranks
-from .training import variant_flags
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,9 @@ def candidate_scores(table: EmbeddingTable, head: int, tail: int, mention, varia
     ids = np.asarray(mention, dtype=np.int64)
     if use_text and ids.size and (ids.min() < 0 or ids.max() >= table.n_words):
         raise IndexError(f"word id out of range [0, {table.n_words})")
+    query = PackedBeliefs([head], (), [tail], [0, ids.size], ids)
     return relation_scores(
-        table.entity_vecs, table.relation_vecs, table.word_vecs,
-        np.array([head]), np.array([tail]), np.array([0, ids.size]), ids,
-        use_kg, use_text,
+        table.entity_vecs, table.relation_vecs, table.word_vecs, query, use_kg, use_text,
     )[0]
 
 
@@ -88,10 +87,7 @@ def evaluate(table: EmbeddingTable, beliefs: PackedBeliefs, variant: str) -> Eva
     if not beliefs:
         raise DataError("evaluation split is empty")
     ranks = rank_all(
-        table.entity_vecs, table.relation_vecs, table.word_vecs,
-        beliefs.heads, beliefs.relations, beliefs.tails,
-        beliefs.mention_off, beliefs.mention_flat,
-        *variant_flags(variant),
+        table.entity_vecs, table.relation_vecs, table.word_vecs, beliefs, *variant_flags(variant),
     )
     avg, hit10, hit1 = summarize_ranks(int(r) for r in ranks)
     return EvalReport(avg, hit10, hit1, tuple((i, int(r)) for i, r in enumerate(ranks)))

@@ -15,8 +15,9 @@ by BLAS GEMM and rescores with the exact scorer only the beliefs with a
 candidate inside the GEMM error band of the true relation, so its ranks
 are the exact scorer's whatever the BLAS, its threads or the block.
 
-Both read beliefs as the id arrays of `data.PackedBeliefs`, the form the
-parser writes; the class is importable from here too.
+Every kernel takes the three tables as arrays and the beliefs as one
+`data.PackedBeliefs`, the form the parser writes, so no caller unpacks
+its id arrays; the class is importable from here too.
 """
 
 from __future__ import annotations
@@ -110,27 +111,15 @@ def enum_negative_table(n_relations: int) -> np.ndarray:
 #
 # The update rule is documented in _epoch.c.  _epoch_numpy is its
 # vectorized twin and _epoch_c guards the pointers handed to it; both
-# take the same arguments and return (loss_sum, active_count, bad_index).
+# take run_epoch's arguments and return (loss_sum, active_count, bad_index).
 
 
 def _epoch_numpy(
-    entity,
-    relation,
-    word,
-    heads,
-    rels,
-    tails,
-    moff,
-    mflat,
-    order,
-    neg_table,
-    neg_by_relation,
-    lr,
-    margin,
-    use_kg,
-    use_text,
-    normalize,
+    entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
+    use_kg, use_text, normalize,
 ):
+    heads, rels, tails = packed.heads, packed.relations, packed.tails
+    moff, mflat = packed.mention_off, packed.mention_flat
     d = relation.shape[1]
     loss_sum = 0.0
     active_sum = 0
@@ -202,22 +191,8 @@ def _check_ids(what: str, ids: np.ndarray, n: int) -> None:
 
 
 def _epoch_c(
-    entity,
-    relation,
-    word,
-    heads,
-    rels,
-    tails,
-    moff,
-    mflat,
-    order,
-    neg_table,
-    neg_by_relation,
-    lr,
-    margin,
-    use_kg,
-    use_text,
-    normalize,
+    entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
+    use_kg, use_text, normalize,
 ):
     """The C kernel, after the checks that keep bad input out of memory.
 
@@ -230,6 +205,8 @@ def _epoch_c(
             raise ValueError(f"{name} table must be a 2-D float64 array with {d} columns")
         if not (t.flags.c_contiguous and t.flags.writeable):
             raise ValueError(f"{name} table must be C-contiguous and writeable")
+    heads, rels, tails = packed.heads, packed.relations, packed.tails
+    moff, mflat = packed.mention_off, packed.mention_flat
     index_arrays = (
         ("heads", heads, 1), ("rels", rels, 1), ("tails", tails, 1), ("moff", moff, 1),
         ("mflat", mflat, 1), ("order", order, 1), ("neg_table", neg_table, 2),
@@ -280,9 +257,12 @@ _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = np.finfo(np.float64).smallest_subnormal
 
 
-def _queries(entity, word, heads, tails, moff, mflat, d, use_kg, use_text):
-    """(q, c) per belief: q = 2(h - t) - m and c = ||h - t||^2 (None
-    without the kg part), m the sum of the belief's word rows."""
+def _queries(entity, word, packed, lo, hi, d, use_kg, use_text):
+    """(q, c) per belief lo..hi-1 of `packed`: q = 2(h - t) - m and
+    c = ||h - t||^2 (None without the kg part), m the sum of the belief's
+    word rows.  Mention offsets are absolute, so a block reads them as is."""
+    heads, tails = packed.heads[lo:hi], packed.tails[lo:hi]
+    moff, mflat = packed.mention_off[lo : hi + 1], packed.mention_flat
     n = heads.shape[0]
     q = np.zeros((n, d))
     c = None
@@ -309,17 +289,18 @@ def _exact_scores(q, c, relation, rel_sq):
     return scores
 
 
-def relation_scores(entity, relation, word, heads, tails, moff, mflat, use_kg, use_text):
+def relation_scores(entity, relation, word, packed, use_kg, use_text):
     """(n, R) score of every relation as the candidate for each belief.
 
     ||h - t||^2 + q.r' + ||r'||^2 with q = 2(h - t) - m, m the sum of the
-    belief's word rows (moff: n + 1 absolute offsets into mflat); `tme`
-    drops the kg part, `kre` the text part.  q.r' is an unoptimized
-    einsum, not BLAS `@`: it sums each element in a fixed order, so a row
-    has the same bits alone or anywhere in a block and equal relations
-    tie exactly.  GEMM keeps neither, which breaks the tie rule.
+    belief's word rows; `tme` drops the kg part, `kre` the text part.  The
+    beliefs' relations are never read, so queries may leave them empty.
+    q.r' is an unoptimized einsum, not BLAS `@`: it sums each element in a
+    fixed order, so a row has the same bits alone or anywhere in a block
+    and equal relations tie exactly.  GEMM keeps neither, which breaks the
+    tie rule.
     """
-    q, c = _queries(entity, word, heads, tails, moff, mflat, relation.shape[1], use_kg, use_text)
+    q, c = _queries(entity, word, packed, 0, len(packed), relation.shape[1], use_kg, use_text)
     rel_sq = np.einsum("rd,rd->r", relation, relation) if use_kg else None
     return _exact_scores(q, c, relation, rel_sq)
 
@@ -354,7 +335,7 @@ def top_k(scores, k):
     return ids[order][first[:, None] + np.arange(k)]
 
 
-def rank_all(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, use_text):
+def rank_all(entity, relation, word, packed, use_kg, use_text):
     """Raw rank of the true relation for each belief, as an int64 array.
 
     Equal, rank for rank, to `tie_ranks(relation_scores(...))`, but each
@@ -385,7 +366,7 @@ def rank_all(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, us
     candidates all tie.
     The result depends neither on the BLAS nor on its threads or blocks.
     """
-    n = heads.shape[0]
+    n = len(packed)
     d = relation.shape[1]
     ranks = np.empty(n, dtype=np.int64)
     rel_sq = np.einsum("rd,rd->r", relation, relation)
@@ -395,11 +376,8 @@ def rank_all(entity, relation, word, heads, rels, tails, moff, mflat, use_kg, us
     add_sq = rel_sq if use_kg else None
     for lo in range(0, n, RANK_BLOCK):
         hi = min(lo + RANK_BLOCK, n)
-        q, c = _queries(
-            entity, word, heads[lo:hi], tails[lo:hi], moff[lo : hi + 1], mflat, d,
-            use_kg, use_text,
-        )
-        true = rels[lo:hi]
+        q, c = _queries(entity, word, packed, lo, hi, d, use_kg, use_text)
+        true = packed.relations[lo:hi]
         # overflow and inf - inf here only send rows to the exact scorer
         with np.errstate(over="ignore", invalid="ignore"):
             s = q @ relation.T
@@ -445,21 +423,7 @@ def run_epoch(
     """
     impl = _epoch_numpy if _jrme_epoch is None else _epoch_c
     loss, active, bad = impl(
-        entity,
-        relation,
-        word,
-        packed.heads,
-        packed.relations,
-        packed.tails,
-        packed.mention_off,
-        packed.mention_flat,
-        order,
-        neg_table,
-        neg_by_relation,
-        lr,
-        margin,
-        use_kg,
-        use_text,
-        normalize,
+        entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
+        use_kg, use_text, normalize,
     )
     return float(loss), int(active), int(bad)

@@ -24,32 +24,19 @@ from itertools import product
 import numpy as np
 
 from .data import Dataset, PackedBeliefs, Vocabulary
-from .embeddings import VARIANTS, EmbeddingTable, ModelConfig, init_embeddings, parse_neg_mode
+# VARIANTS, variant_flags and variant_margin stay importable from here
+from .embeddings import (  # noqa: F401
+    _SEED_MASK, VARIANTS, EmbeddingTable, ModelConfig, init_embeddings, parse_neg_mode,
+    variant_flags, variant_margin,
+)
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .kernels import enum_negative_table, run_epoch
 from .scoring import mention_distance, mention_vector, triple_distance
-
-_SEED_MASK = (1 << 64) - 1
 
 # Rows start with norm at most 6 and a healthy mean loss stays within a
 # few thousand; an epoch that ends with the mean loss or any row norm past
 # this has overshot and is growing geometrically, so training stops.
 DIVERGENCE_LIMIT = 1e6
-
-
-def variant_flags(variant: str) -> tuple[bool, bool]:
-    """(use_kg, use_text) for a variant name."""
-    if variant == "kre":
-        return True, False
-    if variant == "tme":
-        return False, True
-    if variant == "jrme":
-        return True, True
-    raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-
-
-def variant_margin(variant: str, config: ModelConfig) -> float:
-    return {"kre": config.alpha, "tme": config.beta, "jrme": config.gamma}[variant]
 
 
 def step_bound(config: ModelConfig, n_relations: int) -> float:
@@ -358,8 +345,6 @@ def grid_search(
     base: ModelConfig,
     variant: str,
     n_threads: int = 1,
-    verbose: bool = False,
-    log=None,
 ):
     """Evaluate every (dim, alpha, beta, gamma) point on the validation
     split, return all points plus the winner.
@@ -377,8 +362,6 @@ def grid_search(
     """
     from .evaluation import evaluate
 
-    if log is None:
-        log = sys.stderr
     dims, alphas, betas, gammas = (sorted(set(v)) for v in (dims, alphas, betas, gammas))
     if not (dims and alphas and betas and gammas):
         raise ConfigError("grid search needs at least one value per hyperparameter")
@@ -398,13 +381,6 @@ def grid_search(
             report = reports[effective] = evaluate(table, dataset.valid, variant)
         point = GridPoint(config, report)
         points.append(point)
-        if verbose:
-            print(
-                f"grid dim={d} alpha={a} beta={b} gamma={g} "
-                f"avg_rank={report.avg_rank:.4f} hit@10={report.hit_at_10:.4f} "
-                f"hit@1={report.hit_at_1:.4f}",
-                file=log, flush=True,
-            )
         key = (report.avg_rank, -report.hit_at_10, -report.hit_at_1)
         if best_key is None or key < best_key:
             best, best_key = point, key

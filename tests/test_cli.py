@@ -62,6 +62,20 @@ class TestTrainCommand:
         assert len(manifest["dataset_sha256"]) == 64
         assert "created" in manifest
 
+    @pytest.mark.parametrize("blocked", ["model.bin", "model.bin.manifest.json"])
+    def test_failed_rename_leaves_no_temp_file(self, corpus, capsys, blocked):
+        # a non-empty directory at the target makes the final rename fail
+        tmp, train, _ = corpus
+        (tmp / blocked).mkdir()
+        (tmp / blocked / "keep").write_text("")
+        code, _, err = run(
+            capsys, "train", "--train", train, "--out", tmp / "model.bin",
+            "--dim", 4, "--epochs", 1,
+        )
+        assert code == 2 and err.splitlines()[-1].startswith("error: ")
+        assert not (tmp / f"{blocked}.tmp").exists()
+        assert (tmp / blocked / "keep").exists()
+
     def test_zero_epochs_writes_initialized_model(self, corpus, capsys):
         tmp, train, _ = corpus
         model = tmp / "init.bin"
@@ -373,9 +387,9 @@ class TestPredictBlocks:
         tied = {vocab.relations.name(i) for i in (1, 2, 4, 5)}
         block_rows = []
 
-        def counting_scores(entity, relation, word, heads, *rest):
-            block_rows.append(len(heads))
-            return relation_scores(entity, relation, word, heads, *rest)
+        def counting_scores(entity, relation, word, packed, *rest):
+            block_rows.append(len(packed))
+            return relation_scores(entity, relation, word, packed, *rest)
 
         monkeypatch.setattr(jrme.cli, "relation_scores", counting_scores)
         for topk in (3, table.n_relations + 3):
@@ -408,6 +422,20 @@ class TestGridCommand:
         best = json.loads(best_out.read_text())
         assert best["dim"] == 6
         assert best["alpha"] in (0.5, 1.0)
+
+    def test_failed_out_rename_leaves_no_temp_file(self, corpus, capsys):
+        tmp, train, test = corpus
+        best_out = tmp / "best"
+        best_out.mkdir()
+        (best_out / "keep").write_text("")
+        code, _, err = run(
+            capsys, "grid", "--train", train, "--valid", test,
+            "--dims", "4", "--alphas", "1.0", "--betas", "1.0", "--gammas", "2.0",
+            "--epochs", 1, "--out", best_out,
+        )
+        assert code == 2 and err.splitlines()[-1].startswith("error: ")
+        assert not (tmp / "best.tmp").exists()
+        assert (best_out / "keep").exists()
 
     def test_duplicate_points_print_in_order_as_single_point_runs(self, corpus, capsys):
         # jrme reads only gamma, so each alpha pair and beta pair is a duplicate

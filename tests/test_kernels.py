@@ -92,11 +92,7 @@ class TestBackendAgreement:
             table, packed, order, negs = _epoch_args(rng)
             if not neg_by_relation:
                 negs = _sample_negative_rows(packed.relations[order], 7, 3, rng)
-            args = (
-                packed.heads, packed.relations, packed.tails,
-                packed.mention_off, packed.mention_flat,
-                order, negs, neg_by_relation, 0.01, 1.0, use_kg, use_text, normalize,
-            )
+            args = (packed, order, negs, neg_by_relation, 0.01, 1.0, use_kg, use_text, normalize)
             ta = table.copy()
             tb = table.copy()
             la, aa, bada = _epoch_c(ta.entity_vecs, ta.relation_vecs, ta.word_vecs, *args)
@@ -119,9 +115,7 @@ class TestBackendAgreement:
         )
         lb, ab, _ = _epoch_c(
             tb.entity_vecs, tb.relation_vecs, tb.word_vecs,
-            packed.heads, packed.relations, packed.tails,
-            packed.mention_off, packed.mention_flat,
-            order, negs, True, 0.01, 1.5, True, True, True,
+            packed, order, negs, True, 0.01, 1.5, True, True, True,
         )
         assert (la, aa) == (lb, ab)
         np.testing.assert_array_equal(ta.relation_vecs, tb.relation_vecs)
@@ -150,11 +144,8 @@ class TestRanking:
             table, packed, beliefs = _rank_case(rng, 30)
             for variant in ("kre", "tme", "jrme"):
                 use_kg, use_text = variant_flags(variant)
-                ranks = rank_all(
-                    table.entity_vecs, table.relation_vecs, table.word_vecs,
-                    packed.heads, packed.relations, packed.tails,
-                    packed.mention_off, packed.mention_flat, use_kg, use_text,
-                )
+                ranks = rank_all(table.entity_vecs, table.relation_vecs, table.word_vecs,
+                                 packed, use_kg, use_text)
                 np.testing.assert_array_equal(ranks, _oracle_ranks(table, beliefs, variant))
                 np.testing.assert_array_equal(
                     ranks, [rank_true_relation(table, b, variant) for b in beliefs])
@@ -165,10 +156,7 @@ class TestRanking:
             table, packed, beliefs = _rank_case(rng, n)
             table.relation_vecs[:] = table.relation_vecs[0]
             ranks = rank_all(
-                table.entity_vecs, table.relation_vecs, table.word_vecs,
-                packed.heads, packed.relations, packed.tails,
-                packed.mention_off, packed.mention_flat, True, True,
-            )
+                table.entity_vecs, table.relation_vecs, table.word_vecs, packed, True, True)
             np.testing.assert_array_equal(ranks, _oracle_ranks(table, beliefs, "jrme"))
             # with every score tied, rank is the id-order position
             np.testing.assert_array_equal(ranks, packed.relations + 1)
@@ -180,13 +168,12 @@ class TestRanking:
         table = random_table(make_vocab(12, n_rel, 9), d, rng)
         packed, beliefs = random_packed(rng, n, 12, n_rel, 9)
         lo, hi = 5, n - 3
+        rows = PackedBeliefs(packed.heads[lo:hi], packed.relations[lo:hi], packed.tails[lo:hi],
+                             packed.mention_off[lo : hi + 1], packed.mention_flat)
         for variant in ("kre", "tme", "jrme"):
             use_kg, use_text = variant_flags(variant)
             block = relation_scores(
-                table.entity_vecs, table.relation_vecs, table.word_vecs,
-                packed.heads[lo:hi], packed.tails[lo:hi],
-                packed.mention_off[lo : hi + 1], packed.mention_flat, use_kg, use_text,
-            )
+                table.entity_vecs, table.relation_vecs, table.word_vecs, rows, use_kg, use_text)
             for i in range(lo + 1, hi):
                 b = beliefs[i]
                 alone = candidate_scores(table, b.head, b.tail, b.mention, variant)
@@ -195,9 +182,7 @@ class TestRanking:
     def test_relation_scores_match_reference_scoring(self, rng):
         table, packed, beliefs = _rank_case(rng, 25)
         scores = relation_scores(
-            table.entity_vecs, table.relation_vecs, table.word_vecs,
-            packed.heads, packed.tails, packed.mention_off, packed.mention_flat, True, True,
-        )
+            table.entity_vecs, table.relation_vecs, table.word_vecs, packed, True, True)
         expected = [
             [belief_score(table, Belief(b.head, r, b.tail, b.mention)) for r in range(7)]
             for b in beliefs
@@ -219,11 +204,8 @@ class TestBandedRanking:
 
     def _assert_exact(self, table, packed, beliefs):
         for variant in VARIANTS:
-            ranks = rank_all(
-                table.entity_vecs, table.relation_vecs, table.word_vecs,
-                packed.heads, packed.relations, packed.tails,
-                packed.mention_off, packed.mention_flat, *variant_flags(variant),
-            )
+            ranks = rank_all(table.entity_vecs, table.relation_vecs, table.word_vecs,
+                             packed, *variant_flags(variant))
             expected = [rank_true_relation(table, b, variant) for b in beliefs]
             np.testing.assert_array_equal(ranks, expected, err_msg=variant)
 
@@ -247,10 +229,7 @@ class TestBandedRanking:
         table, packed, beliefs = self._case(rng, RANK_BLOCK + 9, 50, mention=False)
         assert packed.mention_flat.size == 0
         ranks = rank_all(
-            table.entity_vecs, table.relation_vecs, table.word_vecs,
-            packed.heads, packed.relations, packed.tails,
-            packed.mention_off, packed.mention_flat, False, True,
-        )
+            table.entity_vecs, table.relation_vecs, table.word_vecs, packed, False, True)
         np.testing.assert_array_equal(ranks, packed.relations + 1)
         self._assert_exact(table, packed, beliefs)
 
@@ -323,10 +302,7 @@ class TestDispatch:
         assert isinstance(loss, float) and isinstance(active, int)
         assert bad == -1
         ranks = rank_all(
-            table.entity_vecs, table.relation_vecs, table.word_vecs,
-            packed.heads, packed.relations, packed.tails,
-            packed.mention_off, packed.mention_flat, True, True,
-        )
+            table.entity_vecs, table.relation_vecs, table.word_vecs, packed, True, True)
         assert ranks.shape == (10,)
         assert (ranks >= 1).all() and (ranks <= table.relation_vecs.shape[0]).all()
 
@@ -368,9 +344,7 @@ class TestPointerGuards:
     def _call(self, table, packed, order, negs, neg_by_relation=True):
         return _epoch_c(
             table.entity_vecs, table.relation_vecs, table.word_vecs,
-            packed.heads, packed.relations, packed.tails,
-            packed.mention_off, packed.mention_flat,
-            order, negs, neg_by_relation, 0.01, 1.0, True, True, True,
+            packed, order, negs, neg_by_relation, 0.01, 1.0, True, True, True,
         )
 
     @pytest.mark.parametrize("field,value", [
@@ -417,10 +391,7 @@ class TestNonFiniteDetection:
         poisoned = packed.relations[order[3]]
         table.relation_vecs[poisoned] = np.inf
         first = int(order[np.flatnonzero(packed.relations[order] == poisoned)[0]])
-        args = (
-            packed.heads, packed.relations, packed.tails,
-            packed.mention_off, packed.mention_flat, order, negs, True, 0.01, 1.0,
-        )
+        args = (packed, order, negs, True, 0.01, 1.0)
         impls = [_epoch_numpy] + ([_epoch_c] if BACKEND == "c" else [])
         for use_kg, use_text in [(True, False), (False, True), (True, True)]:
             for impl in impls:
