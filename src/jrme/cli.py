@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from .data import (
-    PackedBeliefs, dataset_stats, format_stats, load_dataset, parse_belief_file, tokenize_mention,
+    PackedBeliefs, dataset_stats, format_stats, load_dataset, parse_belief_file, read_lines,
+    tokenize_mention,
 )
 from .embeddings import VARIANTS, ModelConfig, atomic_write, load_model, save_model, variant_flags
 from .errors import ConfigError, DataError, TrainingDivergedError
@@ -27,6 +28,9 @@ from .errors import ConfigError, DataError, TrainingDivergedError
 from .evaluation import candidate_scores, evaluate, format_report, write_ranks_tsv  # noqa: F401
 from .kernels import BACKEND, RANK_BLOCK, relation_scores, top_k
 from .training import grid_search, step_bound, train
+
+
+_DEFAULTS = ModelConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,7 +125,7 @@ def cmd_train(args) -> int:
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(config, len(vocab.relations))
-    table, _ = train(dataset, vocab, config, args.variant, n_threads=threads, verbose=True)
+    table, _ = train(dataset, vocab, config, args.variant, n_threads=threads, log=sys.stderr)
     save_model(table, vocab, config, args.out, args.variant)
     _write_manifest(
         args.out, config, args.variant,
@@ -138,11 +142,7 @@ def cmd_eval(args) -> int:
     table, vocab, _, stored_variant = load_model(args.model)
     variant = args.variant or stored_variant
     result = parse_belief_file(args.test, vocab, mode="frozen")
-    if result.rejected:
-        print(
-            f"warning: {args.test}: {result.rejected} line(s) rejected (unknown symbols)",
-            file=sys.stderr,
-        )
+    _report_rejections({args.test: result.rejected}, sys.stderr)
     if not result.beliefs:
         raise DataError(f"{args.test}: no evaluable beliefs (all lines rejected)")
     report = evaluate(table, result.beliefs, variant)
@@ -219,31 +219,27 @@ def cmd_predict(args) -> int:
             pending.clear()
         del offsets[1:]
 
-    with open(args.input, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                out.append(f"{line_no}\tERROR\texpected 3 tab-separated columns, got {len(cols)}\n")
+    for line_no, line in read_lines(args.input):
+        cols = line.split("\t")
+        if len(cols) != 3:
+            out.append(f"{line_no}\tERROR\texpected 3 tab-separated columns, got {len(cols)}\n")
+        else:
+            head_s, tail_s, mention_s = cols
+            h = vocab.entities.get(head_s)
+            t = vocab.entities.get(tail_s)
+            if h is None or t is None:
+                missing = head_s if h is None else tail_s
+                out.append(f"{line_no}\tERROR\tunknown entity {missing!r}\n")
             else:
-                head_s, tail_s, mention_s = cols
-                h = vocab.entities.get(head_s)
-                t = vocab.entities.get(tail_s)
-                if h is None or t is None:
-                    missing = head_s if h is None else tail_s
-                    out.append(f"{line_no}\tERROR\tunknown entity {missing!r}\n")
-                else:
-                    ids = (vocab.words.get(w) for w in tokenize_mention(mention_s))
-                    words.extend(w for w in ids if w is not None)
-                    offsets.append(len(words))
-                    heads.append(h)
-                    tails.append(t)
-                    slots.append((len(out), line_no))
-                    out.append(None)
-            if len(out) == RANK_BLOCK:
-                flush()
+                ids = (vocab.words.get(w) for w in tokenize_mention(mention_s))
+                words.extend(w for w in ids if w is not None)
+                offsets.append(len(words))
+                heads.append(h)
+                tails.append(t)
+                slots.append((len(out), line_no))
+                out.append(None)
+        if len(out) == RANK_BLOCK:
+            flush()
     flush()
     return 0
 
@@ -269,10 +265,10 @@ def _add_common_model_flags(p, ranks_only: bool = False) -> None:
 
 
 def _add_train_flags(p) -> None:
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--neg", default="all", help="negative mode: all | sample:K")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=_DEFAULTS.learning_rate)
+    p.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
+    p.add_argument("--neg", default=_DEFAULTS.neg_mode, help="negative mode: all | sample:K")
+    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.add_argument(
         "--no-normalize", action="store_true",
         help="skip entity renormalization after each update",
@@ -297,10 +293,10 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True)
     p.add_argument("--valid")
     p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=2.0)
+    p.add_argument("--dim", type=int, default=_DEFAULTS.dim)
+    p.add_argument("--alpha", type=float, default=_DEFAULTS.alpha)
+    p.add_argument("--beta", type=float, default=_DEFAULTS.beta)
+    p.add_argument("--gamma", type=float, default=_DEFAULTS.gamma)
     _add_train_flags(p)
     _add_common_model_flags(p)
     p.set_defaults(func=cmd_train)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DataError, ParseError
 
 
 class IdMap:
@@ -156,6 +156,22 @@ def tokenize_mention(raw: str) -> list[str]:
     return raw.lower().split()
 
 
+def read_lines(path):
+    """Yield (line_no, line) for each non-comment line of a UTF-8 text
+    file, without its newline; line numbers count comment lines too.
+
+    Raises DataError naming the file if it is not valid UTF-8, and
+    OSError if it cannot be read.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line_no, line in enumerate(f, 1):
+                if not line.startswith("#"):
+                    yield line_no, line.rstrip("\n")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not valid UTF-8 ({e.reason})") from None
+
+
 def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResult:
     """Read a belief file into packed id-space beliefs.
 
@@ -163,8 +179,8 @@ def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResu
     mode="frozen" rejects lines whose head, relation or tail is unknown
     (counted in the result) and silently drops unknown mention words.
 
-    Raises ParseError for lines that do not have exactly 4 columns, and
-    OSError if the file cannot be read.
+    Raises ParseError for lines that do not have exactly 4 columns,
+    DataError if the file is not UTF-8, and OSError if it cannot be read.
     """
     if mode not in ("build", "frozen"):
         raise ConfigError(f"unknown parse mode: {mode!r}")
@@ -174,24 +190,20 @@ def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResu
     word = vocab.words.add if build else vocab.words.get
     heads, relations, tails, off, words = [], [], [], [0], []
     rejected = 0
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            cols = line.split("\t")
-            if len(cols) != 4:
-                raise ParseError(path, line_no, f"expected 4 tab-separated columns, got {len(cols)}")
-            head_s, rel_s, tail_s, mention_s = cols
-            h, r, t = entity(head_s), relation(rel_s), entity(tail_s)
-            if h is None or r is None or t is None:
-                rejected += 1
-                continue
-            heads.append(h)
-            relations.append(r)
-            tails.append(t)
-            words.extend(w for w in map(word, tokenize_mention(mention_s)) if w is not None)
-            off.append(len(words))
+    for line_no, line in read_lines(path):
+        cols = line.split("\t")
+        if len(cols) != 4:
+            raise ParseError(path, line_no, f"expected 4 tab-separated columns, got {len(cols)}")
+        head_s, rel_s, tail_s, mention_s = cols
+        h, r, t = entity(head_s), relation(rel_s), entity(tail_s)
+        if h is None or r is None or t is None:
+            rejected += 1
+            continue
+        heads.append(h)
+        relations.append(r)
+        tails.append(t)
+        words.extend(w for w in map(word, tokenize_mention(mention_s)) if w is not None)
+        off.append(len(words))
     return ParseResult(PackedBeliefs(heads, relations, tails, off, words), rejected)
 
 

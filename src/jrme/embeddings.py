@@ -154,11 +154,18 @@ def init_embeddings(vocab: Vocabulary, config: ModelConfig) -> EmbeddingTable:
     return EmbeddingTable(entity, relation, word)
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = set(d) - fields
+def _config_from_dict(d) -> ModelConfig:
+    if not isinstance(d, dict):
+        raise FormatError("model header config is not a JSON object")
+    defaults = dataclasses.asdict(ModelConfig())
+    unknown = set(d) - set(defaults)
     if unknown:
         raise FormatError(f"model header has unknown config keys: {sorted(unknown)}")
+    for key, value in d.items():
+        # JSON has one number type for ints and floats; a float field takes either
+        want = (int, float) if type(defaults[key]) is float else type(defaults[key])
+        if not isinstance(value, want) or isinstance(value, bool) != (want is bool):
+            raise FormatError(f"model header config {key!r} has the wrong type: {value!r}")
     try:
         return ModelConfig(**d)
     except (TypeError, ConfigError) as e:
@@ -211,13 +218,6 @@ def save_model(
         f.write(np.ascontiguousarray(table.word_vecs, dtype="<f8").tobytes())
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"{what} truncated: expected {n} bytes, got {len(buf)}")
-    return buf
-
-
 def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
     """Exact inverse of save_model: (table, vocab, config, variant).
 
@@ -225,18 +225,32 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
     "jrme", with one warning on stderr.
     """
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read_exact(n: int, what: str) -> bytes:
+            # a length read from the file is untrusted: never ask for more than is left
+            buf = f.read(min(n, size - f.tell()))
+            if len(buf) != n:
+                raise FormatError(f"{what} truncated: expected {n} bytes, got {len(buf)}")
+            return buf
+
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise FormatError(f"{path}: not a JRME model file (bad magic)")
-        (header_len,) = struct.unpack("<Q", _read_exact(f, 8, "header length"))
-        blob = _read_exact(f, header_len, "header")
+        (header_len,) = struct.unpack("<Q", read_exact(8, "header length"))
+        blob = read_exact(header_len, "header")
         try:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FormatError(f"{path}: unreadable header: {e}") from None
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header is not a JSON object")
         for key in ("config", "dim", "entities", "relations", "words"):
             if key not in header:
                 raise FormatError(f"{path}: header missing {key!r}")
+        for key in ("entities", "relations", "words"):
+            if not (isinstance(header[key], list) and all(isinstance(n, str) for n in header[key])):
+                raise FormatError(f"{path}: header {key!r} is not a list of strings")
         config = _config_from_dict(header["config"])
         variant = header.get("variant")
         if variant is None:
@@ -245,13 +259,15 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
                   file=sys.stderr)
         elif variant not in VARIANTS:
             raise FormatError(f"{path}: unknown variant {variant!r} in header")
-        dim = int(header["dim"])
-        if dim != config.dim:
-            raise FormatError(f"{path}: header dim {dim} disagrees with config dim {config.dim}")
+        dim = config.dim
+        if header["dim"] != dim:
+            raise FormatError(
+                f"{path}: header dim {header['dim']!r} disagrees with config dim {dim}"
+            )
         vocab = Vocabulary.from_names(header["entities"], header["relations"], header["words"])
 
         def read_table(n_rows: int, what: str) -> np.ndarray:
-            raw = _read_exact(f, n_rows * dim * 8, f"{what} table")
+            raw = read_exact(n_rows * dim * 8, f"{what} table")
             return np.frombuffer(raw, dtype="<f8").reshape(n_rows, dim).astype(np.float64)
 
         entity = read_table(len(vocab.entities), "entity")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Belief, PackedBeliefs
-from .embeddings import EmbeddingTable, variant_flags
+from .embeddings import EmbeddingTable, atomic_write, variant_flags
 from .errors import DataError
 from .kernels import rank_all, relation_scores, tie_ranks
 
@@ -112,8 +112,8 @@ def format_report(report: EvalReport, label: str) -> str:
 
 
 def write_ranks_tsv(report: EvalReport, path) -> None:
-    """One "index TAB rank" line per evaluated belief."""
-    with open(path, "w", encoding="utf-8") as f:
+    """One "index TAB rank" line per evaluated belief, written atomically."""
+    with atomic_write(path) as f:
         f.write("index\trank\n")
         for i, r in report.ranks:
             f.write(f"{i}\t{r}\n")

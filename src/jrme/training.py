@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -244,11 +243,11 @@ def train(
     config: ModelConfig,
     variant: str,
     n_threads: int = 1,
-    verbose: bool = False,
     log=None,
 ):
     """Initialize tables and run the full SGD schedule over the packed
-    `dataset.train`.
+    `dataset.train`, writing one `EpochReport.line()` per epoch to `log`
+    (a text stream) unless it is None.
 
     Single-threaded runs are a deterministic function of (seed, config,
     dataset, variant).  With n_threads > 1, each epoch's visiting order
@@ -267,8 +266,6 @@ def train(
         raise ConfigError("need at least 2 relations to build corrupt triples")
     if n_threads < 1:
         raise ConfigError(f"n_threads must be >= 1, got {n_threads}")
-    if log is None:
-        log = sys.stderr
 
     table = init_embeddings(vocab, config)
     n = len(packed)
@@ -318,7 +315,7 @@ def train(
                     f"lower the learning rate"
                 )
             reports.append(report)
-            if verbose:
+            if log is not None:
                 print(report.line(), file=log, flush=True)
     return table, reports
 

@@ -76,6 +76,11 @@ class TestTrainCommand:
         assert not (tmp / f"{blocked}.tmp").exists()
         assert (tmp / blocked / "keep").exists()
 
+    def test_flag_defaults_are_the_model_config_defaults(self, monkeypatch):
+        monkeypatch.delenv("JRME_SEED", raising=False)
+        args = jrme.cli.build_parser().parse_args(["train", "--train", "a", "--out", "b"])
+        assert jrme.cli._config_from_args(args) == ModelConfig()
+
     def test_zero_epochs_writes_initialized_model(self, corpus, capsys):
         tmp, train, _ = corpus
         model = tmp / "init.bin"
@@ -224,6 +229,32 @@ class TestExitCodes:
 
     def test_unknown_subcommand_is_1(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
+
+    def test_malformed_model_is_2(self, corpus, capsys):
+        tmp, train, test = corpus
+        model = tmp / "m.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--epochs", 0)[0] == 0
+        edit_header(model, lambda h: h.update(config=5))
+        code, _, err = run(capsys, "eval", "--model", model, "--test", test)
+        assert code == 2
+        assert err.splitlines()[-1] == "error: model header config is not a JSON object"
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict", "stats"])
+    def test_non_utf8_input_is_2_and_names_the_file(self, corpus, capsys, command):
+        tmp, train, test = corpus
+        model = tmp / "m.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--epochs", 0)[0] == 0
+        bad = tmp / "bad.tsv"
+        bad.write_bytes(b"e1\trel0\te2\tsig0\n" + b"e1\trel1\te2\tsig\xff\n")
+        argv = {
+            "train": ["--train", bad, "--out", tmp / "m2.bin", "--epochs", 0],
+            "eval": ["--model", model, "--test", bad],
+            "predict": ["--model", model, "--input", bad],
+            "stats": ["--train", bad],
+        }[command]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 2
+        assert err.splitlines()[-1].startswith(f"error: {bad}: not valid UTF-8")
 
 
 class TestEvalCommand:

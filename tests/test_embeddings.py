@@ -204,6 +204,43 @@ class TestPersistence:
         with pytest.raises(FormatError, match="kme"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "header_len, header",
+        [
+            (2**63, None),
+            (2**40, None),
+            (None, ["config", "dim", "entities", "relations", "words"]),
+            (None, {"config": 5}),
+            (None, {"config": {"neg_mode": 5}}),
+            (None, {"config": {"dim": 6.0}}),
+            (None, {"entities": 5}),
+            (None, {"words": [["w"]]}),
+            (None, {"config": {"dim": 10**15}, "dim": 10**15, "entities": ["e"],
+                    "relations": [], "words": []}),
+        ],
+        ids=["len-2^63", "len-2^40", "list", "config-int", "neg-mode-int", "dim-float",
+             "entities-int", "word-list", "dim-1e15"],
+    )
+    def test_malformed_header_is_a_format_error(self, tmp_path, header_len, header):
+        table, vocab, cfg = self._fixture()
+        path = tmp_path / "model.bin"
+        save_model(table, vocab, cfg, path, "jrme")
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<Q", blob[6:14])
+        if isinstance(header, dict):
+            fields = json.loads(blob[14 : 14 + n])
+            for key, value in header.items():
+                if isinstance(value, dict):
+                    fields[key].update(value)
+                else:
+                    fields[key] = value
+            header = fields
+        new = blob[14 : 14 + n] if header is None else json.dumps(header).encode("utf-8")
+        length = len(new) if header_len is None else header_len
+        path.write_bytes(blob[:6] + struct.pack("<Q", length) + new + blob[14 + n :])
+        with pytest.raises(FormatError):
+            load_model(path)
+
     def test_copy_is_deep(self):
         table, _, _ = self._fixture()
         dup = table.copy()

@@ -204,3 +204,15 @@ class TestReportOutput:
         assert lines[0] == "index\trank"
         parsed = [tuple(int(v) for v in line.split("\t")) for line in lines[1:]]
         assert parsed == list(report.ranks)
+
+    def test_failed_ranks_write_keeps_the_old_file(self, tmp_path):
+        def ranks():
+            yield from [(0, 1), (1, 4)]
+            raise OSError("disk full")
+
+        path = tmp_path / "ranks.tsv"
+        path.write_text("index\trank\n0\t2\n")
+        with pytest.raises(OSError, match="disk full"):
+            write_ranks_tsv(EvalReport(2.5, 1.0, 0.5, ranks()), path)
+        assert path.read_text() == "index\trank\n0\t2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ranks.tsv"]

@@ -436,7 +436,7 @@ class TestTrain:
     def test_progress_lines_are_machine_parseable(self, rng):
         ds, vocab = tiny_dataset(rng)
         out = io.StringIO()
-        train(ds, vocab, ModelConfig(dim=4, epochs=3, seed=0), "kre", verbose=True, log=out)
+        train(ds, vocab, ModelConfig(dim=4, epochs=3, seed=0), "kre", log=out)
         lines = out.getvalue().splitlines()
         assert len(lines) == 3
         pattern = re.compile(r"^epoch=(\d+) loss=([0-9eE.+-]+) active=(\d+)$")
