@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (unreadable or malformed files, empty effective splits), 3 numeric
-abort during training.  The JRME_SEED environment variable, when set,
-overrides --seed everywhere a seed is taken.
+abort during training, 141 stdout closed by its reader (as a filter
+stopped by SIGPIPE reports it, with nothing on stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -41,16 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("JRME_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"JRME_SEED must be an integer, got {env!r}") from None
-    return args.seed
-
-
 def _resolve_threads(args) -> int:
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
@@ -70,7 +61,7 @@ def _config_from_args(args) -> ModelConfig:
         learning_rate=args.lr,
         epochs=args.epochs,
         neg_mode=args.neg,
-        seed=_resolve_seed(args),
+        seed=args.seed,
         normalize_entities=not args.no_normalize,
     )
 
@@ -157,7 +148,7 @@ def cmd_grid(args) -> int:
         learning_rate=args.lr,
         epochs=args.epochs,
         neg_mode=args.neg,
-        seed=_resolve_seed(args),
+        seed=args.seed,
         normalize_entities=not args.no_normalize,
     )
     threads = _resolve_threads(args)
@@ -195,19 +186,37 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
     table, vocab, _, variant = load_model(args.model)
     flags = variant_flags(variant)
-    k = min(args.topk, table.n_relations)
     names = vocab.relations.names
-    out = []  # output per line in order; a scorable line's slot is filled on flush
-    slots, heads, tails, offsets, words = [], [], [], [0], []
-
-    def flush():
+    lines = read_lines(args.input)
+    while block := list(islice(lines, RANK_BLOCK)):
+        out = []  # output per line in order; a scorable line's slot is filled once scored
+        slots, heads, tails, offsets, words = [], [], [], [0], []
+        for line_no, line in block:
+            cols = line.split("\t")
+            if len(cols) != 3:
+                out.append(f"{line_no}\tERROR\texpected 3 tab-separated columns, got {len(cols)}\n")
+                continue
+            head_s, tail_s, mention_s = cols
+            h = vocab.entities.get(head_s)
+            t = vocab.entities.get(tail_s)
+            if h is None or t is None:
+                missing = head_s if h is None else tail_s
+                out.append(f"{line_no}\tERROR\tunknown entity {missing!r}\n")
+                continue
+            ids = (vocab.words.get(w) for w in tokenize_mention(mention_s))
+            words.extend(w for w in ids if w is not None)
+            offsets.append(len(words))
+            heads.append(h)
+            tails.append(t)
+            slots.append((len(out), line_no))
+            out.append(None)
         if slots:
             # relation_scores reads no relations, so the block carries none
-            block = PackedBeliefs(heads, (), tails, offsets, words)
+            queries = PackedBeliefs(heads, (), tails, offsets, words)
             scores = relation_scores(
-                table.entity_vecs, table.relation_vecs, table.word_vecs, block, *flags,
+                table.entity_vecs, table.relation_vecs, table.word_vecs, queries, *flags,
             )
-            top = top_k(scores, k)
+            top = top_k(scores, args.topk)
             top_scores = np.take_along_axis(scores, top, axis=1).tolist()
             for (slot, line_no), ids, values in zip(slots, top.tolist(), top_scores):
                 out[slot] = "".join(
@@ -215,32 +224,6 @@ def cmd_predict(args) -> int:
                     for pos, (rid, value) in enumerate(zip(ids, values), 1)
                 )
         sys.stdout.write("".join(out))
-        for pending in (out, slots, heads, tails, words):
-            pending.clear()
-        del offsets[1:]
-
-    for line_no, line in read_lines(args.input):
-        cols = line.split("\t")
-        if len(cols) != 3:
-            out.append(f"{line_no}\tERROR\texpected 3 tab-separated columns, got {len(cols)}\n")
-        else:
-            head_s, tail_s, mention_s = cols
-            h = vocab.entities.get(head_s)
-            t = vocab.entities.get(tail_s)
-            if h is None or t is None:
-                missing = head_s if h is None else tail_s
-                out.append(f"{line_no}\tERROR\tunknown entity {missing!r}\n")
-            else:
-                ids = (vocab.words.get(w) for w in tokenize_mention(mention_s))
-                words.extend(w for w in ids if w is not None)
-                offsets.append(len(words))
-                heads.append(h)
-                tails.append(t)
-                slots.append((len(out), line_no))
-                out.append(None)
-        if len(out) == RANK_BLOCK:
-            flush()
-    flush()
     return 0
 
 
@@ -338,7 +321,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; fd 1 goes to devnull so the exit flush stays quiet
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -231,7 +231,7 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
             # a length read from the file is untrusted: never ask for more than is left
             buf = f.read(min(n, size - f.tell()))
             if len(buf) != n:
-                raise FormatError(f"{what} truncated: expected {n} bytes, got {len(buf)}")
+                raise FormatError(f"{path}: {what} truncated: expected {n} bytes, got {len(buf)}")
             return buf
 
         magic = f.read(len(MAGIC))
@@ -251,7 +251,10 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
         for key in ("entities", "relations", "words"):
             if not (isinstance(header[key], list) and all(isinstance(n, str) for n in header[key])):
                 raise FormatError(f"{path}: header {key!r} is not a list of strings")
-        config = _config_from_dict(header["config"])
+        try:
+            config = _config_from_dict(header["config"])
+        except FormatError as e:
+            raise FormatError(f"{path}: {e}") from None
         variant = header.get("variant")
         if variant is None:
             variant = "jrme"

@@ -23,7 +23,7 @@ import numpy as np
 from .data import Belief, PackedBeliefs
 from .embeddings import EmbeddingTable, atomic_write, variant_flags
 from .errors import DataError
-from .kernels import rank_all, relation_scores, tie_ranks
+from .kernels import _check_ids, rank_all, relation_scores, tie_ranks
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,10 @@ def summarize_ranks(ranks) -> tuple[float, float, float]:
 def candidate_scores(table: EmbeddingTable, head: int, tail: int, mention, variant: str):
     """Score of every relation id substituted into (head, ?, tail, mention)."""
     use_kg, use_text = variant_flags(variant)
-    if not 0 <= head < table.n_entities:
-        raise IndexError(f"entity id {head} out of range [0, {table.n_entities})")
-    if not 0 <= tail < table.n_entities:
-        raise IndexError(f"entity id {tail} out of range [0, {table.n_entities})")
+    _check_ids("entity id", np.array([head, tail]), table.n_entities)
     ids = np.asarray(mention, dtype=np.int64)
-    if use_text and ids.size and (ids.min() < 0 or ids.max() >= table.n_words):
-        raise IndexError(f"word id out of range [0, {table.n_words})")
+    if use_text:
+        _check_ids("word id", ids, table.n_words)
     query = PackedBeliefs([head], (), [tail], [0, ids.size], ids)
     return relation_scores(
         table.entity_vecs, table.relation_vecs, table.word_vecs, query, use_kg, use_text,
@@ -76,10 +73,9 @@ def rank_true_relation(table: EmbeddingTable, belief: Belief, variant: str) -> i
     """Ascending-sort position of the true relation among all candidates,
     by the tie rule of `kernels.tie_ranks`."""
     scores = candidate_scores(table, belief.head, belief.tail, belief.mention, variant)
-    r = belief.relation
-    if not 0 <= r < table.n_relations:
-        raise IndexError(f"relation id {r} out of range [0, {table.n_relations})")
-    return int(tie_ranks(scores[None, :], np.array([r]))[0])
+    true = np.array([belief.relation])
+    _check_ids("relation id", true, table.n_relations)
+    return int(tie_ranks(scores[None, :], true)[0])
 
 
 def evaluate(table: EmbeddingTable, beliefs: PackedBeliefs, variant: str) -> EvalReport:

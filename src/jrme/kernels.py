@@ -6,11 +6,12 @@ which releases the GIL, so training shards run on real threads.  When
 there is no compiler, the build fails, or the cache cannot be written or
 is writable by other users, the vectorized numpy twin runs instead and
 one stderr line says so.
-`BACKEND` names the one in use, "c" or "numpy".  The twin is also the
-reference the tests hold the C kernel to: the two may differ in the
-last float bits (summation order), never in semantics.  Ranking, numpy on
-both backends, has one exact scorer (`relation_scores`) and one tie rule
-(`tie_ranks`) behind every score and rank.  `rank_all` orders each block
+`BACKEND` names the one in use, "c" or "numpy", and `run_epoch` is that
+kernel itself, chosen once at import.  The twin is also the reference
+the tests hold the C kernel to: the two may differ in the last float bits
+(summation order), never in semantics.  Ranking, numpy on both backends,
+has one exact scorer (`relation_scores`) and one tie rule (`tie_ranks`)
+behind every score and rank.  `rank_all` orders each block
 by BLAS GEMM and rescores with the exact scorer only the beliefs with a
 candidate inside the GEMM error band of the true relation, so its ranks
 are the exact scorer's whatever the BLAS, its threads or the block.
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import PackedBeliefs
+from .data import PackedBeliefs  # noqa: F401  (importable from here, see above)
 
 _SOURCE = Path(__file__).with_name("_epoch.c")
 # IEEE semantics on every host: no -march=native, no -ffast-math (which
@@ -109,9 +110,17 @@ def enum_negative_table(n_relations: int) -> np.ndarray:
 
 # --- training epoch -------------------------------------------------------
 #
-# The update rule is documented in _epoch.c.  _epoch_numpy is its
-# vectorized twin and _epoch_c guards the pointers handed to it; both
-# take run_epoch's arguments and return (loss_sum, active_count, bad_index).
+# run_epoch(entity, relation, word, packed, order, neg_table,
+#           neg_by_relation, lr, margin, use_kg, use_text, normalize)
+# is one pass of hinge SGD over the beliefs of `packed` in `order`,
+# updating the three tables in place.  Example order[pos] takes its
+# negatives from row r of `neg_table` (its relation) when neg_by_relation,
+# else from row pos.  It returns (loss_sum: float, active_term_count: int,
+# bad_index: int); bad_index is the first example whose step produced a
+# non-finite value, -1 when clean.  The update rule is documented in
+# _epoch.c.  _epoch_numpy is its vectorized twin and _epoch_c guards the
+# pointers handed to it; run_epoch is bound at import to the one that
+# BACKEND names.
 
 
 def _epoch_numpy(
@@ -246,6 +255,9 @@ def _epoch_c(
     return loss.value, active.value, bad
 
 
+run_epoch = _epoch_numpy if _jrme_epoch is None else _epoch_c
+
+
 # --- relation ranking -----------------------------------------------------
 
 # beliefs per block, in rank_all and predict: a (block x R) score array
@@ -325,8 +337,7 @@ def top_k(scores, k):
     first k are the argsort's.
     """
     n, r = scores.shape
-    if k >= r:
-        return np.argsort(scores, axis=1, kind="stable")
+    k = min(k, r)
     kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
     rows, ids = np.nonzero((scores <= kth) | np.isnan(kth))
     order = np.lexsort((scores[rows, ids], rows))
@@ -397,33 +408,3 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
             rescored = _exact_scores(q[rows], None if c is None else c[rows], relation, add_sq)
             ranks[lo + rows] = tie_ranks(rescored, true[rows])
     return ranks
-
-
-# --- dispatch -------------------------------------------------------------
-
-
-def run_epoch(
-    entity,
-    relation,
-    word,
-    packed: PackedBeliefs,
-    order,
-    neg_table,
-    neg_by_relation: bool,
-    lr: float,
-    margin: float,
-    use_kg: bool,
-    use_text: bool,
-    normalize: bool,
-):
-    """One pass of hinge SGD over `order`, mutating the tables in place.
-
-    Returns (loss_sum, active_term_count, bad_index); bad_index is the
-    first example whose step produced a non-finite value, -1 when clean.
-    """
-    impl = _epoch_numpy if _jrme_epoch is None else _epoch_c
-    loss, active, bad = impl(
-        entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
-        use_kg, use_text, normalize,
-    )
-    return float(loss), int(active), int(bad)

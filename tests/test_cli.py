@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import subprocess
 import sys
 from itertools import product
 from pathlib import Path
@@ -15,6 +16,7 @@ from jrme.embeddings import ModelConfig, init_embeddings, load_model, save_model
 from jrme.evaluation import candidate_scores
 from jrme.kernels import RANK_BLOCK, relation_scores
 from test_embeddings import edit_header
+from test_kernels import _child_env
 
 
 @pytest.fixture
@@ -76,8 +78,7 @@ class TestTrainCommand:
         assert not (tmp / f"{blocked}.tmp").exists()
         assert (tmp / blocked / "keep").exists()
 
-    def test_flag_defaults_are_the_model_config_defaults(self, monkeypatch):
-        monkeypatch.delenv("JRME_SEED", raising=False)
+    def test_flag_defaults_are_the_model_config_defaults(self):
         args = jrme.cli.build_parser().parse_args(["train", "--train", "a", "--out", "b"])
         assert jrme.cli._config_from_args(args) == ModelConfig()
 
@@ -112,24 +113,6 @@ class TestTrainCommand:
                 "--dim", 6, "--epochs", 3, "--seed", 11,
             )[0] == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_env_seed_overrides_flag(self, corpus, capsys, monkeypatch):
-        tmp, train, _ = corpus
-        a, b = tmp / "a.bin", tmp / "b.bin"
-        monkeypatch.setenv("JRME_SEED", "77")
-        assert run(capsys, "train", "--train", train, "--out", a,
-                   "--dim", 5, "--epochs", 1, "--seed", 0)[0] == 0
-        monkeypatch.delenv("JRME_SEED")
-        assert run(capsys, "train", "--train", train, "--out", b,
-                   "--dim", 5, "--epochs", 1, "--seed", 77)[0] == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_env_seed_is_usage_error(self, corpus, capsys, monkeypatch):
-        tmp, train, _ = corpus
-        monkeypatch.setenv("JRME_SEED", "not-a-number")
-        code, _, err = run(capsys, "train", "--train", train, "--out", tmp / "x.bin")
-        assert code == 1
-        assert "JRME_SEED" in err
 
     def test_threads_need_acknowledgment(self, corpus, capsys):
         tmp, train, _ = corpus
@@ -237,7 +220,26 @@ class TestExitCodes:
         edit_header(model, lambda h: h.update(config=5))
         code, _, err = run(capsys, "eval", "--model", model, "--test", test)
         assert code == 2
-        assert err.splitlines()[-1] == "error: model header config is not a JSON object"
+        assert err.splitlines()[-1] == f"error: {model}: model header config is not a JSON object"
+
+    def test_closed_stdout_is_141_and_silent(self, corpus, capsys):
+        tmp, train, _ = corpus
+        model = tmp / "m.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--epochs", 0)[0] == 0
+        head, _, tail, _ = train.read_text().splitlines()[0].split("\t")
+        queries = tmp / "queries.tsv"
+        # about 1 MB of output, far more than a pipe buffers
+        queries.write_text(f"{head}\t{tail}\tsig0\n" * 8000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "jrme.cli", "predict", "--model", model, "--input", queries],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        )
+        assert proc.stdout.readline().startswith("1\t1\t")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        # a host without a C compiler adds its one backend notice
+        assert [line for line in err.splitlines() if "numpy twin" not in line] == []
 
     @pytest.mark.parametrize("command", ["train", "eval", "predict", "stats"])
     def test_non_utf8_input_is_2_and_names_the_file(self, corpus, capsys, command):

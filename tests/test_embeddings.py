@@ -155,6 +155,7 @@ class TestPersistence:
             with pytest.raises(FormatError) as err:
                 load_model(clipped)
             assert needle in str(err.value)
+            assert str(clipped) in str(err.value)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         table, vocab, cfg = self._fixture()
@@ -238,8 +239,9 @@ class TestPersistence:
         new = blob[14 : 14 + n] if header is None else json.dumps(header).encode("utf-8")
         length = len(new) if header_len is None else header_len
         path.write_bytes(blob[:6] + struct.pack("<Q", length) + new + blob[14 + n :])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as err:
             load_model(path)
+        assert str(path) in str(err.value)
 
     def test_copy_is_deep(self):
         table, _, _ = self._fixture()

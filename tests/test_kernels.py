@@ -292,6 +292,7 @@ class TestDispatch:
 
         assert BACKEND == ("numpy" if _jrme_epoch is None else "c")
         assert jrme.BACKEND == BACKEND
+        assert run_epoch is (_epoch_c if BACKEND == "c" else _epoch_numpy)
 
     def test_run_epoch_and_rank_all_wrappers(self, rng):
         table, packed, order, negs = _epoch_args(rng, n=10)
