@@ -9,17 +9,16 @@ corrupt relations and evaluated by ranking the true relation.
 from .data import (
     Belief,
     Dataset,
-    DatasetStats,
     IdMap,
     PackedBeliefs,
     Vocabulary,
-    dataset_stats,
     format_stats,
     load_dataset,
     parse_belief_file,
     tokenize_mention,
 )
 from .embeddings import (
+    VARIANTS,
     EmbeddingTable,
     ModelConfig,
     init_embeddings,
@@ -44,18 +43,15 @@ from .evaluation import (
     summarize_ranks,
 )
 from .kernels import BACKEND
-from .scoring import belief_score, hinge, mention_distance, mention_vector, triple_distance
+from .scoring import belief_score, mention_distance, mention_vector, triple_distance
 from .training import (
-    VARIANTS,
     EpochReport,
     GridPoint,
     GridResult,
+    example_loss,
     grid_search,
-    jrme_example_loss,
-    kre_example_loss,
     negatives_for,
     sgd_step,
-    tme_example_loss,
     train,
 )
 
@@ -67,7 +63,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "DatasetStats",
     "EmbeddingTable",
     "EpochReport",
     "EvalReport",
@@ -84,15 +79,12 @@ __all__ = [
     "Vocabulary",
     "belief_score",
     "candidate_scores",
-    "dataset_stats",
     "evaluate",
+    "example_loss",
     "format_report",
     "format_stats",
     "grid_search",
-    "hinge",
     "init_embeddings",
-    "jrme_example_loss",
-    "kre_example_loss",
     "load_dataset",
     "load_model",
     "mention_distance",
@@ -104,7 +96,6 @@ __all__ = [
     "save_model",
     "sgd_step",
     "summarize_ranks",
-    "tme_example_loss",
     "tokenize_mention",
     "train",
     "triple_distance",

@@ -20,8 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .data import (
-    PackedBeliefs, dataset_stats, format_stats, load_dataset, parse_belief_file, read_lines,
-    tokenize_mention,
+    PackedBeliefs, format_stats, load_dataset, parse_belief_file, read_lines, tokenize_mention,
 )
 from .embeddings import VARIANTS, ModelConfig, atomic_write, load_model, save_model, variant_flags
 from .errors import ConfigError, DataError, TrainingDivergedError
@@ -230,7 +229,7 @@ def cmd_predict(args) -> int:
 def cmd_stats(args) -> int:
     dataset, vocab, rejected = load_dataset(args.train, args.valid, args.test)
     _report_rejections(rejected, sys.stderr)
-    print(format_stats(dataset_stats(dataset, vocab)))
+    print(format_stats(dataset, vocab))
     return 0
 
 

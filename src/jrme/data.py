@@ -6,7 +6,8 @@ four TAB-separated columns::
     head_entity <TAB> relation <TAB> tail_entity <TAB> mention
 
 The mention column may be empty.  Lines starting with '#' are comments
-and are skipped.  Example line::
+and are skipped.  A leading UTF-8 byte-order mark is not part of the
+first line.  Example line::
 
     caroline\tcitylocatedinstate\tmaryland\tCounty and State of
 
@@ -14,7 +15,7 @@ The parser writes each split straight into a `PackedBeliefs`, the int64
 id arrays that training, evaluation and grid search read.  `Belief`, one
 example as a frozen tuple of ids, is the form of the reference scorers
 and of tests; `PackedBeliefs.from_beliefs` and indexing convert between
-the two.
+the two.  Nothing writes a belief back as text.
 """
 
 from __future__ import annotations
@@ -27,13 +28,17 @@ from .errors import ConfigError, DataError, ParseError
 
 
 class IdMap:
-    """Bidirectional symbol <-> dense-id map; ids are contiguous from 0."""
+    """Bidirectional symbol <-> dense-id map; ids are contiguous from 0,
+    first the positions in `names` (a repeat raises DataError), then `add`s."""
 
     __slots__ = ("_ids", "_names")
 
-    def __init__(self):
-        self._ids: dict[str, int] = {}
-        self._names: list[str] = []
+    def __init__(self, names=()):
+        self._names: list[str] = list(names)
+        self._ids: dict[str, int] = {name: i for i, name in enumerate(self._names)}
+        if len(self._ids) != len(self._names):
+            repeated = next(n for i, n in enumerate(self._names) if self._ids[n] != i)
+            raise DataError(f"repeats the name {repeated!r}")
 
     def add(self, name: str) -> int:
         """Return the id for name, registering it if unseen."""
@@ -47,9 +52,6 @@ class IdMap:
     def get(self, name: str) -> int | None:
         return self._ids.get(name)
 
-    def name(self, i: int) -> str:
-        return self._names[i]
-
     @property
     def names(self) -> list[str]:
         return list(self._names)
@@ -57,28 +59,19 @@ class IdMap:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
 
 class Vocabulary:
-    """Entity, relation and mention-word namespaces, each an IdMap."""
+    """Entity, relation and mention-word namespaces, each an IdMap built
+    from its list of names; a repeated name raises DataError naming both."""
 
-    def __init__(self):
-        self.entities = IdMap()
-        self.relations = IdMap()
-        self.words = IdMap()
-
-    @classmethod
-    def from_names(cls, entities, relations, words) -> "Vocabulary":
-        v = cls()
-        for n in entities:
-            v.entities.add(n)
-        for n in relations:
-            v.relations.add(n)
-        for n in words:
-            v.words.add(n)
-        return v
+    def __init__(self, entities=(), relations=(), words=()):
+        maps = []
+        for kind, names in (("entities", entities), ("relations", relations), ("words", words)):
+            try:
+                maps.append(IdMap(names))
+            except DataError as e:
+                raise DataError(f"{kind!r} {e}") from None
+        self.entities, self.relations, self.words = maps
 
 
 @dataclass(frozen=True)
@@ -158,13 +151,14 @@ def tokenize_mention(raw: str) -> list[str]:
 
 def read_lines(path):
     """Yield (line_no, line) for each non-comment line of a UTF-8 text
-    file, without its newline; line numbers count comment lines too.
+    file, without its newline; line numbers count comment lines too.  A
+    leading byte-order mark is not part of the first line.
 
     Raises DataError naming the file if it is not valid UTF-8, and
     OSError if it cannot be read.
     """
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             for line_no, line in enumerate(f, 1):
                 if not line.startswith("#"):
                     yield line_no, line.rstrip("\n")
@@ -193,7 +187,7 @@ def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResu
     for line_no, line in read_lines(path):
         cols = line.split("\t")
         if len(cols) != 4:
-            raise ParseError(path, line_no, f"expected 4 tab-separated columns, got {len(cols)}")
+            raise ParseError(f"{path}:{line_no}: expected 4 tab-separated columns, got {len(cols)}")
         head_s, rel_s, tail_s, mention_s = cols
         h, r, t = entity(head_s), relation(rel_s), entity(tail_s)
         if h is None or r is None or t is None:
@@ -205,18 +199,6 @@ def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResu
         words.extend(w for w in map(word, tokenize_mention(mention_s)) if w is not None)
         off.append(len(words))
     return ParseResult(PackedBeliefs(heads, relations, tails, off, words), rejected)
-
-
-def belief_to_line(belief: Belief, vocab: Vocabulary) -> str:
-    """Serialize a belief back to its 4-column TSV form (no newline)."""
-    return "\t".join(
-        (
-            vocab.entities.name(belief.head),
-            vocab.relations.name(belief.relation),
-            vocab.entities.name(belief.tail),
-            " ".join(vocab.words.name(w) for w in belief.mention),
-        )
-    )
 
 
 def load_dataset(train_path, valid_path=None, test_path=None):
@@ -242,32 +224,13 @@ def load_dataset(train_path, valid_path=None, test_path=None):
     return Dataset(train.beliefs, valid.beliefs, test.beliefs), vocab, rejected
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    n_entities: int
-    n_relations: int
-    n_train: int
-    n_valid: int
-    n_test: int
-
-
-def dataset_stats(ds: Dataset, vocab: Vocabulary) -> DatasetStats:
-    return DatasetStats(
-        n_entities=len(vocab.entities),
-        n_relations=len(vocab.relations),
-        n_train=len(ds.train),
-        n_valid=len(ds.valid),
-        n_test=len(ds.test),
-    )
-
-
-def format_stats(stats: DatasetStats) -> str:
+def format_stats(ds: Dataset, vocab: Vocabulary) -> str:
     rows = [
-        ("#(ENTITIES)", stats.n_entities),
-        ("#(RELATIONS)", stats.n_relations),
-        ("#(TRAINING EX.)", stats.n_train),
-        ("#(VALIDATING EX.)", stats.n_valid),
-        ("#(TESTING EX.)", stats.n_test),
+        ("#(ENTITIES)", len(vocab.entities)),
+        ("#(RELATIONS)", len(vocab.relations)),
+        ("#(TRAINING EX.)", len(ds.train)),
+        ("#(VALIDATING EX.)", len(ds.valid)),
+        ("#(TESTING EX.)", len(ds.test)),
     ]
     width = max(len(label) for label, _ in rows)
     return "\n".join(f"{label:<{width}}  {count:>10,}" for label, count in rows)

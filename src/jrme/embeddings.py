@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import sys
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Vocabulary
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DataError, FormatError
 
 MAGIC = b"JRME1\n"
 
@@ -69,11 +70,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.dim <= 0:
             raise ConfigError(f"dim must be positive, got {self.dim}")
+        # nan fails every comparison, so it is rejected too
         for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
         parse_neg_mode(self.neg_mode)
@@ -267,7 +270,10 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
             raise FormatError(
                 f"{path}: header dim {header['dim']!r} disagrees with config dim {dim}"
             )
-        vocab = Vocabulary.from_names(header["entities"], header["relations"], header["words"])
+        try:
+            vocab = Vocabulary(header["entities"], header["relations"], header["words"])
+        except DataError as e:
+            raise FormatError(f"{path}: header {e}") from None
 
         def read_table(n_rows: int, what: str) -> np.ndarray:
             raw = read_exact(n_rows * dim * 8, f"{what} table")

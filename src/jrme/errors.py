@@ -18,12 +18,7 @@ class DataError(JrmeError):
 
 
 class ParseError(DataError):
-    """Malformed belief file line; carries the 1-based line number."""
-
-    def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = path
-        self.line_no = line_no
+    """Malformed belief file line; the message starts with `path:line:`."""
 
 
 class FormatError(DataError):

@@ -64,7 +64,3 @@ def belief_score(table: EmbeddingTable, belief: Belief) -> float:
         table, belief.relation, belief.mention
     )
 
-
-def hinge(x: float) -> float:
-    """max(0, x).  A term sitting exactly at zero contributes nothing."""
-    return x if x > 0.0 else 0.0

@@ -7,8 +7,9 @@ Variants select which distance terms enter the per-negative hinge:
     jrme   gamma + D_r(h,r,t) - D_r(h,r',t) + D_m(r,m) - D_m(r',m)
 
 with one shared corrupt relation r' per term and [x]_+ around each.
-The pure example-loss functions here are the reference semantics; the
-batched kernels must match them and the unit tests enforce that.
+`example_loss`, one reference loss for all three variants, and
+`example_gradients` are the reference semantics; the batched kernels
+must match them and the unit tests enforce that.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ from itertools import product
 import numpy as np
 
 from .data import Dataset, PackedBeliefs, Vocabulary
-# VARIANTS, variant_flags and variant_margin stay importable from here
-from .embeddings import (  # noqa: F401
-    _SEED_MASK, VARIANTS, EmbeddingTable, ModelConfig, init_embeddings, parse_neg_mode,
-    variant_flags, variant_margin,
+from .embeddings import (
+    _SEED_MASK, EmbeddingTable, ModelConfig, init_embeddings, parse_neg_mode, variant_flags,
+    variant_margin,
 )
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .kernels import enum_negative_table, run_epoch
@@ -82,9 +82,15 @@ def _hinge_terms(table, belief, negatives, margin, use_kg, use_text):
         yield rp, term
 
 
-def _example_loss(table, belief, negatives, margin, use_kg, use_text):
+def example_loss(table, belief, negatives, variant, margin):
+    """Hinge loss of one example over its corrupt relations under a variant.
+
+    Returns (loss, active ids); a term exactly at the margin boundary
+    is inactive and contributes nothing.
+    """
     if len(negatives) == 0:
         raise ConfigError("example loss needs at least one negative")
+    use_kg, use_text = variant_flags(variant)
     active = []
     terms = []
     for rp, term in _hinge_terms(table, belief, negatives, margin, use_kg, use_text):
@@ -92,30 +98,6 @@ def _example_loss(table, belief, negatives, margin, use_kg, use_text):
             active.append(rp)
             terms.append(term)
     return math.fsum(terms), active
-
-
-def kre_example_loss(table, belief, negatives, alpha):
-    """Hinge loss over corrupt relations using the triple distance only.
-
-    Returns (loss, active ids); a term exactly at the margin boundary
-    is inactive and contributes nothing.
-    """
-    return _example_loss(table, belief, negatives, alpha, True, False)
-
-
-def tme_example_loss(table, belief, negatives, beta):
-    """Hinge loss over corrupt relations using the mention distance only."""
-    return _example_loss(table, belief, negatives, beta, False, True)
-
-
-def jrme_example_loss(table, belief, negatives, gamma):
-    """Joint hinge loss: both distances, one shared corrupt relation per term."""
-    return _example_loss(table, belief, negatives, gamma, True, True)
-
-
-def example_loss(table, belief, negatives, variant, margin):
-    use_kg, use_text = variant_flags(variant)
-    return _example_loss(table, belief, negatives, margin, use_kg, use_text)
 
 
 def example_gradients(table, belief, negatives, variant, margin):
@@ -140,7 +122,7 @@ def example_gradients(table, belief, negatives, variant, margin):
         else:
             grads[key] = np.array(vec, dtype=np.float64)
 
-    loss, active = _example_loss(table, belief, negatives, margin, use_kg, use_text)
+    loss, active = example_loss(table, belief, negatives, variant, margin)
     for rp in active:
         if use_kg:
             diff_neg = table.entity_vecs[h] + table.relation_vecs[rp] - table.entity_vecs[t]

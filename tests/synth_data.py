@@ -17,7 +17,7 @@ from jrme.data import Belief, Dataset, PackedBeliefs, Vocabulary
 
 
 def make_vocab(n_entities, n_relations, n_words):
-    return Vocabulary.from_names(
+    return Vocabulary(
         [f"e{i}" for i in range(n_entities)],
         [f"r{i}" for i in range(n_relations)],
         [f"w{i}" for i in range(n_words)],

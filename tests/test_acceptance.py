@@ -13,15 +13,8 @@ import pytest
 from jrme.data import Belief
 from jrme.embeddings import ModelConfig, load_model, save_model
 from jrme.evaluation import evaluate, rank_true_relation, summarize_ranks
-from jrme.training import (
-    VARIANTS,
-    example_gradients,
-    example_loss,
-    kre_example_loss,
-    negatives_for,
-    tme_example_loss,
-    train,
-)
+from jrme.embeddings import VARIANTS
+from jrme.training import example_gradients, example_loss, negatives_for, train
 
 from gradcheck import finite_difference, sample_smooth_example
 from synth_data import (
@@ -128,9 +121,9 @@ def test_empty_mention_loss_reductions_are_exact(accept):
         gamma = float(rng.uniform(0.1, 3.0))
         beta = float(rng.uniform(0.1, 3.0))
         jl, _ = example_loss(table, b, negs, "jrme", gamma)
-        kl, _ = kre_example_loss(table, b, negs, gamma)
+        kl, _ = example_loss(table, b, negs, "kre", gamma)
         assert jl == kl, i
-        tl, ta = tme_example_loss(table, b, negs, beta)
+        tl, ta = example_loss(table, b, negs, "tme", beta)
         assert tl == beta * len(negs) and list(ta) == list(negs), i
     accept(
         "empty-mention losses collapse exactly",

@@ -172,6 +172,15 @@ class TestExitCodes:
         assert code == 1
         assert "dim" in err
 
+    def test_nan_margin_is_1_and_writes_no_model(self, corpus, capsys):
+        tmp, train, _ = corpus
+        code, _, err = run(
+            capsys, "train", "--train", train, "--out", tmp / "m.bin", "--gamma", "nan",
+        )
+        assert code == 1
+        assert "gamma" in err
+        assert not (tmp / "m.bin").exists()
+
     def test_missing_file_is_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--train", tmp_path / "nope.tsv",
                          "--out", tmp_path / "m.bin")
@@ -221,6 +230,18 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--model", model, "--test", test)
         assert code == 2
         assert err.splitlines()[-1] == f"error: {model}: model header config is not a JSON object"
+
+    def test_repeated_header_name_is_2_and_named(self, corpus, capsys):
+        tmp, train, test = corpus
+        model = tmp / "m.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--epochs", 0)[0] == 0
+        first = load_model(model)[1].relations.names[0]
+        edit_header(model, lambda h: h.update(relations=[first, first, *h["relations"][2:]]))
+        code, _, err = run(capsys, "eval", "--model", model, "--test", test)
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            f"error: {model}: header 'relations' repeats the name {first!r}"
+        )
 
     def test_closed_stdout_is_141_and_silent(self, corpus, capsys):
         tmp, train, _ = corpus
@@ -343,7 +364,7 @@ class TestPredictCommand:
         table, vocab, _, _ = load_model(model)
         kre_scores = candidate_scores(table, vocab.entities.get("e1"),
                                       vocab.entities.get("e2"), (), "kre")
-        expected = [vocab.relations.name(int(i)) for i in np.argsort(kre_scores, kind="stable")]
+        expected = [vocab.relations.names[int(i)] for i in np.argsort(kre_scores, kind="stable")]
         got = [line.split("\t")[2] for line in out.splitlines()]
         assert got == expected
 
@@ -401,7 +422,7 @@ class TestPredictBlocks:
             mention = [vocab.words.get(w) for w in cols[2].lower().split()]
             scores = candidate_scores(table, h, t, [w for w in mention if w is not None], variant)
             for pos, rid in enumerate(np.argsort(scores, kind="stable")[:k], 1):
-                out.append(f"{line_no}\t{pos}\t{vocab.relations.name(int(rid))}\t"
+                out.append(f"{line_no}\t{pos}\t{vocab.relations.names[int(rid)]}\t"
                            f"{float(scores[rid])!r}")
         return "".join(f"{line}\n" for line in out)
 
@@ -417,7 +438,7 @@ class TestPredictBlocks:
         table.relation_vecs[[2, 4, 5]] = table.relation_vecs[1]
         save_model(table, vocab, config, model, variant)
         queries, errors = self._query_file(tmp, rng)
-        tied = {vocab.relations.name(i) for i in (1, 2, 4, 5)}
+        tied = {vocab.relations.names[i] for i in (1, 2, 4, 5)}
         block_rows = []
 
         def counting_scores(entity, relation, word, packed, *rest):
@@ -567,7 +588,7 @@ class TestStoredVariant:
         scores = candidate_scores(table, vocab.entities.get("e1"), vocab.entities.get("e2"),
                                   mention, "tme")
         expected = [
-            f"1\t{pos}\t{vocab.relations.name(int(rid))}\t{float(scores[rid])!r}"
+            f"1\t{pos}\t{vocab.relations.names[int(rid)]}\t{float(scores[rid])!r}"
             for pos, rid in enumerate(np.argsort(scores, kind="stable"), 1)
         ]
         assert out.splitlines() == expected

@@ -4,18 +4,16 @@ import numpy as np
 
 from jrme.data import (
     Belief,
-    DatasetStats,
+    Dataset,
     IdMap,
     PackedBeliefs,
     Vocabulary,
-    belief_to_line,
-    dataset_stats,
     format_stats,
     load_dataset,
     parse_belief_file,
     tokenize_mention,
 )
-from jrme.errors import ConfigError, ParseError
+from jrme.errors import ConfigError, DataError, ParseError
 
 
 class TestIdMap:
@@ -25,13 +23,19 @@ class TestIdMap:
         assert m.add("b") == 1
         assert m.add("a") == 0
         assert len(m) == 2
-        assert m.name(1) == "b"
+        assert m.names[1] == "b"
         assert m.names == ["a", "b"]
-        assert "a" in m and "c" not in m
+        assert m.get("a") == 0 and m.get("c") is None
         assert m.get("c") is None
 
+    def test_repeated_name_rejected(self):
+        with pytest.raises(DataError, match="repeats the name 'b'"):
+            IdMap(["a", "b", "c", "b"])
+        with pytest.raises(DataError, match="'words' repeats the name 'w'"):
+            Vocabulary(["x"], ["r"], ["w", "w"])
+
     def test_from_names_round_trip(self):
-        v = Vocabulary.from_names(["x", "y"], ["likes"], ["w1", "w2", "w3"])
+        v = Vocabulary(["x", "y"], ["likes"], ["w1", "w2", "w3"])
         assert v.entities.get("y") == 1
         assert v.relations.get("likes") == 0
         assert len(v.words) == 3
@@ -107,20 +111,21 @@ class TestParse:
         assert frozen.rejected == 0
         assert list(frozen.beliefs) == list(built.beliefs)
 
+    def test_byte_order_mark_is_not_part_of_the_first_entity(self, tmp_path):
+        text = "caroline\tcitylocatedinstate\tmaryland\tCounty and State of\n"
+        plain, marked = Vocabulary(), Vocabulary()
+        want = parse_belief_file(self._write(tmp_path, text), plain).beliefs
+        got = parse_belief_file(self._write(tmp_path, "\ufeff" + text), marked).beliefs
+        for name in PackedBeliefs.__slots__:
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        for kind in ("entities", "relations", "words"):
+            assert getattr(marked, kind).names == getattr(plain, kind).names
+        assert marked.entities.names[0] == "caroline"
+
     def test_unknown_mode_rejected(self, tmp_path):
         p = self._write(tmp_path, "")
         with pytest.raises(ConfigError):
             parse_belief_file(p, Vocabulary(), mode="lenient")
-
-    def test_round_trip_through_serializer(self, tmp_path):
-        p = self._write(tmp_path, "a\tr\tb\tword word again\n")
-        vocab = Vocabulary()
-        result = parse_belief_file(p, vocab, mode="build")
-        line = belief_to_line(result.beliefs[0], vocab)
-        assert line == "a\tr\tb\tword word again"
-        p2 = self._write(tmp_path, line + "\n")
-        again = parse_belief_file(p2, vocab, mode="frozen")
-        assert list(again.beliefs) == list(result.beliefs)
 
 
 def assert_packed(p, heads, relations, tails, mention_off, mention_flat):
@@ -219,8 +224,8 @@ class TestLoadDataset:
         )
         assert (len(ds.train), len(ds.valid), len(ds.test)) == (2, 1, 1)
         assert rejected == {"train": 0, "valid": 0, "test": 1}
-        stats = dataset_stats(ds, vocab)
-        assert stats == DatasetStats(3, 2, 2, 1, 1)
+        counts = [line.split()[-1] for line in format_stats(ds, vocab).splitlines()]
+        assert counts == ["3", "2", "2", "1", "1"]
 
     def test_missing_file_surfaces_as_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -229,7 +234,9 @@ class TestLoadDataset:
 
 class TestStatsFormat:
     def test_counts_are_comma_formatted(self):
-        text = format_stats(DatasetStats(29904, 233, 57356, 10710, 10711))
+        vocab = Vocabulary([f"e{i}" for i in range(29904)], [f"r{i}" for i in range(233)])
+        ds = Dataset(*(PackedBeliefs(np.zeros(n)) for n in (57356, 10710, 10711)))
+        text = format_stats(ds, vocab)
         assert "#(ENTITIES)" in text
         assert "29,904" in text
         assert "233" in text

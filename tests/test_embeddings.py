@@ -49,6 +49,11 @@ class TestModelConfig:
             {"neg_mode": "some"},
             {"neg_mode": "sample:0"},
             {"neg_mode": "sample:x"},
+            {"alpha": float("nan")},
+            {"beta": float("inf")},
+            {"gamma": float("nan")},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -218,9 +223,10 @@ class TestPersistence:
             (None, {"words": [["w"]]}),
             (None, {"config": {"dim": 10**15}, "dim": 10**15, "entities": ["e"],
                     "relations": [], "words": []}),
+            (None, {"config": {"gamma": float("nan")}}),
         ],
         ids=["len-2^63", "len-2^40", "list", "config-int", "neg-mode-int", "dim-float",
-             "entities-int", "word-list", "dim-1e15"],
+             "entities-int", "word-list", "dim-1e15", "gamma-nan"],
     )
     def test_malformed_header_is_a_format_error(self, tmp_path, header_len, header):
         table, vocab, cfg = self._fixture()

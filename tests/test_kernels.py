@@ -23,7 +23,8 @@ from jrme.kernels import (
     top_k,
 )
 from jrme.scoring import belief_score
-from jrme.training import VARIANTS, _sample_negative_rows, variant_flags
+from jrme.embeddings import VARIANTS
+from jrme.training import _sample_negative_rows, variant_flags
 from synth_data import make_vocab, random_table
 from test_evaluation import oracle_rank
 

@@ -5,7 +5,6 @@ from jrme.data import Belief
 from jrme.embeddings import EmbeddingTable
 from jrme.scoring import (
     belief_score,
-    hinge,
     mention_distance,
     mention_vector,
     triple_distance,
@@ -126,10 +125,3 @@ class TestBeliefScore:
         assert triple_distance(t, 0, 0, 1) == pytest.approx(17.0)
         assert mention_distance(t, 0, (0,)) == pytest.approx(-11.0)
         assert belief_score(t, b) == pytest.approx(6.0)
-
-
-class TestHinge:
-    def test_values(self):
-        assert hinge(-1.0) == 0.0
-        assert hinge(0.0) == 0.0
-        assert hinge(2.5) == 2.5

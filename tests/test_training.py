@@ -8,17 +8,14 @@ import pytest
 from jrme.data import Belief, Dataset, PackedBeliefs
 from jrme.embeddings import EmbeddingTable, ModelConfig, init_embeddings
 from jrme.errors import ConfigError, DataError, TrainingDivergedError
+from jrme.embeddings import VARIANTS
 from jrme.training import (
-    VARIANTS,
     _sample_negative_rows,
     example_gradients,
     example_loss,
-    jrme_example_loss,
-    kre_example_loss,
     negatives_for,
     sgd_step,
     step_bound,
-    tme_example_loss,
     train,
     variant_flags,
     variant_margin,
@@ -163,23 +160,23 @@ class TestExampleLosses:
             [[0.0, 0.0]],
         )
         b = Belief(0, 0, 1, ())
-        loss, active = kre_example_loss(t, b, [1], 1.0)
+        loss, active = example_loss(t, b, [1], "kre", 1.0)
         assert loss == pytest.approx(0.5)
         assert active == [1]
-        loss, active = kre_example_loss(t, b, [2], 1.0)
+        loss, active = example_loss(t, b, [2], "kre", 1.0)
         assert loss == 0.0
         assert active == []
 
     def test_kre_zero_margin_identical_negative_is_inactive(self):
         t = table_from([[0.0, 0.0], [1.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]], [[0.0, 0.0]])
-        loss, active = kre_example_loss(t, Belief(0, 0, 1, ()), [1], 0.0)
+        loss, active = example_loss(t, Belief(0, 0, 1, ()), [1], "kre", 0.0)
         assert loss == 0.0
         assert active == []
 
     def test_tme_hand_value(self):
         # r=(1,0), r'=(0,1), m=(0,5): term = 1 + 0 - (-5) = 6
         t = table_from([[0.0, 0.0]] * 2, [[1.0, 0.0], [0.0, 1.0]], [[0.0, 5.0]])
-        loss, active = tme_example_loss(t, Belief(0, 0, 1, (0,)), [1], 1.0)
+        loss, active = example_loss(t, Belief(0, 0, 1, (0,)), [1], "tme", 1.0)
         assert loss == pytest.approx(6.0)
         assert active == [1]
 
@@ -188,13 +185,13 @@ class TestExampleLosses:
         b = Belief(0, 2, 3, ())
         negs = negatives_for(2, 6, "all")
         for beta in (0.0, 1.0, 1.7):
-            loss, active = tme_example_loss(t, b, negs, beta)
+            loss, active = example_loss(t, b, negs, "tme", beta)
             assert loss == beta * len(negs)
             assert active == (list(negs) if beta > 0 else [])
 
     def test_tme_zero_margin_identical_relation_inactive(self):
         t = table_from([[0.0]] * 2, [[2.0], [2.0]], [[3.0]])
-        loss, active = tme_example_loss(t, Belief(0, 0, 1, (0,)), [1], 0.0)
+        loss, active = example_loss(t, Belief(0, 0, 1, (0,)), [1], "tme", 0.0)
         assert loss == 0.0
         assert active == []
 
@@ -213,7 +210,7 @@ class TestExampleLosses:
         assert triple_distance(t, 0, 1, 1) == 1.0
         assert mention_distance(t, 0, (0,)) == -3.0
         assert mention_distance(t, 1, (0,)) == 0.0
-        loss, active = jrme_example_loss(t, b, [1], 2.0)
+        loss, active = example_loss(t, b, [1], "jrme", 2.0)
         assert loss == 0.0
         assert active == []
 
@@ -227,8 +224,8 @@ class TestExampleLosses:
             b = Belief(int(rng.integers(5)), r, int(rng.integers(5)), ())
             negs = negatives_for(r, n_rel, "all")
             gamma = float(rng.uniform(0, 3))
-            jl, ja = jrme_example_loss(t, b, negs, gamma)
-            kl, ka = kre_example_loss(t, b, negs, gamma)
+            jl, ja = example_loss(t, b, negs, "jrme", gamma)
+            kl, ka = example_loss(t, b, negs, "kre", gamma)
             assert jl == kl
             assert ja == ka
 
@@ -236,8 +233,8 @@ class TestExampleLosses:
         t = table_from(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), np.zeros((2, 3)))
         b = Belief(0, 1, 2, (0, 1, 0))
         negs = negatives_for(1, 4, "all")
-        jl, _ = jrme_example_loss(t, b, negs, 1.3)
-        kl, _ = kre_example_loss(t, Belief(0, 1, 2, ()), negs, 1.3)
+        jl, _ = example_loss(t, b, negs, "jrme", 1.3)
+        kl, _ = example_loss(t, Belief(0, 1, 2, ()), negs, "kre", 1.3)
         assert jl == kl
 
     def test_loss_nonnegative_and_zero_iff_no_active(self, rng):
@@ -257,7 +254,7 @@ class TestExampleLosses:
     def test_empty_negative_list_rejected(self, rng):
         t = table_from(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((1, 2)))
         with pytest.raises(ConfigError):
-            kre_example_loss(t, Belief(0, 0, 1, ()), [], 1.0)
+            example_loss(t, Belief(0, 0, 1, ()), [], "kre", 1.0)
 
 
 class TestGradients:
