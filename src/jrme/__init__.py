@@ -39,15 +39,12 @@ from .evaluation import (
     candidate_scores,
     evaluate,
     format_report,
-    rank_true_relation,
     summarize_ranks,
 )
 from .kernels import BACKEND
 from .scoring import belief_score, mention_distance, mention_vector, triple_distance
 from .training import (
     EpochReport,
-    GridPoint,
-    GridResult,
     example_loss,
     grid_search,
     negatives_for,
@@ -67,8 +64,6 @@ __all__ = [
     "EpochReport",
     "EvalReport",
     "FormatError",
-    "GridPoint",
-    "GridResult",
     "IdMap",
     "JrmeError",
     "ModelConfig",
@@ -92,7 +87,6 @@ __all__ = [
     "negatives_for",
     "parse_belief_file",
     "parse_neg_mode",
-    "rank_true_relation",
     "save_model",
     "sgd_step",
     "summarize_ranks",

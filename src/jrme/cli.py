@@ -154,18 +154,16 @@ def cmd_grid(args) -> int:
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(base, len(vocab.relations))
-    result = grid_search(
+    points, (b, _) = grid_search(
         dataset, vocab,
         args.dims, args.alphas, args.betas, args.gammas,
         base, args.variant, n_threads=threads,
     )
-    for point in result.points:
-        c, r = point.config, point.report
+    for c, r in points:
         print(
             f"dim={c.dim} alpha={c.alpha} beta={c.beta} gamma={c.gamma} "
             f"avg_rank={r.avg_rank:.4f} hit@10={r.hit_at_10:.4f} hit@1={r.hit_at_1:.4f}"
         )
-    b = result.best.config
     print(f"best: dim={b.dim} alpha={b.alpha} beta={b.beta} gamma={b.gamma}")
     if args.out:
         with atomic_write(args.out) as f:

@@ -10,8 +10,8 @@ belief gets the same score and rank alone as inside `evaluate`, whose
 `kernels.rank_all` sorts by BLAS scores and rescores exactly every belief
 whose order they cannot settle.
 `evaluate` hands a split to `rank_all` as the parser packed it
-(`data.PackedBeliefs`); `candidate_scores` packs its one query the same
-way, and `rank_true_relation` scores one `Belief`, the reference form.
+(`data.PackedBeliefs`), and `candidate_scores` packs its one query the
+same way.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Belief, PackedBeliefs
+from .data import PackedBeliefs
 from .embeddings import EmbeddingTable, atomic_write, variant_flags
 from .errors import DataError
-from .kernels import _check_ids, rank_all, relation_scores, tie_ranks
+from .kernels import _check_ids, rank_all, relation_scores
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Aggregate metrics plus the per-belief (index, rank) pairs behind them."""
+    """Aggregate metrics plus the rank of each belief, in belief order."""
 
     avg_rank: float
     hit_at_10: float
@@ -69,24 +69,14 @@ def candidate_scores(table: EmbeddingTable, head: int, tail: int, mention, varia
     )[0]
 
 
-def rank_true_relation(table: EmbeddingTable, belief: Belief, variant: str) -> int:
-    """Ascending-sort position of the true relation among all candidates,
-    by the tie rule of `kernels.tie_ranks`."""
-    scores = candidate_scores(table, belief.head, belief.tail, belief.mention, variant)
-    true = np.array([belief.relation])
-    _check_ids("relation id", true, table.n_relations)
-    return int(tie_ranks(scores[None, :], true)[0])
-
-
 def evaluate(table: EmbeddingTable, beliefs: PackedBeliefs, variant: str) -> EvalReport:
     """Rank every belief's true relation and aggregate the metrics."""
     if not beliefs:
         raise DataError("evaluation split is empty")
-    ranks = rank_all(
+    ranks = tuple(rank_all(
         table.entity_vecs, table.relation_vecs, table.word_vecs, beliefs, *variant_flags(variant),
-    )
-    avg, hit10, hit1 = summarize_ranks(int(r) for r in ranks)
-    return EvalReport(avg, hit10, hit1, tuple((i, int(r)) for i, r in enumerate(ranks)))
+    ).tolist())
+    return EvalReport(*summarize_ranks(ranks), ranks)
 
 
 def format_report(report: EvalReport, label: str) -> str:
@@ -108,8 +98,9 @@ def format_report(report: EvalReport, label: str) -> str:
 
 
 def write_ranks_tsv(report: EvalReport, path) -> None:
-    """One "index TAB rank" line per evaluated belief, written atomically."""
+    """One "index TAB rank" line per evaluated belief, written atomically;
+    the index counts evaluated beliefs from 0, not input lines."""
     with atomic_write(path) as f:
         f.write("index\trank\n")
-        for i, r in report.ranks:
+        for i, r in enumerate(report.ranks):
             f.write(f"{i}\t{r}\n")

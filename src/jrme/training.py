@@ -302,18 +302,6 @@ def train(
     return table, reports
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    config: ModelConfig
-    report: "object"
-
-
-@dataclass(frozen=True)
-class GridResult:
-    points: list
-    best: GridPoint
-
-
 def grid_search(
     dataset: Dataset,
     vocab: Vocabulary,
@@ -326,18 +314,20 @@ def grid_search(
     n_threads: int = 1,
 ):
     """Evaluate every (dim, alpha, beta, gamma) point on the validation
-    split, return all points plus the winner.
+    split and return `(points, best)`.
 
-    A variant reads one margin (`variant_margin`), and every other field
-    comes from `base`, so points that differ only in margins the variant
-    ignores train the same model.  Each distinct (dim, margin) is trained
-    and evaluated once, and its points share that report: `points` still
-    holds one entry per grid point, in lexicographic order.
+    `points` holds one `(config, report)` pair per grid point, in
+    lexicographic order; every config is built, and so validated, before
+    the first point trains.  A variant reads one margin
+    (`variant_margin`), and every other field comes from `base`, so
+    points that differ only in margins the variant ignores train the same
+    model: each distinct (dim, margin) is trained and evaluated once, and
+    its points share that report.
 
-    Best = lowest average rank, ties broken by higher Hit@10, then
-    higher Hit@1, then by lexicographically smaller (dim, alpha, beta,
-    gamma).  Points are visited in lexicographic order, so keeping the
-    first strict improvement implements the final tie-break.
+    `best` is the point with the lowest average rank, ties broken by
+    higher Hit@10, then higher Hit@1, then by the lexicographically
+    smaller (dim, alpha, beta, gamma): `min` keeps the first of equal
+    keys.
     """
     from .evaluation import evaluate
 
@@ -347,20 +337,17 @@ def grid_search(
     if not dataset.valid:
         raise DataError("grid search needs a non-empty validation split")
 
-    points = []
+    configs = [
+        dataclasses.replace(base, dim=d, alpha=a, beta=b, gamma=g)
+        for d, a, b, g in product(dims, alphas, betas, gammas)
+    ]
     reports = {}
-    best = None
-    best_key = None
-    for d, a, b, g in product(dims, alphas, betas, gammas):
-        config = dataclasses.replace(base, dim=d, alpha=a, beta=b, gamma=g)
-        effective = (d, variant_margin(variant, config))
-        report = reports.get(effective)
-        if report is None:
+    points = []
+    for config in configs:
+        effective = (config.dim, variant_margin(variant, config))
+        if effective not in reports:
             table, _ = train(dataset, vocab, config, variant, n_threads=n_threads)
-            report = reports[effective] = evaluate(table, dataset.valid, variant)
-        point = GridPoint(config, report)
-        points.append(point)
-        key = (report.avg_rank, -report.hit_at_10, -report.hit_at_1)
-        if best_key is None or key < best_key:
-            best, best_key = point, key
-    return GridResult(points, best)
+            reports[effective] = evaluate(table, dataset.valid, variant)
+        points.append((config, reports[effective]))
+    best = min(points, key=lambda p: (p[1].avg_rank, -p[1].hit_at_10, -p[1].hit_at_1))
+    return points, best

@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from jrme.data import Belief
+from jrme.data import Belief, PackedBeliefs
 from jrme.embeddings import ModelConfig, load_model, save_model
-from jrme.evaluation import evaluate, rank_true_relation, summarize_ranks
+from jrme.evaluation import evaluate, summarize_ranks
 from jrme.embeddings import VARIANTS
 from jrme.training import example_gradients, example_loss, negatives_for, train
 
@@ -101,7 +101,8 @@ def test_rank_agrees_with_stable_sort_oracle(accept):
         scores = candidate_scores(table, b.head, b.tail, b.mention, variant)
         keyed = sorted(range(n_rel), key=lambda j: (scores[j], j))
         oracle = 1 + keyed.index(b.relation)
-        assert rank_true_relation(table, b, variant) == oracle, (i, variant)
+        assert evaluate(table, PackedBeliefs.from_beliefs([b]), variant).ranks == (oracle,), (
+            i, variant)
     elapsed = time.perf_counter() - t0
     accept(
         "rank matches brute-force sort oracle",

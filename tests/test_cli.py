@@ -319,10 +319,19 @@ class TestEvalCommand:
     def test_partial_rejection_warns_but_succeeds(self, corpus, capsys):
         tmp, model, test = self._train(corpus, capsys)
         mixed = tmp / "mixed.tsv"
-        mixed.write_text(test.read_text() + "ghost\trel0\te1\t\n")
-        code, out, err = run(capsys, "eval", "--model", model, "--test", mixed)
+        mixed.write_text("ghost\trel0\te1\t\n# a comment line\n" + test.read_text())
+        ranks = tmp / "ranks.tsv"
+        code, out, err = run(capsys, "eval", "--model", model, "--test", mixed,
+                             "--ranks-out", ranks)
         assert code == 0
         assert "1 line(s) rejected" in err
+        # the index counts evaluated beliefs in file order, not input lines
+        rows = [line.split("\t") for line in ranks.read_text().splitlines()[1:]]
+        n = len(test.read_text().splitlines())
+        assert [int(i) for i, _ in rows] == list(range(n))
+        clean = tmp / "clean_ranks.tsv"
+        alone = run(capsys, "eval", "--model", model, "--test", test, "--ranks-out", clean)[1]
+        assert (out, ranks.read_text()) == (alone, clean.read_text())
 
     def test_fully_unknown_test_file_is_2(self, corpus, capsys):
         tmp, model, _ = self._train(corpus, capsys)
@@ -544,6 +553,31 @@ class TestGridCommand:
             "--epochs", 1,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--gammas", "1,2,nan", "gamma must be finite"),
+        ("--dims", "4,-1", "dim must be positive"),
+    ])
+    def test_invalid_grid_value_is_1_before_any_training(self, corpus, capsys, monkeypatch,
+                                                         flag, values, message):
+        import jrme.training
+
+        calls = []
+        real_train = jrme.training.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(args[2])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(jrme.training, "train", counting_train)
+        tmp, train, test = corpus
+        grid = {"--dims": "4", "--alphas": "1", "--betas": "1", "--gammas": "1", flag: values}
+        code, out, err = run(
+            capsys, "grid", "--train", train, "--valid", test,
+            *(a for k, v in grid.items() for a in (k, v)), "--epochs", 1,
+        )
+        assert (code, out, calls) == (1, "", [])
+        assert message in err
 
 
 class TestStatsCommand:

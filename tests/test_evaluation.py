@@ -9,7 +9,6 @@ from jrme.evaluation import (
     candidate_scores,
     evaluate,
     format_report,
-    rank_true_relation,
     summarize_ranks,
     write_ranks_tsv,
 )
@@ -26,6 +25,9 @@ def oracle_rank(scores, true_id):
 
 
 def rank_from_scores(scores, true_id):
+    """`oracle_rank` counted instead of sorted: 1 + #(lower scores) + #(equal
+    scores at smaller ids).  It also holds where no sort order exists,
+    since a nan compares false with everything."""
     s_true = scores[true_id]
     return 1 + sum(1 for s in scores if s < s_true) + sum(
         1 for i, s in enumerate(scores) if s == s_true and i < true_id
@@ -63,7 +65,16 @@ class TestSummarize:
             summarize_ranks([])
 
 
+def rank_of(table, belief, variant):
+    """The rank `evaluate` gives one belief's true relation."""
+    (rank,) = evaluate(table, pack([belief]), variant).ranks
+    return rank
+
+
 class TestRankTrueRelation:
+    """The rank `evaluate` gives the true relation, against the stable sort
+    of `candidate_scores`."""
+
     def test_middle_scoring_truth_ranks_second(self):
         # three relations scoring 0.2 / 0.5 / 0.1 with truth first: rank 2
         t = EmbeddingTable(
@@ -74,7 +85,8 @@ class TestRankTrueRelation:
         b = Belief(0, 0, 0, ())
         scores = candidate_scores(t, 0, 0, (), "kre")
         np.testing.assert_allclose(scores, [0.2, 0.5, 0.1])
-        assert rank_true_relation(t, b, "kre") == 2
+        assert oracle_rank(list(scores), 0) == 2
+        assert rank_of(t, b, "kre") == 2
 
     def test_strictly_best_is_rank_1(self, rng):
         vocab = make_vocab(5, 6, 4)
@@ -84,15 +96,14 @@ class TestRankTrueRelation:
         # aligned mention word: strictly best on both terms
         t.relation_vecs[2] = t.entity_vecs[1] - t.entity_vecs[0]
         t.word_vecs[0] = 100.0 * t.relation_vecs[2]
-        assert rank_true_relation(t, b, "jrme") == 1
+        assert rank_of(t, b, "jrme") == 1
 
     def test_all_tie_smallest_id_wins(self, rng):
         vocab = make_vocab(4, 7, 2)
         t = random_table(vocab, 3, rng)
         t.relation_vecs[:] = t.relation_vecs[0]
-        for true_id in (0, 3, 6):
-            b = Belief(1, true_id, 2, (0, 1))
-            assert rank_true_relation(t, b, "jrme") == true_id + 1
+        beliefs = [Belief(1, true_id, 2, (0, 1)) for true_id in (0, 3, 6)]
+        assert evaluate(t, pack(beliefs), "jrme").ranks == (1, 4, 7)
 
     def test_agrees_with_stable_sort_oracle(self, rng):
         for _ in range(50):
@@ -102,22 +113,30 @@ class TestRankTrueRelation:
             b = random_beliefs(rng, 1, 5, n_rel, 4)[0]
             for variant in ("kre", "tme", "jrme"):
                 scores = candidate_scores(t, b.head, b.tail, b.mention, variant)
-                assert rank_true_relation(t, b, variant) == oracle_rank(list(scores), b.relation)
+                assert rank_of(t, b, variant) == oracle_rank(list(scores), b.relation)
+                assert rank_from_scores(list(scores), b.relation) == rank_of(t, b, variant)
 
     def test_constant_score_shift_leaves_rank_unchanged(self, rng):
         vocab = make_vocab(5, 8, 4)
         t = random_table(vocab, 4, rng)
-        for b in random_beliefs(rng, 20, 5, 8, 4):
+        beliefs = random_beliefs(rng, 20, 5, 8, 4)
+        expected = []
+        for b in beliefs:
             scores = list(candidate_scores(t, b.head, b.tail, b.mention, "jrme"))
             shifted = [s + 123.456 for s in scores]
             assert rank_from_scores(scores, b.relation) == rank_from_scores(shifted, b.relation)
-            assert rank_true_relation(t, b, "jrme") == rank_from_scores(scores, b.relation)
+            expected.append(rank_from_scores(scores, b.relation))
+        assert list(evaluate(t, pack(beliefs), "jrme").ranks) == expected
 
     def test_id_bounds_checked(self, rng):
         vocab = make_vocab(3, 2, 2)
         t = random_table(vocab, 3, rng)
         with pytest.raises(IndexError):
-            rank_true_relation(t, Belief(3, 0, 0, ()), "kre")
+            evaluate(t, pack([Belief(3, 0, 0, ())]), "kre")
+        with pytest.raises(IndexError):
+            evaluate(t, pack([Belief(0, 2, 0, ())]), "kre")
+        with pytest.raises(IndexError):
+            candidate_scores(t, 3, 0, (), "kre")
         with pytest.raises(IndexError):
             candidate_scores(t, 0, 0, (5,), "tme")
 
@@ -134,9 +153,12 @@ class TestEvaluate:
         t, beliefs = self._setup(rng, n=2 * RANK_BLOCK + 13)
         for variant in ("kre", "tme", "jrme"):
             report = evaluate(t, pack(beliefs), variant)
-            expected = [rank_true_relation(t, b, variant) for b in beliefs]
-            assert [r for _, r in report.ranks] == expected
-            assert [i for i, _ in report.ranks] == list(range(len(beliefs)))
+            expected = [
+                oracle_rank(list(candidate_scores(t, b.head, b.tail, b.mention, variant)), b.relation)
+                for b in beliefs
+            ]
+            assert report.ranks == tuple(expected)
+            assert all(type(r) is int for r in report.ranks)
             avg, hit10, hit1 = summarize_ranks(expected)
             assert (report.avg_rank, report.hit_at_10, report.hit_at_1) == (avg, hit10, hit1)
 
@@ -150,10 +172,10 @@ class TestEvaluate:
     def test_rank_does_not_depend_on_block_position(self, rng):
         t, beliefs = self._setup(rng, n=2 * RANK_BLOCK + 5)
         for variant in ("kre", "tme", "jrme"):
-            whole = [r for _, r in evaluate(t, pack(beliefs), variant).ranks]
+            whole = evaluate(t, pack(beliefs), variant).ranks
             # shifting the split moves every belief to another block offset
             for skip in (1, RANK_BLOCK - 1, RANK_BLOCK + 3):
-                tail = [r for _, r in evaluate(t, pack(beliefs[skip:]), variant).ranks]
+                tail = evaluate(t, pack(beliefs[skip:]), variant).ranks
                 assert tail == whole[skip:]
 
     def test_kre_ignores_word_table_and_tme_ignores_entities(self, rng):
@@ -184,7 +206,7 @@ class TestEvaluate:
 
 class TestReportOutput:
     def test_format_contains_metrics_and_kv_block(self):
-        report = EvalReport(6.2, 0.878, 0.602, tuple((i, 1) for i in range(5)))
+        report = EvalReport(6.2, 0.878, 0.602, (1,) * 5)
         text = format_report(report, "JRME")
         assert "approach" in text and "JRME" in text
         assert "6.20" in text
@@ -203,11 +225,11 @@ class TestReportOutput:
         lines = path.read_text().splitlines()
         assert lines[0] == "index\trank"
         parsed = [tuple(int(v) for v in line.split("\t")) for line in lines[1:]]
-        assert parsed == list(report.ranks)
+        assert parsed == list(enumerate(report.ranks))
 
     def test_failed_ranks_write_keeps_the_old_file(self, tmp_path):
         def ranks():
-            yield from [(0, 1), (1, 4)]
+            yield from [1, 4]
             raise OSError("disk full")
 
         path = tmp_path / "ranks.tsv"

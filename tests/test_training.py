@@ -557,10 +557,11 @@ class TestGridSearch:
 
         ds, vocab = self._data(rng)
         base = ModelConfig(epochs=1, seed=0)
-        result = grid_search(ds, vocab, [4], [1.0], [1.0], [2.0], base, "jrme")
-        assert len(result.points) == 1
-        assert result.best.config.dim == 4
-        assert result.best.report.avg_rank >= 1.0
+        points, best = grid_search(ds, vocab, [4], [1.0], [1.0], [2.0], base, "jrme")
+        assert points == [best]
+        config, report = best
+        assert config.dim == 4
+        assert report.avg_rank >= 1.0
 
     def test_identical_metrics_tie_break_lexicographic(self, rng):
         from jrme.training import grid_search
@@ -569,25 +570,21 @@ class TestGridSearch:
         # zero epochs: metrics depend only on the init, which ignores
         # margins, so every point ties and the smallest config must win
         base = ModelConfig(epochs=0, seed=7)
-        result = grid_search(ds, vocab, [4], [0.5, 2.0], [1.0], [2.0, 9.0], base, "jrme")
-        assert len(result.points) == 4
-        reports = [p.report for p in result.points]
-        assert len({r.avg_rank for r in reports}) == 1
-        assert result.best.config.alpha == 0.5
-        assert result.best.config.gamma == 2.0
+        points, (config, _) = grid_search(
+            ds, vocab, [4], [0.5, 2.0], [1.0], [2.0, 9.0], base, "jrme")
+        assert len(points) == 4
+        assert len({r.avg_rank for _, r in points}) == 1
+        assert config.alpha == 0.5
+        assert config.gamma == 2.0
 
     def test_best_is_argmin_of_documented_key(self, rng):
         from jrme.training import grid_search
 
         ds, vocab = self._data(rng)
         base = ModelConfig(epochs=2, seed=3)
-        result = grid_search(ds, vocab, [2, 6], [0.5, 1.0], [1.0], [2.0], base, "jrme")
-        keys = [(p.report.avg_rank, -p.report.hit_at_10, -p.report.hit_at_1) for p in result.points]
-        assert (
-            result.best.report.avg_rank,
-            -result.best.report.hit_at_10,
-            -result.best.report.hit_at_1,
-        ) == min(keys)
+        points, (_, best) = grid_search(ds, vocab, [2, 6], [0.5, 1.0], [1.0], [2.0], base, "jrme")
+        keys = [(r.avg_rank, -r.hit_at_10, -r.hit_at_1) for _, r in points]
+        assert (best.avg_rank, -best.hit_at_10, -best.hit_at_1) == min(keys)
 
     def test_empty_grid_rejected(self, rng):
         from jrme.training import grid_search
@@ -618,11 +615,11 @@ class TestGridSearch:
 
         monkeypatch.setattr(training, "train", counting_train)
         base = ModelConfig(epochs=1, seed=5)
-        result = training.grid_search(
+        points, _ = training.grid_search(
             ds, vocab, [2, 4], [0.5, 1.0], [0.25, 3.0], [1.5, 2.0], base, variant
         )
-        assert len(result.points) == 16
-        distinct = {(p.config.dim, getattr(p.config, field)) for p in result.points}
+        assert len(points) == 16
+        distinct = {(c.dim, getattr(c, field)) for c, _ in points}
         assert len(distinct) == 4
         assert sorted(calls) == sorted(distinct)
 
@@ -636,15 +633,11 @@ class TestGridSearch:
         ds, vocab = self._data(rng)
         base = ModelConfig(epochs=2, seed=11)
         grid = ([2, 4], [0.5, 1.0], [0.25, 3.0], [1.5, 2.0])
-        result = grid_search(ds, vocab, *grid, base, variant)
-        assert [(p.config.dim, p.config.alpha, p.config.beta, p.config.gamma)
-                for p in result.points] == list(product(*grid))
-        for point in result.points:
-            table, _ = train(ds, vocab, point.config, variant)
-            own = evaluate(table, ds.valid, variant)
-            assert (point.report.avg_rank, point.report.hit_at_10, point.report.hit_at_1) == (
-                own.avg_rank, own.hit_at_10, own.hit_at_1
-            )
+        points, _ = grid_search(ds, vocab, *grid, base, variant)
+        assert [(c.dim, c.alpha, c.beta, c.gamma) for c, _ in points] == list(product(*grid))
+        for config, report in points:
+            table, _ = train(ds, vocab, config, variant)
+            assert report == evaluate(table, ds.valid, variant)
 
 
 def test_benchmark_workloads_stay_far_below_the_divergence_limit(tmp_path, monkeypatch):
