@@ -27,7 +27,7 @@ from .errors import ConfigError, DataError, TrainingDivergedError
 # candidate_scores stays importable here: the benchmark's tracer patches it by this name
 from .evaluation import candidate_scores, evaluate, format_report, write_ranks_tsv  # noqa: F401
 from .kernels import BACKEND, RANK_BLOCK, relation_scores, top_k
-from .training import grid_search, step_bound, train
+from .training import grid_configs, grid_search, step_bound, train
 
 
 _DEFAULTS = ModelConfig()
@@ -151,14 +151,11 @@ def cmd_grid(args) -> int:
         normalize_entities=not args.no_normalize,
     )
     threads = _resolve_threads(args)
+    configs = grid_configs(base, args.dims, args.alphas, args.betas, args.gammas)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(base, len(vocab.relations))
-    points, (b, _) = grid_search(
-        dataset, vocab,
-        args.dims, args.alphas, args.betas, args.gammas,
-        base, args.variant, n_threads=threads,
-    )
+    points, (b, _) = grid_search(dataset, vocab, configs, args.variant, n_threads=threads)
     for c, r in points:
         print(
             f"dim={c.dim} alpha={c.alpha} beta={c.beta} gamma={c.gamma} "

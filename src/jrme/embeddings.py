@@ -125,18 +125,6 @@ class EmbeddingTable:
     def n_words(self) -> int:
         return self.word_vecs.shape[0]
 
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(
-            self.entity_vecs.copy(), self.relation_vecs.copy(), self.word_vecs.copy()
-        )
-
-    def all_finite(self) -> bool:
-        return bool(
-            np.isfinite(self.entity_vecs).all()
-            and np.isfinite(self.relation_vecs).all()
-            and np.isfinite(self.word_vecs).all()
-        )
-
 
 def init_embeddings(vocab: Vocabulary, config: ModelConfig) -> EmbeddingTable:
     """Draw fresh tables: uniform on [-6/sqrt(d), 6/sqrt(d)] componentwise,
@@ -277,7 +265,11 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
 
         def read_table(n_rows: int, what: str) -> np.ndarray:
             raw = read_exact(n_rows * dim * 8, f"{what} table")
-            return np.frombuffer(raw, dtype="<f8").reshape(n_rows, dim).astype(np.float64)
+            vecs = np.frombuffer(raw, dtype="<f8").reshape(n_rows, dim).astype(np.float64)
+            # training never saves one, and nan would rank every relation first
+            if not np.isfinite(vecs).all():
+                raise FormatError(f"{path}: {what} table holds a non-finite value")
+            return vecs
 
         entity = read_table(len(vocab.entities), "entity")
         relation = read_table(len(vocab.relations), "relation")

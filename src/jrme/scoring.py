@@ -1,10 +1,9 @@
 """Reference scoring functions.
 
 These are the plain-numpy definitions of the model: the structured
-distance between a relation and an entity pair, the mention distance
-between a relation and a bag of words, and their sum.  Training and
-ranking kernels must agree with these on every input; the tests hold
-them to that.
+distance between a relation and an entity pair and the mention distance
+between a relation and a bag of words.  Training and ranking kernels
+must agree with these on every input; the tests hold them to that.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .data import Belief
 from .embeddings import EmbeddingTable
 
 
@@ -56,11 +54,4 @@ def mention_distance(table: EmbeddingTable, relation: int, words: Sequence[int])
     """
     _check_id(relation, table.n_relations, "relation")
     return float(-(table.relation_vecs[relation] @ mention_vector(table, words)))
-
-
-def belief_score(table: EmbeddingTable, belief: Belief) -> float:
-    """Joint score: triple distance plus mention distance.  Lower is better."""
-    return triple_distance(table, belief.head, belief.relation, belief.tail) + mention_distance(
-        table, belief.relation, belief.mention
-    )
 

@@ -49,24 +49,6 @@ def step_bound(config: ModelConfig, n_relations: int) -> float:
     return config.learning_rate * (n_relations - 1 if mode == "all" else k)
 
 
-def negatives_for(relation: int, n_relations: int, neg_mode: str, rng=None) -> np.ndarray:
-    """Corrupt-relation ids for one example: the row training would use.
-
-    "all" enumerates every other relation in ascending id order (a row of
-    `enum_negative_table`); "sample:K" draws K of them uniformly without
-    replacement from the supplied generator (a row of
-    `_sample_negative_rows`).
-    """
-    mode, k = parse_neg_mode(neg_mode)
-    if n_relations < 2:
-        raise ConfigError("need at least 2 relations to build corrupt triples")
-    if mode == "all":
-        return np.delete(np.arange(n_relations, dtype=np.int64), relation)
-    if rng is None:
-        raise ConfigError("sample mode needs a random generator")
-    return _sample_negative_rows(np.array([relation]), n_relations, k, rng)[0]
-
-
 def _hinge_terms(table, belief, negatives, margin, use_kg, use_text):
     """Yield (negative id, hinge argument) per negative, pre-step values."""
     h, r, t = belief.head, belief.relation, belief.tail
@@ -138,15 +120,15 @@ def example_gradients(table, belief, negatives, variant, margin):
     return loss, grads
 
 
-def sgd_step(table, belief, variant, config, rng=None) -> float:
-    """One example's update, in place, returning its loss.
+def sgd_step(table, belief, negatives, variant, config) -> float:
+    """One example's update against its corrupt relations, in place,
+    returning its loss.
 
     Exactly the batched-kernel semantics: all active terms accumulated
     against pre-step values, applied as one update, entities
     renormalized afterwards when the config says so.
     """
     use_kg, use_text = variant_flags(variant)
-    negatives = negatives_for(belief.relation, table.n_relations, config.neg_mode, rng)
     packed = PackedBeliefs.from_beliefs([belief])
     order = np.zeros(1, dtype=np.int64)
     loss, _, bad = run_epoch(
@@ -302,45 +284,48 @@ def train(
     return table, reports
 
 
-def grid_search(
-    dataset: Dataset,
-    vocab: Vocabulary,
-    dims,
-    alphas,
-    betas,
-    gammas,
-    base: ModelConfig,
-    variant: str,
-    n_threads: int = 1,
-):
-    """Evaluate every (dim, alpha, beta, gamma) point on the validation
-    split and return `(points, best)`.
+def grid_configs(base: ModelConfig, dims, alphas, betas, gammas) -> list[ModelConfig]:
+    """One config per (dim, alpha, beta, gamma) point, in lexicographic
+    order of the deduplicated values, every other field from `base`.
 
-    `points` holds one `(config, report)` pair per grid point, in
-    lexicographic order; every config is built, and so validated, before
-    the first point trains.  A variant reads one margin
-    (`variant_margin`), and every other field comes from `base`, so
-    points that differ only in margins the variant ignores train the same
-    model: each distinct (dim, margin) is trained and evaluated once, and
-    its points share that report.
-
-    `best` is the point with the lowest average rank, ties broken by
-    higher Hit@10, then higher Hit@1, then by the lexicographically
-    smaller (dim, alpha, beta, gamma): `min` keeps the first of equal
-    keys.
+    Building a config validates it, so a bad value in any list fails
+    here, before a file is read or a point trains.
     """
-    from .evaluation import evaluate
-
     dims, alphas, betas, gammas = (sorted(set(v)) for v in (dims, alphas, betas, gammas))
     if not (dims and alphas and betas and gammas):
         raise ConfigError("grid search needs at least one value per hyperparameter")
-    if not dataset.valid:
-        raise DataError("grid search needs a non-empty validation split")
-
-    configs = [
+    return [
         dataclasses.replace(base, dim=d, alpha=a, beta=b, gamma=g)
         for d, a, b, g in product(dims, alphas, betas, gammas)
     ]
+
+
+def grid_search(
+    dataset: Dataset,
+    vocab: Vocabulary,
+    configs,
+    variant: str,
+    n_threads: int = 1,
+):
+    """Evaluate every config of `grid_configs` on the validation split
+    and return `(points, best)`.
+
+    `points` holds one `(config, report)` pair per config, in order.  A
+    variant reads one margin (`variant_margin`), so configs that differ
+    only in margins the variant ignores train the same model: each
+    distinct (dim, margin) is trained and evaluated once, and its points
+    share that report.
+
+    `best` is the point with the lowest average rank, ties broken by
+    higher Hit@10, then higher Hit@1, then by the earlier point: `min`
+    keeps the first of equal keys, which in `grid_configs` order is the
+    lexicographically smaller (dim, alpha, beta, gamma).
+    """
+    from .evaluation import evaluate
+
+    if not dataset.valid:
+        raise DataError("grid search needs a non-empty validation split")
+
     reports = {}
     points = []
     for config in configs:

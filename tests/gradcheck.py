@@ -1,7 +1,8 @@
 """Finite-difference machinery shared by the gradient tests."""
 
 from jrme.data import Belief
-from jrme.training import _hinge_terms, negatives_for, variant_flags
+from jrme.kernels import enum_negative_table
+from jrme.training import _hinge_terms, variant_flags
 
 
 def finite_difference(loss_fn, arr, idx, coord, eps=1e-6):
@@ -18,6 +19,7 @@ def sample_smooth_example(rng, table, n_rel, n_words, margin, variant, kink_gap=
     """Random belief whose hinge terms all sit clear of the boundary, so
     central differences never straddle a kink."""
     use_kg, use_text = variant_flags(variant)
+    neg_table = enum_negative_table(n_rel)
     for _ in range(200):
         r = int(rng.integers(n_rel))
         h = int(rng.integers(table.n_entities))
@@ -26,7 +28,7 @@ def sample_smooth_example(rng, table, n_rel, n_words, margin, variant, kink_gap=
             continue
         mention = tuple(int(w) for w in rng.integers(n_words, size=rng.integers(4)))
         b = Belief(h, r, t, mention)
-        negs = negatives_for(r, n_rel, "all")
+        negs = neg_table[r]
         terms = [term for _, term in _hinge_terms(table, b, negs, margin, use_kg, use_text)]
         if all(abs(term) > kink_gap for term in terms):
             return b, negs

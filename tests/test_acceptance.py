@@ -14,7 +14,8 @@ from jrme.data import Belief, PackedBeliefs
 from jrme.embeddings import ModelConfig, load_model, save_model
 from jrme.evaluation import evaluate, summarize_ranks
 from jrme.embeddings import VARIANTS
-from jrme.training import example_gradients, example_loss, negatives_for, train
+from jrme.kernels import enum_negative_table
+from jrme.training import example_gradients, example_loss, train
 
 from gradcheck import finite_difference, sample_smooth_example
 from synth_data import (
@@ -118,7 +119,7 @@ def test_empty_mention_loss_reductions_are_exact(accept):
         vocab = make_vocab(6, n_rel, 3)
         table = random_table(vocab, 4, rng)
         b = Belief(int(rng.integers(6)), int(rng.integers(n_rel)), int(rng.integers(6)), ())
-        negs = negatives_for(b.relation, n_rel, "all")
+        negs = enum_negative_table(n_rel)[b.relation]
         gamma = float(rng.uniform(0.1, 3.0))
         beta = float(rng.uniform(0.1, 3.0))
         jl, _ = example_loss(table, b, negs, "jrme", gamma)

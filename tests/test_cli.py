@@ -243,6 +243,22 @@ class TestExitCodes:
             f"error: {model}: header 'relations' repeats the name {first!r}"
         )
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("kind, value", [("relation", np.nan), ("word", np.inf)])
+    def test_non_finite_model_is_2(self, corpus, capsys, command, kind, value):
+        tmp, train, test = corpus
+        model = tmp / "m.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--epochs", 0)[0] == 0
+        table, vocab, config, variant = load_model(model)
+        getattr(table, f"{kind}_vecs")[1] = value
+        save_model(table, vocab, config, model, variant)
+        queries = tmp / "queries.tsv"
+        queries.write_text("e1\te2\tsig0\n")
+        argv = {"eval": ["--test", test], "predict": ["--input", queries]}[command]
+        code, out, err = run(capsys, command, "--model", model, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {model}: {kind} table holds a non-finite value"]
+
     def test_closed_stdout_is_141_and_silent(self, corpus, capsys):
         tmp, train, _ = corpus
         model = tmp / "m.bin"
@@ -380,14 +396,19 @@ class TestPredictCommand:
     def test_per_line_error_markers(self, corpus, capsys):
         tmp, model = self._model(corpus, capsys)
         inp = tmp / "q.tsv"
-        inp.write_text("ghost\te2\thello\ne1\te2\n# skipped\ne1\te2\tsig0\n")
+        # a byte-order mark is not part of the first line's head entity
+        inp.write_text("\ufeffe1\te2\tsig0\nghost\te2\thello\ne1\te2\n# skipped\ne1\te2\tsig0\n",
+                       encoding="utf-8")
         code, out, _ = run(capsys, "predict", "--model", model, "--input", inp,
                            "--topk", 1)
         assert code == 0
         lines = out.splitlines()
-        assert lines[0].startswith("1\tERROR\t") and "ghost" in lines[0]
-        assert lines[1].startswith("2\tERROR\t") and "columns" in lines[1]
-        assert lines[2].startswith("4\t1\t")
+        assert lines[0].startswith("1\t1\t")
+        assert lines[1].startswith("2\tERROR\t") and "ghost" in lines[1]
+        assert lines[2].startswith("3\tERROR\t") and "columns" in lines[2]
+        assert lines[3].split("\t")[1:] == lines[0].split("\t")[1:]
+        assert lines[3].startswith("5\t1\t")
+        assert run(capsys, "predict", "--model", model, "--input", inp, "--topk", 0)[:2] == (1, "")
 
 
 class TestPredictBlocks:
@@ -572,12 +593,14 @@ class TestGridCommand:
         monkeypatch.setattr(jrme.training, "train", counting_train)
         tmp, train, test = corpus
         grid = {"--dims": "4", "--alphas": "1", "--betas": "1", "--gammas": "1", flag: values}
-        code, out, err = run(
-            capsys, "grid", "--train", train, "--valid", test,
-            *(a for k, v in grid.items() for a in (k, v)), "--epochs", 1,
-        )
-        assert (code, out, calls) == (1, "", [])
-        assert message in err
+        flags = [a for k, v in grid.items() for a in (k, v)]
+        # a bad list is reported before the (here missing) files are read
+        for train_path in (train, tmp / "missing.tsv"):
+            code, out, err = run(
+                capsys, "grid", "--train", train_path, "--valid", test, *flags, "--epochs", 1,
+            )
+            assert (code, out, calls) == (1, "", [])
+            assert message in err
 
 
 class TestStatsCommand:

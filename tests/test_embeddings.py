@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from jrme.embeddings import (
-    EmbeddingTable,
     ModelConfig,
     init_embeddings,
     load_model,
@@ -111,7 +110,6 @@ class TestInit:
         table = init_embeddings(make_vocab(7, 3, 5), ModelConfig(dim=4))
         assert (table.n_entities, table.n_relations, table.n_words) == (7, 3, 5)
         assert table.dim == 4
-        assert table.all_finite()
 
 
 class TestPersistence:
@@ -170,6 +168,19 @@ class TestPersistence:
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert "trailing" in str(err.value)
+
+    @pytest.mark.parametrize("kind,value", [
+        ("entity", np.nan), ("relation", np.nan), ("relation", -np.inf), ("word", np.inf),
+    ])
+    def test_non_finite_table_rejected(self, tmp_path, kind, value):
+        table, vocab, cfg = self._fixture()
+        getattr(table, f"{kind}_vecs")[1, 2] = value
+        path = tmp_path / "model.bin"
+        save_model(table, vocab, cfg, path, "jrme")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert f"{kind} table holds a non-finite value" in str(err.value)
+        assert str(path) in str(err.value)
 
     def test_header_with_bad_config_rejected(self, tmp_path):
         table, vocab, _ = self._fixture()
@@ -248,17 +259,3 @@ class TestPersistence:
         with pytest.raises(FormatError) as err:
             load_model(path)
         assert str(path) in str(err.value)
-
-    def test_copy_is_deep(self):
-        table, _, _ = self._fixture()
-        dup = table.copy()
-        dup.entity_vecs[0, 0] += 1.0
-        assert table.entity_vecs[0, 0] != dup.entity_vecs[0, 0]
-
-
-class TestEmbeddingTableMisc:
-    def test_all_finite_detects_nan(self):
-        table = EmbeddingTable(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((1, 3)))
-        assert table.all_finite()
-        table.word_vecs[0, 1] = np.nan
-        assert not table.all_finite()

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -182,10 +184,10 @@ class TestEvaluate:
         t, beliefs = self._setup(rng)
         base_kre = evaluate(t, pack(beliefs), "kre")
         base_tme = evaluate(t, pack(beliefs), "tme")
-        scrambled = t.copy()
+        scrambled = copy.deepcopy(t)
         scrambled.word_vecs += rng.normal(size=t.word_vecs.shape)
         assert evaluate(scrambled, pack(beliefs), "kre") == base_kre
-        scrambled = t.copy()
+        scrambled = copy.deepcopy(t)
         scrambled.entity_vecs += rng.normal(size=t.entity_vecs.shape)
         assert evaluate(scrambled, pack(beliefs), "tme") == base_tme
 

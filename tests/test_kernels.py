@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from jrme.kernels import (
     run_epoch,
     top_k,
 )
-from jrme.scoring import belief_score
+from jrme.scoring import mention_distance, triple_distance
 from jrme.embeddings import VARIANTS
 from jrme.training import _sample_negative_rows, variant_flags
 from synth_data import make_vocab, random_table
@@ -94,8 +95,8 @@ class TestBackendAgreement:
             if not neg_by_relation:
                 negs = _sample_negative_rows(packed.relations[order], 7, 3, rng)
             args = (packed, order, negs, neg_by_relation, 0.01, 1.0, use_kg, use_text, normalize)
-            ta = table.copy()
-            tb = table.copy()
+            ta = copy.deepcopy(table)
+            tb = copy.deepcopy(table)
             la, aa, bada = _epoch_c(ta.entity_vecs, ta.relation_vecs, ta.word_vecs, *args)
             lb, ab, badb = _epoch_numpy(tb.entity_vecs, tb.relation_vecs, tb.word_vecs, *args)
             assert aa == ab
@@ -108,8 +109,8 @@ class TestBackendAgreement:
     @needs_c
     def test_run_epoch_runs_the_c_kernel(self, rng):
         table, packed, order, negs = _epoch_args(rng, n=15)
-        ta = table.copy()
-        tb = table.copy()
+        ta = copy.deepcopy(table)
+        tb = copy.deepcopy(table)
         la, aa, _ = run_epoch(
             ta.entity_vecs, ta.relation_vecs, ta.word_vecs,
             packed, order, negs, True, 0.01, 1.5, True, True, True,
@@ -183,7 +184,8 @@ class TestRanking:
         scores = relation_scores(
             table.entity_vecs, table.relation_vecs, table.word_vecs, packed, True, True)
         expected = [
-            [belief_score(table, Belief(b.head, r, b.tail, b.mention)) for r in range(7)]
+            [triple_distance(table, b.head, r, b.tail) + mention_distance(table, r, b.mention)
+             for r in range(7)]
             for b in beliefs
         ]
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=1e-12)
@@ -360,7 +362,7 @@ class TestPointerGuards:
         table, packed, order, negs = _epoch_args(rng)
         target = order if field == "order" else negs if field == "negs" else getattr(packed, field)
         target[-1] = value
-        before = table.copy()
+        before = copy.deepcopy(table)
         with pytest.raises(IndexError):
             self._call(table, packed, order, negs)
         np.testing.assert_array_equal(table.relation_vecs, before.relation_vecs)
@@ -400,7 +402,7 @@ class TestNonFiniteDetection:
         impls = [_epoch_numpy] + ([_epoch_c] if BACKEND == "c" else [])
         for use_kg, use_text in [(True, False), (False, True), (True, True)]:
             for impl in impls:
-                t = table.copy()
+                t = copy.deepcopy(table)
                 _, _, bad = impl(t.entity_vecs, t.relation_vecs, t.word_vecs, *args,
                                  use_kg, use_text, True)
                 assert bad == first, (impl.__name__, use_kg, use_text)

@@ -3,8 +3,8 @@ import pytest
 
 from jrme.data import Belief
 from jrme.embeddings import EmbeddingTable
+from jrme.evaluation import candidate_scores
 from jrme.scoring import (
-    belief_score,
     mention_distance,
     mention_vector,
     triple_distance,
@@ -107,21 +107,25 @@ class TestMentionDistance:
 
 
 class TestBeliefScore:
+    """A belief's joint score, its relation's entry in the jrme
+    `candidate_scores` row, is the sum of the two reference distances."""
+
     def test_sum_of_parts(self, rng):
         t = table_from(rng.normal(size=(4, 3)), rng.normal(size=(3, 3)), rng.normal(size=(5, 3)))
         b = Belief(1, 2, 3, (0, 4, 4))
         expected = triple_distance(t, 1, 2, 3) + mention_distance(t, 2, b.mention)
-        assert belief_score(t, b) == pytest.approx(expected, rel=1e-12)
+        score = candidate_scores(t, b.head, b.tail, b.mention, "jrme")[b.relation]
+        assert score == pytest.approx(expected, rel=1e-12)
 
     def test_empty_mention_reduces_to_triple_distance(self, rng):
         t = table_from(rng.normal(size=(4, 3)), rng.normal(size=(3, 3)), rng.normal(size=(5, 3)))
-        b = Belief(0, 1, 2, ())
-        assert belief_score(t, b) == triple_distance(t, 0, 1, 2)
+        joint = candidate_scores(t, 0, 2, (), "jrme")
+        assert joint.tobytes() == candidate_scores(t, 0, 2, (), "kre").tobytes()
+        assert joint[1] == pytest.approx(triple_distance(t, 0, 1, 2), rel=1e-12)
 
     def test_triple_17_mention_minus_11_combine_to_6(self):
         r_val = 1.0 + np.sqrt(17.0)
         t = table_from([[0.0], [1.0]], [[r_val]], [[11.0 / r_val]])
-        b = Belief(0, 0, 1, (0,))
         assert triple_distance(t, 0, 0, 1) == pytest.approx(17.0)
         assert mention_distance(t, 0, (0,)) == pytest.approx(-11.0)
-        assert belief_score(t, b) == pytest.approx(6.0)
+        assert candidate_scores(t, 0, 1, (0,), "jrme")[0] == pytest.approx(6.0)

@@ -1,3 +1,4 @@
+import copy
 import io
 import re
 import sys
@@ -9,11 +10,13 @@ from jrme.data import Belief, Dataset, PackedBeliefs
 from jrme.embeddings import EmbeddingTable, ModelConfig, init_embeddings
 from jrme.errors import ConfigError, DataError, TrainingDivergedError
 from jrme.embeddings import VARIANTS
+from jrme.kernels import enum_negative_table
 from jrme.training import (
     _sample_negative_rows,
     example_gradients,
     example_loss,
-    negatives_for,
+    grid_configs,
+    grid_search,
     sgd_step,
     step_bound,
     train,
@@ -56,18 +59,20 @@ class TestVariants:
 
 
 class TestNegatives:
+    """The rows training takes its negatives from, one example at a time."""
+
     def test_enumerate_all_is_ascending_set_difference(self):
-        np.testing.assert_array_equal(negatives_for(1, 3, "all"), [0, 2])
-        np.testing.assert_array_equal(negatives_for(0, 5, "all"), [1, 2, 3, 4])
-        assert len(negatives_for(7, 233, "all")) == 232
+        np.testing.assert_array_equal(enum_negative_table(3)[1], [0, 2])
+        np.testing.assert_array_equal(enum_negative_table(5)[0], [1, 2, 3, 4])
+        assert len(enum_negative_table(233)[7]) == 232
 
     def test_forced_single_choice(self, rng):
-        np.testing.assert_array_equal(negatives_for(0, 2, "sample:1", rng), [1])
+        np.testing.assert_array_equal(_sample_negative_rows(np.array([0]), 2, 1, rng), [[1]])
 
     def test_sample_is_distinct_and_excludes_truth(self, rng):
         seen = set()
         for _ in range(200):
-            negs = negatives_for(3, 10, "sample:4", rng)
+            negs = _sample_negative_rows(np.array([3]), 10, 4, rng)[0]
             assert len(negs) == 4
             assert len(set(negs.tolist())) == 4
             assert 3 not in negs
@@ -76,31 +81,11 @@ class TestNegatives:
 
     def test_single_relation_vocab_rejected(self, rng):
         with pytest.raises(ConfigError):
-            negatives_for(0, 1, "all")
+            _sample_negative_rows(np.array([0]), 1, 1, rng)
 
     def test_oversized_sample_rejected(self, rng):
         with pytest.raises(ConfigError):
-            negatives_for(0, 4, "sample:4", rng)
-
-    def test_rows_are_the_training_samplers_rows(self):
-        from jrme.kernels import enum_negative_table
-
-        for r in range(6):
-            np.testing.assert_array_equal(negatives_for(r, 6, "all"), enum_negative_table(6)[r])
-        for n_relations, k in SAMPLER_CASES:
-            got = negatives_for(2, n_relations, f"sample:{k}", np.random.default_rng(4))
-            row = _sample_negative_rows(np.array([2]), n_relations, k, np.random.default_rng(4))
-            np.testing.assert_array_equal(got, row[0])
-
-    def test_all_row_without_the_full_table(self):
-        from jrme.kernels import enum_negative_table
-
-        for n_relations in (2, 3, 8, 201, 500):
-            table = enum_negative_table(n_relations)
-            for r in (0, n_relations // 2, n_relations - 1):
-                got = negatives_for(r, n_relations, "all")
-                assert got.dtype == table.dtype
-                np.testing.assert_array_equal(got, table[r])
+            _sample_negative_rows(np.array([0]), 4, 4, rng)
 
 
 # (relations, k): rejection of whole rows, and the first-k-of-a-shuffle
@@ -183,7 +168,7 @@ class TestExampleLosses:
     def test_tme_empty_mention_is_margin_times_negatives(self, rng):
         t = table_from(rng.normal(size=(4, 3)), rng.normal(size=(6, 3)), rng.normal(size=(5, 3)))
         b = Belief(0, 2, 3, ())
-        negs = negatives_for(2, 6, "all")
+        negs = enum_negative_table(6)[2]
         for beta in (0.0, 1.0, 1.7):
             loss, active = example_loss(t, b, negs, "tme", beta)
             assert loss == beta * len(negs)
@@ -222,7 +207,7 @@ class TestExampleLosses:
             )
             r = int(rng.integers(n_rel))
             b = Belief(int(rng.integers(5)), r, int(rng.integers(5)), ())
-            negs = negatives_for(r, n_rel, "all")
+            negs = enum_negative_table(n_rel)[r]
             gamma = float(rng.uniform(0, 3))
             jl, ja = example_loss(t, b, negs, "jrme", gamma)
             kl, ka = example_loss(t, b, negs, "kre", gamma)
@@ -232,7 +217,7 @@ class TestExampleLosses:
     def test_zero_vector_words_also_reduce_to_kre(self, rng):
         t = table_from(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)), np.zeros((2, 3)))
         b = Belief(0, 1, 2, (0, 1, 0))
-        negs = negatives_for(1, 4, "all")
+        negs = enum_negative_table(4)[1]
         jl, _ = example_loss(t, b, negs, "jrme", 1.3)
         kl, _ = example_loss(t, Belief(0, 1, 2, ()), negs, "kre", 1.3)
         assert jl == kl
@@ -245,7 +230,7 @@ class TestExampleLosses:
             r = int(rng.integers(5))
             mention = tuple(int(w) for w in rng.integers(4, size=rng.integers(3)))
             b = Belief(int(rng.integers(4)), r, int(rng.integers(4)), mention)
-            negs = negatives_for(r, 5, "all")
+            negs = enum_negative_table(5)[r]
             variant = VARIANTS[int(rng.integers(3))]
             loss, active = example_loss(t, b, negs, variant, float(rng.uniform(0, 2)))
             assert loss >= 0.0
@@ -287,7 +272,7 @@ class TestGradients:
         vocab = make_vocab(5, 4, 5)
         table = random_table(vocab, 3, rng)
         b = Belief(0, 1, 2, (0, 3))
-        negs = negatives_for(1, 4, "all")
+        negs = enum_negative_table(4)[1]
         _, kre_grads = example_gradients(table, b, negs, "kre", 1.0)
         assert all(kind != "word" for kind, _ in kre_grads)
         _, tme_grads = example_gradients(table, b, negs, "tme", 1.0)
@@ -301,9 +286,9 @@ class TestSgdStep:
 
     def test_no_active_terms_leaves_table_bit_identical(self, rng):
         t = table_from([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [9.0, 9.0]], [[0.0, 0.0]])
-        before = t.copy()
+        before = copy.deepcopy(t)
         cfg = ModelConfig(dim=2, alpha=1.0)
-        loss = sgd_step(t, Belief(0, 0, 1, ()), "kre", cfg)
+        loss = sgd_step(t, Belief(0, 0, 1, ()), enum_negative_table(2)[0], "kre", cfg)
         assert loss == 0.0
         assert tables_equal(t, before)
 
@@ -312,11 +297,11 @@ class TestSgdStep:
             table, vocab = self._setup(rng)
             cfg = ModelConfig(dim=4, alpha=1.0, beta=1.0, gamma=2.0, normalize_entities=False)
             b = Belief(1, 2, 4, (0, 6, 0))
-            negs = negatives_for(2, 5, "all")
+            negs = enum_negative_table(5)[2]
             margin = variant_margin(variant, cfg)
             loss_ref, grads = example_gradients(table, b, negs, variant, margin)
 
-            expected = table.copy()
+            expected = copy.deepcopy(table)
             arrays = {
                 "entity": expected.entity_vecs,
                 "relation": expected.relation_vecs,
@@ -325,7 +310,7 @@ class TestSgdStep:
             for (kind, idx), grad in grads.items():
                 arrays[kind][idx] -= cfg.learning_rate * grad
 
-            loss = sgd_step(table, b, variant, cfg)
+            loss = sgd_step(table, b, negs, variant, cfg)
             assert loss == pytest.approx(loss_ref, rel=1e-12)
             np.testing.assert_allclose(table.entity_vecs, expected.entity_vecs, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(table.relation_vecs, expected.relation_vecs, rtol=1e-12, atol=1e-15)
@@ -337,10 +322,11 @@ class TestSgdStep:
         # mention vector itself
         table, vocab = self._setup(rng)
         cfg = ModelConfig(dim=4, beta=100.0, normalize_entities=False)
-        single = table.copy()
-        double = table.copy()
-        sgd_step(single, Belief(0, 1, 2, (3,)), "tme", cfg)
-        sgd_step(double, Belief(0, 1, 2, (3, 3)), "tme", cfg)
+        single = copy.deepcopy(table)
+        double = copy.deepcopy(table)
+        negs = enum_negative_table(5)[1]
+        sgd_step(single, Belief(0, 1, 2, (3,)), negs, "tme", cfg)
+        sgd_step(double, Belief(0, 1, 2, (3, 3)), negs, "tme", cfg)
         single_update = single.word_vecs[3] - table.word_vecs[3]
         double_update = double.word_vecs[3] - table.word_vecs[3]
         np.testing.assert_allclose(double_update, 2.0 * single_update, rtol=1e-9)
@@ -349,14 +335,15 @@ class TestSgdStep:
         table, vocab = self._setup(rng)
         cfg = ModelConfig(dim=4, alpha=5.0, beta=5.0)
         b = Belief(2, 1, 3, (0, 5))
+        negs = enum_negative_table(5)[1]
 
-        t_kre = table.copy()
-        sgd_step(t_kre, b, "kre", cfg)
+        t_kre = copy.deepcopy(table)
+        sgd_step(t_kre, b, negs, "kre", cfg)
         assert (t_kre.word_vecs == table.word_vecs).all()
         assert not (t_kre.relation_vecs == table.relation_vecs).all()
 
-        t_tme = table.copy()
-        sgd_step(t_tme, b, "tme", cfg)
+        t_tme = copy.deepcopy(table)
+        sgd_step(t_tme, b, negs, "tme", cfg)
         assert (t_tme.entity_vecs == table.entity_vecs).all()
         assert not (t_tme.relation_vecs == table.relation_vecs).all()
 
@@ -366,7 +353,7 @@ class TestSgdStep:
         for normalize in (True, False):
             cfg = ModelConfig(dim=4, alpha=10.0, normalize_entities=normalize)
             table = init_embeddings(vocab, cfg)
-            loss = sgd_step(table, b, "kre", cfg)
+            loss = sgd_step(table, b, enum_negative_table(5)[2], "kre", cfg)
             assert loss > 0.0
             norms = np.linalg.norm(table.entity_vecs[[1, 4]], axis=1)
             if normalize:
@@ -375,12 +362,14 @@ class TestSgdStep:
                 assert not np.allclose(norms, 1.0, rtol=1e-6)
 
     def test_sample_mode_uses_rng(self, rng):
+        # the caller draws the row from its generator, as train does, and
+        # the step scores exactly that row
         table, vocab = self._setup(rng)
         cfg = ModelConfig(dim=4, neg_mode="sample:2")
-        loss = sgd_step(table, Belief(0, 1, 2, (3,)), "jrme", cfg, rng)
-        assert loss >= 0.0
-        with pytest.raises(ConfigError):
-            sgd_step(table, Belief(0, 1, 2, ()), "jrme", cfg, None)
+        b = Belief(0, 1, 2, (3,))
+        negs = _sample_negative_rows(np.array([b.relation]), 5, 2, rng)[0]
+        loss_ref, _ = example_loss(table, b, negs, "jrme", cfg.gamma)
+        assert sgd_step(table, b, negs, "jrme", cfg) == pytest.approx(loss_ref, rel=1e-12)
 
 
 def tiny_dataset(rng, n=60, n_entities=8, n_relations=4, n_words=6):
@@ -455,9 +444,11 @@ class TestTrain:
             np.random.SeedSequence(cfg.seed & ((1 << 64) - 1), spawn_key=(1,))
         )
         order = order_rng.permutation(len(ds.train))
+        neg_table = enum_negative_table(len(vocab.relations))
         total = 0.0
         for i in order:
-            total += sgd_step(replay, ds.train[int(i)], "jrme", cfg)
+            b = ds.train[int(i)]
+            total += sgd_step(replay, b, neg_table[b.relation], "jrme", cfg)
         assert reports[0].loss == pytest.approx(total / len(ds.train), rel=1e-9)
         assert tables_equal(table, replay)
 
@@ -517,7 +508,8 @@ class TestTrain:
         ds, vocab = tiny_dataset(rng, n=120)
         cfg = ModelConfig(dim=6, epochs=3, seed=2)
         table, reports = train(ds, vocab, cfg, "jrme", n_threads=3)
-        assert table.all_finite()
+        for vecs in (table.entity_vecs, table.relation_vecs, table.word_vecs):
+            assert np.isfinite(vecs).all()
         assert len(reports) == 3
 
     def test_threaded_shards_cover_every_example_once(self, rng):
@@ -553,53 +545,42 @@ class TestGridSearch:
         return ds, vocab
 
     def test_single_point_grid_returns_it(self, rng):
-        from jrme.training import grid_search
-
         ds, vocab = self._data(rng)
-        base = ModelConfig(epochs=1, seed=0)
-        points, best = grid_search(ds, vocab, [4], [1.0], [1.0], [2.0], base, "jrme")
+        configs = grid_configs(ModelConfig(epochs=1, seed=0), [4], [1.0], [1.0], [2.0])
+        points, best = grid_search(ds, vocab, configs, "jrme")
         assert points == [best]
         config, report = best
         assert config.dim == 4
         assert report.avg_rank >= 1.0
 
     def test_identical_metrics_tie_break_lexicographic(self, rng):
-        from jrme.training import grid_search
-
         ds, vocab = self._data(rng)
         # zero epochs: metrics depend only on the init, which ignores
         # margins, so every point ties and the smallest config must win
-        base = ModelConfig(epochs=0, seed=7)
-        points, (config, _) = grid_search(
-            ds, vocab, [4], [0.5, 2.0], [1.0], [2.0, 9.0], base, "jrme")
+        configs = grid_configs(ModelConfig(epochs=0, seed=7), [4], [2.0, 0.5], [1.0], [9.0, 2.0])
+        points, (config, _) = grid_search(ds, vocab, configs, "jrme")
         assert len(points) == 4
         assert len({r.avg_rank for _, r in points}) == 1
         assert config.alpha == 0.5
         assert config.gamma == 2.0
 
     def test_best_is_argmin_of_documented_key(self, rng):
-        from jrme.training import grid_search
-
         ds, vocab = self._data(rng)
-        base = ModelConfig(epochs=2, seed=3)
-        points, (_, best) = grid_search(ds, vocab, [2, 6], [0.5, 1.0], [1.0], [2.0], base, "jrme")
+        configs = grid_configs(ModelConfig(epochs=2, seed=3), [2, 6], [0.5, 1.0], [1.0], [2.0])
+        points, (_, best) = grid_search(ds, vocab, configs, "jrme")
         keys = [(r.avg_rank, -r.hit_at_10, -r.hit_at_1) for _, r in points]
         assert (best.avg_rank, -best.hit_at_10, -best.hit_at_1) == min(keys)
 
-    def test_empty_grid_rejected(self, rng):
-        from jrme.training import grid_search
-
-        ds, vocab = self._data(rng)
+    def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
-            grid_search(ds, vocab, [], [1.0], [1.0], [2.0], ModelConfig(), "jrme")
+            grid_configs(ModelConfig(), [], [1.0], [1.0], [2.0])
 
     def test_missing_validation_split_rejected(self, rng):
-        from jrme.training import grid_search
-
         ds, vocab = tiny_dataset(rng)
         ds.valid = PackedBeliefs()
+        configs = grid_configs(ModelConfig(epochs=1), [4], [1.0], [1.0], [2.0])
         with pytest.raises(DataError):
-            grid_search(ds, vocab, [4], [1.0], [1.0], [2.0], ModelConfig(epochs=1), "jrme")
+            grid_search(ds, vocab, configs, "jrme")
 
     @pytest.mark.parametrize("variant, field", [("kre", "alpha"), ("tme", "beta"), ("jrme", "gamma")])
     def test_trains_once_per_dim_and_read_margin(self, rng, monkeypatch, variant, field):
@@ -614,10 +595,9 @@ class TestGridSearch:
             return real_train(dataset, vocab, config, variant, **kw)
 
         monkeypatch.setattr(training, "train", counting_train)
-        base = ModelConfig(epochs=1, seed=5)
-        points, _ = training.grid_search(
-            ds, vocab, [2, 4], [0.5, 1.0], [0.25, 3.0], [1.5, 2.0], base, variant
-        )
+        configs = grid_configs(
+            ModelConfig(epochs=1, seed=5), [2, 4], [0.5, 1.0], [0.25, 3.0], [1.5, 2.0])
+        points, _ = training.grid_search(ds, vocab, configs, variant)
         assert len(points) == 16
         distinct = {(c.dim, getattr(c, field)) for c, _ in points}
         assert len(distinct) == 4
@@ -628,12 +608,11 @@ class TestGridSearch:
         from itertools import product
 
         from jrme.evaluation import evaluate
-        from jrme.training import grid_search
 
         ds, vocab = self._data(rng)
-        base = ModelConfig(epochs=2, seed=11)
         grid = ([2, 4], [0.5, 1.0], [0.25, 3.0], [1.5, 2.0])
-        points, _ = grid_search(ds, vocab, *grid, base, variant)
+        points, _ = grid_search(ds, vocab, grid_configs(ModelConfig(epochs=2, seed=11), *grid),
+                                variant)
         assert [(c.dim, c.alpha, c.beta, c.gamma) for c, _ in points] == list(product(*grid))
         for config, report in points:
             table, _ = train(ds, vocab, config, variant)
