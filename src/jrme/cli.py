@@ -52,17 +52,11 @@ def _resolve_threads(args) -> int:
 
 
 def _config_from_args(args) -> ModelConfig:
-    return ModelConfig(
-        dim=args.dim,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        neg_mode=args.neg,
-        seed=args.seed,
-        normalize_entities=not args.no_normalize,
-    )
+    """The `ModelConfig` set by the flags whose destinations are its field
+    names; a field the subcommand has no flag for (grid's dim and
+    margins) keeps its default."""
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    return ModelConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _file_sha256(paths) -> str:
@@ -143,13 +137,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    base = ModelConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        neg_mode=args.neg,
-        seed=args.seed,
-        normalize_entities=not args.no_normalize,
-    )
+    base = _config_from_args(args)
     threads = _resolve_threads(args)
     configs = grid_configs(base, args.dims, args.alphas, args.betas, args.gammas)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
@@ -242,12 +230,18 @@ def _add_common_model_flags(p, ranks_only: bool = False) -> None:
 
 
 def _add_train_flags(p) -> None:
-    p.add_argument("--lr", type=float, default=_DEFAULTS.learning_rate)
+    # each dest is a ModelConfig field name, which _config_from_args reads
+    p.add_argument(
+        "--lr", dest="learning_rate", metavar="LR", type=float, default=_DEFAULTS.learning_rate,
+    )
     p.add_argument("--epochs", type=int, default=_DEFAULTS.epochs)
-    p.add_argument("--neg", default=_DEFAULTS.neg_mode, help="negative mode: all | sample:K")
+    p.add_argument(
+        "--neg", dest="neg_mode", metavar="NEG", default=_DEFAULTS.neg_mode,
+        help="negative mode: all | sample:K",
+    )
     p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
     p.add_argument(
-        "--no-normalize", action="store_true",
+        "--no-normalize", dest="normalize_entities", action="store_false",
         help="skip entity renormalization after each update",
     )
 

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import struct
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -109,22 +108,6 @@ class EmbeddingTable:
     relation_vecs: np.ndarray
     word_vecs: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.relation_vecs.shape[1]
-
-    @property
-    def n_entities(self) -> int:
-        return self.entity_vecs.shape[0]
-
-    @property
-    def n_relations(self) -> int:
-        return self.relation_vecs.shape[0]
-
-    @property
-    def n_words(self) -> int:
-        return self.word_vecs.shape[0]
-
 
 def init_embeddings(vocab: Vocabulary, config: ModelConfig) -> EmbeddingTable:
     """Draw fresh tables: uniform on [-6/sqrt(d), 6/sqrt(d)] componentwise,
@@ -194,7 +177,7 @@ def save_model(
     header = {
         "config": dataclasses.asdict(config),
         "variant": variant,
-        "dim": table.dim,
+        "dim": table.relation_vecs.shape[1],
         "entities": vocab.entities.names,
         "relations": vocab.relations.names,
         "words": vocab.words.names,
@@ -210,11 +193,7 @@ def save_model(
 
 
 def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
-    """Exact inverse of save_model: (table, vocab, config, variant).
-
-    A file written before the header recorded the variant loads as
-    "jrme", with one warning on stderr.
-    """
+    """Exact inverse of save_model: (table, vocab, config, variant)."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -236,7 +215,7 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
             raise FormatError(f"{path}: unreadable header: {e}") from None
         if not isinstance(header, dict):
             raise FormatError(f"{path}: header is not a JSON object")
-        for key in ("config", "dim", "entities", "relations", "words"):
+        for key in ("config", "variant", "dim", "entities", "relations", "words"):
             if key not in header:
                 raise FormatError(f"{path}: header missing {key!r}")
         for key in ("entities", "relations", "words"):
@@ -246,12 +225,8 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
             config = _config_from_dict(header["config"])
         except FormatError as e:
             raise FormatError(f"{path}: {e}") from None
-        variant = header.get("variant")
-        if variant is None:
-            variant = "jrme"
-            print(f"warning: {path}: model file records no variant; assuming jrme",
-                  file=sys.stderr)
-        elif variant not in VARIANTS:
+        variant = header["variant"]
+        if variant not in VARIANTS:
             raise FormatError(f"{path}: unknown variant {variant!r} in header")
         dim = config.dim
         if header["dim"] != dim:

@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import PackedBeliefs
 from .embeddings import EmbeddingTable, atomic_write, variant_flags
 from .errors import DataError
-from .kernels import _check_ids, rank_all, relation_scores
+from .kernels import rank_all, relation_scores
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,9 @@ def summarize_ranks(ranks) -> tuple[float, float, float]:
 
 def candidate_scores(table: EmbeddingTable, head: int, tail: int, mention, variant: str):
     """Score of every relation id substituted into (head, ?, tail, mention)."""
-    use_kg, use_text = variant_flags(variant)
-    _check_ids("entity id", np.array([head, tail]), table.n_entities)
-    ids = np.asarray(mention, dtype=np.int64)
-    if use_text:
-        _check_ids("word id", ids, table.n_words)
-    query = PackedBeliefs([head], (), [tail], [0, ids.size], ids)
+    query = PackedBeliefs([head], (), [tail], [0, len(mention)], mention)
     return relation_scores(
-        table.entity_vecs, table.relation_vecs, table.word_vecs, query, use_kg, use_text,
+        table.entity_vecs, table.relation_vecs, table.word_vecs, query, *variant_flags(variant),
     )[0]
 
 

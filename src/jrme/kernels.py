@@ -18,7 +18,10 @@ are the exact scorer's whatever the BLAS, its threads or the block.
 
 Every kernel takes the three tables as arrays and the beliefs as one
 `data.PackedBeliefs`, the form the parser writes, so no caller unpacks
-its id arrays; the class is importable from here too.
+its id arrays; the class is importable from here too.  `_epoch_c`,
+`relation_scores` and `rank_all` check every id against its table
+(`_check_packed`) before they read a row, so an id outside it, negative
+ones included, raises IndexError; the numpy twin checks none.
 """
 
 from __future__ import annotations
@@ -199,6 +202,19 @@ def _check_ids(what: str, ids: np.ndarray, n: int) -> None:
         raise IndexError(f"{what} out of range [0, {n})")
 
 
+def _check_packed(entity, relation, word, packed, use_text) -> None:
+    """IndexError unless every id of `packed` names a row of its table:
+    heads and tails entity rows, relations relation rows, and, when the
+    text term reads them, mention offsets and words.  A negative id would
+    otherwise index from the end of a table."""
+    _check_ids("entity id", packed.heads, entity.shape[0])
+    _check_ids("entity id", packed.tails, entity.shape[0])
+    _check_ids("relation id", packed.relations, relation.shape[0])
+    if use_text:
+        _check_ids("mention offset", packed.mention_off, packed.mention_flat.shape[0] + 1)
+        _check_ids("word id", packed.mention_flat, word.shape[0])
+
+
 def _epoch_c(
     entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
     use_kg, use_text, normalize,
@@ -231,13 +247,8 @@ def _epoch_c(
     if neg_table.shape[0] < rows:
         raise IndexError(f"negative table has {neg_table.shape[0]} rows, needs {rows}")
     _check_ids("example index", order, n)
-    _check_ids("relation id", rels, n_rel)
     _check_ids("negative relation id", neg_table, n_rel)
-    _check_ids("entity id", heads, entity.shape[0])
-    _check_ids("entity id", tails, entity.shape[0])
-    if use_text:
-        _check_ids("mention offset", moff, mflat.shape[0] + 1)
-        _check_ids("word id", mflat, word.shape[0])
+    _check_packed(entity, relation, word, packed, use_text)
 
     loss = ctypes.c_double()
     active = ctypes.c_int64()
@@ -312,16 +323,23 @@ def relation_scores(entity, relation, word, packed, use_kg, use_text):
     and equal relations tie exactly.  GEMM keeps neither, which breaks the
     tie rule.
     """
+    _check_packed(entity, relation, word, packed, use_text)
     q, c = _queries(entity, word, packed, 0, len(packed), relation.shape[1], use_kg, use_text)
     rel_sq = np.einsum("rd,rd->r", relation, relation) if use_kg else None
     return _exact_scores(q, c, relation, rel_sq)
 
 
 def tie_ranks(scores, true_ids):
-    """Per row: 1 + #(scores below the true id's) + #(ties with a smaller id)."""
+    """Per row, the true id's 1-based place in `np.argsort(row, kind="stable")`,
+    the order `top_k` keeps: 1 + #(scores below the true id's) + #(ties
+    with a smaller id), where nan counts as above every number and tied
+    with every nan."""
     s_true = scores[np.arange(len(true_ids)), true_ids][:, None]
-    tied_before = (scores == s_true) & (np.arange(scores.shape[1]) < true_ids[:, None])
-    return 1 + np.count_nonzero(scores < s_true, axis=1) + np.count_nonzero(tied_before, axis=1)
+    nan, nan_true = np.isnan(scores), np.isnan(s_true)
+    below = (scores < s_true) | (nan_true & ~nan)
+    tied = (scores == s_true) | (nan_true & nan)
+    tied_before = tied & (np.arange(scores.shape[1]) < true_ids[:, None])
+    return 1 + np.count_nonzero(below, axis=1) + np.count_nonzero(tied_before, axis=1)
 
 
 def top_k(scores, k):
@@ -377,6 +395,7 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
     candidates all tie.
     The result depends neither on the BLAS nor on its threads or blocks.
     """
+    _check_packed(entity, relation, word, packed, use_text)
     n = len(packed)
     d = relation.shape[1]
     ranks = np.empty(n, dtype=np.int64)

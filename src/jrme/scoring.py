@@ -15,10 +15,10 @@ import numpy as np
 from .embeddings import EmbeddingTable
 
 
-def _check_id(i: int, n: int, kind: str) -> None:
+def _check_id(i: int, vecs: np.ndarray, kind: str) -> None:
     # Negative ids would silently index from the end of the table.
-    if not 0 <= i < n:
-        raise IndexError(f"{kind} id {i} out of range [0, {n})")
+    if not 0 <= i < len(vecs):
+        raise IndexError(f"{kind} id {i} out of range [0, {len(vecs)})")
 
 
 def triple_distance(table: EmbeddingTable, head: int, relation: int, tail: int) -> float:
@@ -27,9 +27,9 @@ def triple_distance(table: EmbeddingTable, head: int, relation: int, tail: int) 
     Zero means the relation vector translates the head exactly onto the
     tail; larger is worse.
     """
-    _check_id(head, table.n_entities, "entity")
-    _check_id(tail, table.n_entities, "entity")
-    _check_id(relation, table.n_relations, "relation")
+    _check_id(head, table.entity_vecs, "entity")
+    _check_id(tail, table.entity_vecs, "entity")
+    _check_id(relation, table.relation_vecs, "relation")
     diff = table.entity_vecs[head] + table.relation_vecs[relation] - table.entity_vecs[tail]
     return float(diff @ diff)
 
@@ -39,9 +39,9 @@ def mention_vector(table: EmbeddingTable, words: Sequence[int]) -> np.ndarray:
 
     The empty mention is the zero vector.
     """
-    m = np.zeros(table.dim, dtype=np.float64)
+    m = np.zeros(table.relation_vecs.shape[1], dtype=np.float64)
     for w in words:
-        _check_id(w, table.n_words, "word")
+        _check_id(w, table.word_vecs, "word")
         m += table.word_vecs[w]
     return m
 
@@ -52,6 +52,6 @@ def mention_distance(table: EmbeddingTable, relation: int, words: Sequence[int])
     More aligned mentions give lower (better) values; the empty mention
     scores exactly 0 for every relation.
     """
-    _check_id(relation, table.n_relations, "relation")
+    _check_id(relation, table.relation_vecs, "relation")
     return float(-(table.relation_vecs[relation] @ mention_vector(table, words)))
 

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .data import Dataset, PackedBeliefs, Vocabulary
+from .data import Dataset, Vocabulary
 from .embeddings import (
     _SEED_MASK, EmbeddingTable, ModelConfig, init_embeddings, parse_neg_mode, variant_flags,
     variant_margin,
@@ -120,39 +120,6 @@ def example_gradients(table, belief, negatives, variant, margin):
     return loss, grads
 
 
-def sgd_step(table, belief, negatives, variant, config) -> float:
-    """One example's update against its corrupt relations, in place,
-    returning its loss.
-
-    Exactly the batched-kernel semantics: all active terms accumulated
-    against pre-step values, applied as one update, entities
-    renormalized afterwards when the config says so.
-    """
-    use_kg, use_text = variant_flags(variant)
-    packed = PackedBeliefs.from_beliefs([belief])
-    order = np.zeros(1, dtype=np.int64)
-    loss, _, bad = run_epoch(
-        table.entity_vecs,
-        table.relation_vecs,
-        table.word_vecs,
-        packed,
-        order,
-        negatives.reshape(1, -1),
-        False,
-        config.learning_rate,
-        variant_margin(variant, config),
-        use_kg,
-        use_text,
-        config.normalize_entities,
-    )
-    if bad >= 0:
-        raise TrainingDivergedError(
-            f"non-finite value while updating belief "
-            f"(head={belief.head}, relation={belief.relation}, tail={belief.tail})"
-        )
-    return loss
-
-
 @dataclass(frozen=True)
 class EpochReport:
     epoch: int
@@ -233,7 +200,7 @@ def train(
 
     table = init_embeddings(vocab, config)
     n = len(packed)
-    n_rel = table.n_relations
+    n_rel = len(vocab.relations)
     mode, k = parse_neg_mode(config.neg_mode)
     by_relation = mode == "all"
     if by_relation:

@@ -22,8 +22,8 @@ def sample_smooth_example(rng, table, n_rel, n_words, margin, variant, kink_gap=
     neg_table = enum_negative_table(n_rel)
     for _ in range(200):
         r = int(rng.integers(n_rel))
-        h = int(rng.integers(table.n_entities))
-        t = int(rng.integers(table.n_entities))
+        h = int(rng.integers(len(table.entity_vecs)))
+        t = int(rng.integers(len(table.entity_vecs)))
         if h == t:
             continue
         mention = tuple(int(w) for w in rng.integers(n_words, size=rng.integers(4)))

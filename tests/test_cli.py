@@ -55,7 +55,7 @@ class TestTrainCommand:
         assert re.match(r"^epoch=0 loss=[0-9eE.+-]+ active=\d+$", lines[0])
         table, vocab, config, _ = load_model(model)
         assert config.dim == 8 and config.seed == 3
-        assert table.n_relations == 6
+        assert len(table.relation_vecs) == 6
 
         manifest = json.loads((tmp / "model.bin.manifest.json").read_text())
         assert manifest["config"]["dim"] == 8
@@ -436,7 +436,7 @@ class TestPredictBlocks:
     @staticmethod
     def _reference(path, table, vocab, variant, topk):
         out = []
-        k = min(topk, table.n_relations)
+        k = min(topk, len(table.relation_vecs))
         for line_no, line in enumerate(path.read_text().split("\n")[:-1], 1):
             if line.startswith("#"):
                 continue
@@ -476,7 +476,7 @@ class TestPredictBlocks:
             return relation_scores(entity, relation, word, packed, *rest)
 
         monkeypatch.setattr(jrme.cli, "relation_scores", counting_scores)
-        for topk in (3, table.n_relations + 3):
+        for topk in (3, len(table.relation_vecs) + 3):
             code, out, _ = run(capsys, "predict", "--model", model, "--input", queries,
                                "--topk", topk)
             assert code == 0
@@ -650,15 +650,16 @@ class TestStoredVariant:
         ]
         assert out.splitlines() == expected
 
-    def test_legacy_model_warns_once_and_scores_as_jrme(self, corpus, capsys):
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_model_without_variant_is_2(self, corpus, capsys, command):
         tmp, model, test = self._model(corpus, capsys, "tme")
         edit_header(model, lambda h: h.pop("variant"))
-        code, out, err = run(capsys, "eval", "--model", model, "--test", test)
-        assert code == 0
-        assert [line for line in err.splitlines() if "warning" in line] == [
-            f"warning: {model}: model file records no variant; assuming jrme"
-        ]
-        assert out == run(capsys, "eval", "--model", model, "--test", test, "--variant", "jrme")[1]
+        queries = tmp / "queries.tsv"
+        queries.write_text("e1\te2\tsig0\n")
+        argv = {"eval": ["--test", test], "predict": ["--input", queries]}[command]
+        code, out, err = run(capsys, command, "--model", model, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {model}: header missing 'variant'"]
 
 
 def test_cli_commands_never_pack_belief_lists(corpus, capsys, monkeypatch):

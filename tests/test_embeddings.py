@@ -106,10 +106,10 @@ class TestInit:
     def test_negative_seed_accepted(self):
         init_embeddings(make_vocab(3, 2, 2), ModelConfig(dim=4, seed=-17))
 
-    def test_table_shape_properties(self):
+    def test_table_shapes(self):
         table = init_embeddings(make_vocab(7, 3, 5), ModelConfig(dim=4))
-        assert (table.n_entities, table.n_relations, table.n_words) == (7, 3, 5)
-        assert table.dim == 4
+        shapes = [t.shape for t in (table.entity_vecs, table.relation_vecs, table.word_vecs)]
+        assert shapes == [(7, 4), (3, 4), (5, 4)]
 
 
 class TestPersistence:
@@ -202,16 +202,14 @@ class TestPersistence:
             load_model(path)
         assert "dim 4" in str(err.value) and "dim 7" in str(err.value)
 
-    def test_header_without_variant_loads_as_jrme_with_one_warning(self, tmp_path, capsys):
+    def test_header_without_variant_rejected(self, tmp_path):
         table, vocab, cfg = self._fixture()
         path = tmp_path / "model.bin"
         save_model(table, vocab, cfg, path, "tme")
         edit_header(path, lambda h: h.pop("variant"))
-        loaded, _, cfg2, variant = load_model(path)
-        assert variant == "jrme" and cfg2 == cfg
-        assert (loaded.relation_vecs == table.relation_vecs).all()
-        warnings = capsys.readouterr().err.splitlines()
-        assert len(warnings) == 1 and "no variant" in warnings[0]
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: header missing 'variant'"
 
     def test_unknown_variant_rejected(self, tmp_path):
         table, vocab, cfg = self._fixture()

@@ -21,19 +21,11 @@ pack = PackedBeliefs.from_beliefs
 
 
 def oracle_rank(scores, true_id):
-    """Stable sort by (score, relation id); 1-indexed position of truth."""
-    order = sorted(range(len(scores)), key=lambda i: (scores[i], i))
-    return order.index(true_id) + 1
-
-
-def rank_from_scores(scores, true_id):
-    """`oracle_rank` counted instead of sorted: 1 + #(lower scores) + #(equal
-    scores at smaller ids).  It also holds where no sort order exists,
-    since a nan compares false with everything."""
-    s_true = scores[true_id]
-    return 1 + sum(1 for s in scores if s < s_true) + sum(
-        1 for i, s in enumerate(scores) if s == s_true and i < true_id
-    )
+    """1-indexed position of the true id in the stable argsort of the
+    scores: by (score, relation id), nan after every number, as `predict`
+    orders candidates."""
+    order = np.argsort(np.asarray(scores), kind="stable")
+    return int(np.flatnonzero(order == true_id)[0]) + 1
 
 
 def random_beliefs(rng, n, n_entities, n_relations, n_words, max_mention=3):
@@ -115,8 +107,7 @@ class TestRankTrueRelation:
             b = random_beliefs(rng, 1, 5, n_rel, 4)[0]
             for variant in ("kre", "tme", "jrme"):
                 scores = candidate_scores(t, b.head, b.tail, b.mention, variant)
-                assert rank_of(t, b, variant) == oracle_rank(list(scores), b.relation)
-                assert rank_from_scores(list(scores), b.relation) == rank_of(t, b, variant)
+                assert rank_of(t, b, variant) == oracle_rank(scores, b.relation)
 
     def test_constant_score_shift_leaves_rank_unchanged(self, rng):
         vocab = make_vocab(5, 8, 4)
@@ -126,21 +117,34 @@ class TestRankTrueRelation:
         for b in beliefs:
             scores = list(candidate_scores(t, b.head, b.tail, b.mention, "jrme"))
             shifted = [s + 123.456 for s in scores]
-            assert rank_from_scores(scores, b.relation) == rank_from_scores(shifted, b.relation)
-            expected.append(rank_from_scores(scores, b.relation))
+            assert oracle_rank(scores, b.relation) == oracle_rank(shifted, b.relation)
+            expected.append(oracle_rank(scores, b.relation))
         assert list(evaluate(t, pack(beliefs), "jrme").ranks) == expected
 
     def test_id_bounds_checked(self, rng):
         vocab = make_vocab(3, 2, 2)
         t = random_table(vocab, 3, rng)
-        with pytest.raises(IndexError):
-            evaluate(t, pack([Belief(3, 0, 0, ())]), "kre")
-        with pytest.raises(IndexError):
-            evaluate(t, pack([Belief(0, 2, 0, ())]), "kre")
+        # a negative id would index from the end of its table
+        for belief, variant in [
+            (Belief(3, 0, 0, ()), "kre"), (Belief(-1, 0, 0, ()), "kre"),
+            (Belief(0, 2, 0, ()), "kre"), (Belief(0, -1, 0, ()), "kre"),
+            (Belief(0, 0, 0, (-1,)), "tme"),
+        ]:
+            with pytest.raises(IndexError):
+                evaluate(t, pack([belief]), variant)
         with pytest.raises(IndexError):
             candidate_scores(t, 3, 0, (), "kre")
         with pytest.raises(IndexError):
             candidate_scores(t, 0, 0, (5,), "tme")
+
+    def test_nan_scores_rank_after_every_number(self, rng):
+        # every relation row nan, so every score is nan and ranks follow
+        # ids, as in the stable argsort and predict's top_k
+        t = random_table(make_vocab(5, 4, 3), 3, rng)
+        t.relation_vecs[:] = np.nan
+        beliefs = pack([Belief(0, 2, 1, (0,)), Belief(1, 0, 2, ()), Belief(3, 3, 4, (1, 2))])
+        for variant in ("kre", "tme", "jrme"):
+            assert evaluate(t, beliefs, variant) == EvalReport(8 / 3, 1.0, 1 / 3, (3, 1, 4))
 
 
 class TestEvaluate:
@@ -168,7 +172,7 @@ class TestEvaluate:
         t, beliefs = self._setup(rng)
         report = evaluate(t, pack(beliefs), "jrme")
         assert report.hit_at_1 <= report.hit_at_10
-        assert 1.0 <= report.avg_rank <= t.n_relations
+        assert 1.0 <= report.avg_rank <= len(t.relation_vecs)
         assert report.n_examples == len(beliefs)
 
     def test_rank_does_not_depend_on_block_position(self, rng):

@@ -27,7 +27,7 @@ from jrme.scoring import mention_distance, triple_distance
 from jrme.embeddings import VARIANTS
 from jrme.training import _sample_negative_rows, variant_flags
 from synth_data import make_vocab, random_table
-from test_evaluation import oracle_rank, rank_from_scores
+from test_evaluation import oracle_rank
 
 needs_c = pytest.mark.skipif(BACKEND != "c", reason="the C kernel did not build here")
 
@@ -207,10 +207,8 @@ class TestBandedRanking:
         for variant in VARIANTS:
             ranks = rank_all(table.entity_vecs, table.relation_vecs, table.word_vecs,
                              packed, *variant_flags(variant))
-            # the counted form of the sort oracle, since a nan score has no sort position
             expected = [
-                rank_from_scores(
-                    list(candidate_scores(table, b.head, b.tail, b.mention, variant)), b.relation)
+                oracle_rank(candidate_scores(table, b.head, b.tail, b.mention, variant), b.relation)
                 for b in beliefs
             ]
             np.testing.assert_array_equal(ranks, expected, err_msg=variant)

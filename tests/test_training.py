@@ -10,14 +10,13 @@ from jrme.data import Belief, Dataset, PackedBeliefs
 from jrme.embeddings import EmbeddingTable, ModelConfig, init_embeddings
 from jrme.errors import ConfigError, DataError, TrainingDivergedError
 from jrme.embeddings import VARIANTS
-from jrme.kernels import enum_negative_table
+from jrme.kernels import enum_negative_table, run_epoch
 from jrme.training import (
     _sample_negative_rows,
     example_gradients,
     example_loss,
     grid_configs,
     grid_search,
-    sgd_step,
     step_bound,
     train,
     variant_flags,
@@ -41,6 +40,21 @@ def tables_equal(a, b):
         and (a.relation_vecs == b.relation_vecs).all()
         and (a.word_vecs == b.word_vecs).all()
     )
+
+
+def sgd_step(table, belief, negatives, variant, config):
+    """One example's update against `negatives`, in place, through the epoch
+    kernel `train` runs; returns its loss.  All active terms are taken
+    against pre-step values and applied as one update, entities
+    renormalized afterwards when the config says so."""
+    loss, _, bad = run_epoch(
+        table.entity_vecs, table.relation_vecs, table.word_vecs,
+        PackedBeliefs.from_beliefs([belief]), np.zeros(1, dtype=np.int64),
+        negatives.reshape(1, -1), False, config.learning_rate,
+        variant_margin(variant, config), *variant_flags(variant), config.normalize_entities,
+    )
+    assert bad == -1
+    return loss
 
 
 class TestVariants:
