@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
-import hashlib
+import gc
 import json
 import os
 import sys
 from itertools import islice
-
-import numpy as np
 
 from .data import (
     PackedBeliefs, format_stats, load_dataset, parse_belief_file, read_lines, tokenize_mention,
@@ -26,8 +23,13 @@ from .embeddings import VARIANTS, ModelConfig, atomic_write, load_model, save_mo
 from .errors import ConfigError, DataError, TrainingDivergedError
 # candidate_scores stays importable here: the benchmark's tracer patches it by this name
 from .evaluation import candidate_scores, evaluate, format_report, write_ranks_tsv  # noqa: F401
-from .kernels import BACKEND, RANK_BLOCK, relation_scores, top_k
+from .kernels import RANK_BLOCK, top_relations
 from .training import grid_configs, grid_search, step_bound, train
+
+# The objects made by the imports above live until exit; frozen, they are
+# left out of every collection, the interpreter's final ones included,
+# which would otherwise walk all of them.
+gc.freeze()
 
 
 _DEFAULTS = ModelConfig()
@@ -60,6 +62,8 @@ def _config_from_args(args) -> ModelConfig:
 
 
 def _file_sha256(paths) -> str:
+    import hashlib  # OpenSSL: only train, which writes a manifest, loads it
+
     h = hashlib.sha256()
     for p in paths:
         if p is None:
@@ -73,6 +77,10 @@ def _file_sha256(paths) -> str:
 
 
 def _write_manifest(out_path, config, variant, inputs, outputs) -> None:
+    import datetime
+
+    from .kernels import BACKEND
+
     manifest = {
         "config": dataclasses.asdict(config),
         "variant": variant,
@@ -160,8 +168,8 @@ def cmd_grid(args) -> int:
 def cmd_predict(args) -> int:
     """Top-k relations per query line, scored one block of lines at a time.
 
-    Each block is one `relation_scores` call, whose rows have the bits of
-    a single-line call, and its output is one write, so ERROR lines keep
+    Each block is one `top_relations` call, whose rows have the bits of a
+    single-line call, and its output is one write, so ERROR lines keep
     their places and memory is bounded by the block.
     """
     if args.topk < 1:
@@ -190,21 +198,25 @@ def cmd_predict(args) -> int:
             offsets.append(len(words))
             heads.append(h)
             tails.append(t)
-            slots.append((len(out), line_no))
+            slots.append((len(out), str(line_no)))
             out.append(None)
         if slots:
-            # relation_scores reads no relations, so the block carries none
+            # top_relations reads no relations, so the block carries none
             queries = PackedBeliefs(heads, (), tails, offsets, words)
-            scores = relation_scores(
+            top_ids, top_scores = top_relations(
                 table.entity_vecs, table.relation_vecs, table.word_vecs, queries, *flags,
+                args.topk,
             )
-            top = top_k(scores, args.topk)
-            top_scores = np.take_along_axis(scores, top, axis=1).tolist()
-            for (slot, line_no), ids, values in zip(slots, top.tolist(), top_scores):
-                out[slot] = "".join(
-                    f"{line_no}\t{pos}\t{names[rid]}\t{value!r}\n"
-                    for pos, (rid, value) in enumerate(zip(ids, values), 1)
-                )
+            k = top_ids.shape[1]
+            # one "line, place, relation, score" row per (line, place), in output order
+            rows = list(map("\t".join, zip(
+                [line_no for _, line_no in slots for _ in range(k)],
+                [str(pos) for pos in range(1, k + 1)] * len(slots),
+                [names[rid] for rid in top_ids.ravel().tolist()],
+                map(repr, top_scores.ravel().tolist()),
+            )))
+            for i, (slot, _) in enumerate(slots):
+                out[slot] = "\n".join(rows[i * k : (i + 1) * k]) + "\n"
         sys.stdout.write("".join(out))
     return 0
 

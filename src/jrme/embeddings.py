@@ -239,8 +239,16 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
             raise FormatError(f"{path}: header {e}") from None
 
         def read_table(n_rows: int, what: str) -> np.ndarray:
-            raw = read_exact(n_rows * dim * 8, f"{what} table")
-            vecs = np.frombuffer(raw, dtype="<f8").reshape(n_rows, dim).astype(np.float64)
+            # checked against the bytes left before the array is allocated,
+            # then read straight into it
+            n, left = n_rows * dim * 8, size - f.tell()
+            if n > left:
+                raise FormatError(
+                    f"{path}: {what} table truncated: expected {n} bytes, got {left}")
+            vecs = np.empty((n_rows, dim), dtype="<f8")
+            if f.readinto(vecs) != n:
+                raise FormatError(f"{path}: {what} table shrank while it was read")
+            vecs = vecs.astype(np.float64, copy=False)
             # training never saves one, and nan would rank every relation first
             if not np.isfinite(vecs).all():
                 raise FormatError(f"{path}: {what} table holds a non-finite value")

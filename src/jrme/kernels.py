@@ -1,52 +1,52 @@
 """Hot numeric kernels: the SGD epoch in C with a numpy twin, and ranking.
 
-The epoch kernel lives in `_epoch.c`.  The first import compiles it with
-the system C compiler into a per-user cache and loads it with ctypes,
-which releases the GIL, so training shards run on real threads.  When
-there is no compiler, the build fails, or the cache cannot be written or
-is writable by other users, the vectorized numpy twin runs instead and
-one stderr line says so.
-`BACKEND` names the one in use, "c" or "numpy", and `run_epoch` is that
-kernel itself, chosen once at import.  The twin is also the reference
-the tests hold the C kernel to: the two may differ in the last float bits
+The epoch kernel lives in `_epoch.c`.  The first `run_epoch` call or
+`BACKEND` read, not the import, compiles it with the system C compiler
+into a per-user cache and loads it with ctypes, which releases the GIL,
+so training shards run on real threads; a command that only ranks never
+builds, hashes or loads it.  When there is no compiler, the build fails,
+or the cache cannot be written or is writable by other users, the
+vectorized numpy twin runs instead and one stderr line says so.
+`BACKEND` names the one in use, "c" or "numpy", chosen once, and
+`run_epoch` runs that kernel.  The twin is also the reference the tests
+hold the C kernel to: the two may differ in the last float bits
 (summation order), never in semantics.  Ranking, numpy on both backends,
 has one exact scorer (`relation_scores`) and one tie rule (`tie_ranks`)
-behind every score and rank.  `rank_all` orders each block
-by BLAS GEMM and rescores with the exact scorer only the beliefs with a
-candidate inside the GEMM error band of the true relation, so its ranks
-are the exact scorer's whatever the BLAS, its threads or the block.
+behind every score and rank.  `rank_all` and `top_relations` order each
+block by BLAS GEMM and rescore with the exact scorer only the candidates
+inside the GEMM error band (`_gemm_scores`) that can change the result,
+so their ranks and top k are the exact scorer's whatever the BLAS, its
+threads or the block.
 
 Every kernel takes the three tables as arrays and the beliefs as one
 `data.PackedBeliefs`, the form the parser writes, so no caller unpacks
-its id arrays; the class is importable from here too.  `_epoch_c`,
-`relation_scores` and `rank_all` check every id against its table
-(`_check_packed`) before they read a row, so an id outside it, negative
-ones included, raises IndexError; the numpy twin checks none.
+its id arrays; the class is importable from here too.  Both epoch
+kernels, `relation_scores`, `rank_all` and `top_relations` check every id
+against its table (`_check_packed`) before they read a row, so an id
+outside it, negative ones included, raises IndexError.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import sys
-import tempfile
-from pathlib import Path
+import threading
 
 import numpy as np
 
 from .data import PackedBeliefs  # noqa: F401  (importable from here, see above)
 
-_SOURCE = Path(__file__).with_name("_epoch.c")
+_SOURCE = os.path.join(os.path.dirname(__file__), "_epoch.c")
 # IEEE semantics on every host: no -march=native, no -ffast-math (which
 # would break isfinite), no fused multiply-add
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _PTR = ctypes.c_void_p
 
 
-def _cache_dir() -> Path:
+def _cache_dir() -> str:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return Path(base) / "jrme"
+    return os.path.join(base, "jrme")
 
 
 def _load_epoch_kernel():
@@ -56,16 +56,20 @@ def _load_epoch_kernel():
     and renamed into place, so concurrent first runs never load a
     half-written file.
     """
-    source = _SOURCE.read_bytes()
+    import hashlib  # OpenSSL: only a process that trains loads it
+
+    with open(_SOURCE, "rb") as f:
+        source = f.read()
     digest = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
     cache = _cache_dir()
-    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-    st = cache.stat()
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    st = os.stat(cache)
     if st.st_uid != os.getuid() or st.st_mode & 0o022:
         raise OSError(f"{cache} is writable by other users")
-    lib_path = cache / f"epoch-{digest}.so"
-    if not lib_path.exists():
-        import subprocess  # only a cache miss pays for it
+    lib_path = os.path.join(cache, f"epoch-{digest}.so")
+    if not os.path.exists(lib_path):
+        import subprocess  # only a cache miss pays for these
+        import tempfile
 
         fd, tmp = tempfile.mkstemp(prefix=".epoch-", suffix=".so", dir=cache)
         os.close(fd)
@@ -80,7 +84,7 @@ def _load_epoch_kernel():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    fn = ctypes.CDLL(str(lib_path)).jrme_epoch
+    fn = ctypes.CDLL(lib_path).jrme_epoch
     fn.argtypes = [
         _PTR, _PTR, _PTR, ctypes.c_int64,  # entity, relation, word, d
         _PTR, _PTR, _PTR, _PTR, _PTR,  # heads, rels, tails, moff, mflat
@@ -94,13 +98,35 @@ def _load_epoch_kernel():
     return fn
 
 
-try:
-    _jrme_epoch = _load_epoch_kernel()
-except OSError as e:
-    _jrme_epoch = None
-    print(f"jrme: C epoch kernel unavailable ({e}); using the numpy twin", file=sys.stderr)
+_backend_lock = threading.Lock()
+_jrme_epoch = None  # the loaded C function, once _backend() has chosen "c"
 
-BACKEND = "numpy" if _jrme_epoch is None else "c"
+
+def _backend() -> str:
+    """The epoch backend, "c" or "numpy", chosen on the first call.
+
+    The first call builds or loads the C kernel, or prints the one line
+    saying the numpy twin runs instead, and binds `BACKEND`.  The lock
+    makes concurrent first calls, such as the shards of a threaded
+    epoch, build it once.
+    """
+    global BACKEND, _jrme_epoch
+    with _backend_lock:
+        if "BACKEND" not in globals():
+            try:
+                _jrme_epoch = _load_epoch_kernel()
+            except OSError as e:
+                print(f"jrme: C epoch kernel unavailable ({e}); using the numpy twin",
+                      file=sys.stderr)
+            BACKEND = "numpy" if _jrme_epoch is None else "c"
+        return BACKEND
+
+
+def __getattr__(name):
+    # BACKEND is bound by its first read, so importing never builds the kernel
+    if name == "BACKEND":
+        return _backend()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def enum_negative_table(n_relations: int) -> np.ndarray:
@@ -122,14 +148,15 @@ def enum_negative_table(n_relations: int) -> np.ndarray:
 # bad_index: int); bad_index is the first example whose step produced a
 # non-finite value, -1 when clean.  The update rule is documented in
 # _epoch.c.  _epoch_numpy is its vectorized twin and _epoch_c guards the
-# pointers handed to it; run_epoch is bound at import to the one that
-# BACKEND names.
+# pointers handed to it; both check every id first (_check_epoch_ids),
+# and run_epoch runs the one that BACKEND names.
 
 
 def _epoch_numpy(
     entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
     use_kg, use_text, normalize,
 ):
+    _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_relation, use_text)
     heads, rels, tails = packed.heads, packed.relations, packed.tails
     moff, mflat = packed.mention_off, packed.mention_flat
     d = relation.shape[1]
@@ -215,6 +242,20 @@ def _check_packed(entity, relation, word, packed, use_text) -> None:
         _check_ids("word id", packed.mention_flat, word.shape[0])
 
 
+def _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_relation,
+                     use_text) -> None:
+    """IndexError unless every row an epoch reads exists: `_check_packed`,
+    each example index of `order`, and a negative table with a row per
+    relation (per example without neg_by_relation) of relation ids."""
+    n_rel = relation.shape[0]
+    rows = n_rel if neg_by_relation else order.shape[0]
+    if neg_table.shape[0] < rows:
+        raise IndexError(f"negative table has {neg_table.shape[0]} rows, needs {rows}")
+    _check_ids("example index", order, len(packed))
+    _check_ids("negative relation id", neg_table, n_rel)
+    _check_packed(entity, relation, word, packed, use_text)
+
+
 def _epoch_c(
     entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
     use_kg, use_text, normalize,
@@ -242,13 +283,7 @@ def _epoch_c(
     n = heads.shape[0]
     if rels.shape != (n,) or tails.shape != (n,) or moff.shape != (n + 1,):
         raise ValueError("heads, rels and tails need one entry per belief, moff one more")
-    n_rel = relation.shape[0]
-    rows = n_rel if neg_by_relation else order.shape[0]
-    if neg_table.shape[0] < rows:
-        raise IndexError(f"negative table has {neg_table.shape[0]} rows, needs {rows}")
-    _check_ids("example index", order, n)
-    _check_ids("negative relation id", neg_table, n_rel)
-    _check_packed(entity, relation, word, packed, use_text)
+    _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_relation, use_text)
 
     loss = ctypes.c_double()
     active = ctypes.c_int64()
@@ -266,7 +301,16 @@ def _epoch_c(
     return loss.value, active.value, bad
 
 
-run_epoch = _epoch_numpy if _jrme_epoch is None else _epoch_c
+def run_epoch(
+    entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
+    use_kg, use_text, normalize,
+):
+    """One epoch on the kernel `BACKEND` names; the first call chooses it."""
+    epoch = _epoch_c if _backend() == "c" else _epoch_numpy
+    return epoch(
+        entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
+        use_kg, use_text, normalize,
+    )
 
 
 # --- relation ranking -----------------------------------------------------
@@ -364,15 +408,13 @@ def top_k(scores, k):
     return ids[order][first[:, None] + np.arange(k)]
 
 
-def rank_all(entity, relation, word, packed, use_kg, use_text):
-    """Raw rank of the true relation for each belief, as an int64 array.
-
-    Equal, rank for rank, to `tie_ranks(relation_scores(...))`, but each
-    block is scored with BLAS: s~ = q @ relation.T (+ ||r'||^2 for the kg
-    variants), without the row constant c = ||h - t||^2, which moves every
-    candidate of a row alike.  A row's rank is read from s~ when no
-    candidate but the true one lies within the row's error band of it;
-    every other row is rescored with the exact scorer in one call.
+def _gemm_scores(q, c, relation, rel_sq, use_kg):
+    """(s~, band) for a block of queries: s~ = q @ relation.T by BLAS
+    (+ ||r'||^2 for the kg variants), without the row constant
+    c = ||h - t||^2, which moves every candidate of a row alike, and each
+    row's error band; two candidates whose s~ differ by more than the band
+    have exact scores in the same order and never tie.  The band is inf on
+    a row the exact scorer must score.
 
     The band.  Let P = ||q|| max||r'||, N = max||r'||^2 (0 for `tme`), c
     as above (0 for `tme`), d the dimension, u the unit roundoff and
@@ -382,48 +424,122 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
     and each later addition rounds by at most u times a result of size
     at most (1 + g)(P + c + N).  So the exact score E_r = fl(fl(fl(q.r')
     + c) + ||r'||^2) and s~_r + c are both within g(P + c + N) of the
-    real q.r' + c + ||r'||^2, and E_r - E_t is within 4g(P + c + N) of
-    s~_r - s~_t for any two candidates.  The band is twice that,
+    real q.r' + c + ||r'||^2, and E_r - E_s is within 4g(P + c + N) of
+    s~_r - s~_s for any two candidates.  The band is twice that,
     8g(P + c + N) + 8d eta: the factor 2 covers the rounding of the
-    computed norms and of the band test itself, and eta, the smallest
-    subnormal, the underflow of the d products.  Outside the band, s~
-    orders every candidate as E does and no E ties the true one's, so
-    the rank is 1 + #(s~ < s~_t).  A finite 2(P + c + N) means finite q
-    and r' and no overflow in either path, since every partial sum is at
-    most (1 + g)(P + c + N); rows where it is inf or nan go to the exact
-    scorer, and so do `tme` rows with an empty mention (q = 0), whose
-    candidates all tie.
+    computed norms and of the band tests themselves, and eta, the
+    smallest subnormal, the underflow of the d products.  A finite
+    2(P + c + N) means finite q and r' and no overflow in either path,
+    since every partial sum is at most (1 + g)(P + c + N); rows where it
+    is inf or nan get an inf band.
     The result depends neither on the BLAS nor on its threads or blocks.
+    """
+    d = relation.shape[1]
+    g = (d + 3) * _U / (1 - (d + 3) * _U)
+    r_max = np.sqrt(rel_sq.max()) if rel_sq.size else 0.0
+    n_max = rel_sq.max() if use_kg and rel_sq.size else 0.0
+    # overflow and inf - inf here only send rows to the exact scorer
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = q @ relation.T
+        if use_kg:
+            s += rel_sq
+        scale = np.sqrt(np.einsum("bd,bd->b", q, q)) * r_max + n_max
+        if c is not None:
+            scale += c
+        band = np.where(np.isfinite(2.0 * scale), 8.0 * g * scale + 8.0 * d * _ETA, np.inf)
+    return s, band
+
+
+def rank_all(entity, relation, word, packed, use_kg, use_text):
+    """Raw rank of the true relation for each belief, as an int64 array.
+
+    Equal, rank for rank, to `tie_ranks(relation_scores(...))`, but each
+    block is scored with BLAS (`_gemm_scores`).  A row's rank is read from
+    s~ when no candidate but the true one lies within the row's band of
+    it: s~ then orders every candidate as the exact score does and no
+    exact score ties the true one's, so the rank is 1 + #(s~ < s~_t).
+    Every other row is rescored with the exact scorer in one call: rows
+    with an inf band, and `tme` rows with an empty mention (q = 0), whose
+    candidates all tie.
     """
     _check_packed(entity, relation, word, packed, use_text)
     n = len(packed)
     d = relation.shape[1]
     ranks = np.empty(n, dtype=np.int64)
     rel_sq = np.einsum("rd,rd->r", relation, relation)
-    r_max = np.sqrt(rel_sq.max()) if rel_sq.size else 0.0
-    n_max = rel_sq.max() if use_kg and rel_sq.size else 0.0
-    g = (d + 3) * _U / (1 - (d + 3) * _U)
     add_sq = rel_sq if use_kg else None
     for lo in range(0, n, RANK_BLOCK):
         hi = min(lo + RANK_BLOCK, n)
         q, c = _queries(entity, word, packed, lo, hi, d, use_kg, use_text)
         true = packed.relations[lo:hi]
-        # overflow and inf - inf here only send rows to the exact scorer
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = q @ relation.T
-            if use_kg:
-                s += rel_sq
-            scale = np.sqrt(np.einsum("bd,bd->b", q, q)) * r_max + n_max
-            if c is not None:
-                scale += c
-            band = 8.0 * g * scale + 8.0 * d * _ETA
+        s, band = _gemm_scores(q, c, relation, rel_sq, use_kg)
+        with np.errstate(invalid="ignore"):
             s_true = s[np.arange(hi - lo), true]
             below = np.count_nonzero(s < (s_true - band)[:, None], axis=1)
             in_band = np.count_nonzero(s <= (s_true + band)[:, None], axis=1) - below
-            exact = (in_band > 1) | ~np.isfinite(2.0 * scale)
+        exact = (in_band > 1) | np.isinf(band)
         ranks[lo:hi] = 1 + below
         if exact.any():
             rows = np.flatnonzero(exact)
             rescored = _exact_scores(q[rows], None if c is None else c[rows], relation, add_sq)
             ranks[lo + rows] = tie_ranks(rescored, true[rows])
     return ranks
+
+
+def top_relations(entity, relation, word, packed, use_kg, use_text, k):
+    """(ids, scores) of the k best relations for each belief, two (n, k)
+    arrays for k <= R: `ids = top_k(scores, k)` and the entries of
+    `scores = relation_scores(...)` it names, bit for bit.
+
+    The block is scored with BLAS (`_gemm_scores`), and a row keeps only
+    the candidates with s~ <= (the row's k-th smallest s~) + band: any
+    other candidate has k candidates strictly better than it in exact
+    score, so it cannot be among the k first by (score, id).  The kept
+    candidates are rescored with the exact scorer's fixed-order sum on
+    gathered rows, which gives the bits of the full scorer, and ordered
+    by (score, id).  Rows with an inf band, and rows that keep more than
+    half the relations, such as `tme` rows with an empty mention, whose
+    candidates all tie, take the exact scorer and `top_k` whole.
+    """
+    _check_packed(entity, relation, word, packed, use_text)
+    n, (n_rel, d) = len(packed), relation.shape
+    k = min(k, n_rel)
+    ids = np.empty((n, k), dtype=np.int64)
+    scores = np.empty((n, k))
+    rel_sq = np.einsum("rd,rd->r", relation, relation)
+    add_sq = rel_sq if use_kg else None
+    q, c = _queries(entity, word, packed, 0, n, d, use_kg, use_text)
+    s, band = _gemm_scores(q, c, relation, rel_sq, use_kg)
+    with np.errstate(invalid="ignore"):
+        kth = np.partition(s, k - 1, axis=1)[:, k - 1]
+        keep = s <= (kth + band)[:, None]
+    counts = np.count_nonzero(keep, axis=1)
+    exact = np.isinf(band) | (2 * counts > n_rel)
+
+    rows = np.flatnonzero(exact)
+    if rows.size:
+        full = _exact_scores(q[rows], None if c is None else c[rows], relation, add_sq)
+        ids[rows] = top_k(full, k)
+        scores[rows] = np.take_along_axis(full, ids[rows], axis=1)
+
+    rows = np.flatnonzero(~exact)
+    width = int(counts[rows].max(initial=1))
+    # gather at most one relation table's worth of rows at a time
+    step = max(1, n_rel // width)
+    for lo in range(0, rows.size, step):
+        sub = rows[lo : lo + step]
+        # each row's kept ids, ascending, left-aligned; the rest of a row
+        # is padding that scores inf, after the >= k kept candidates
+        row, cand = np.nonzero(keep[sub])
+        first = np.cumsum(counts[sub]) - counts[sub]
+        gathered = np.zeros((sub.size, width), dtype=np.int64)
+        gathered[row, np.arange(row.size) - first[row]] = cand
+        part = np.einsum("nd,nkd->nk", q[sub], relation[gathered])
+        if c is not None:
+            part += c[sub][:, None]
+            part += rel_sq[gathered]
+        part[np.arange(width) >= counts[sub][:, None]] = np.inf
+        top = top_k(part, k)
+        ids[sub] = np.take_along_axis(gathered, top, axis=1)
+        scores[sub] = np.take_along_axis(part, top, axis=1)
+    return ids, scores

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
 
@@ -207,9 +207,15 @@ def train(
         neg_table = enum_negative_table(n_rel)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed & _SEED_MASK, spawn_key=(1,)))
     # contiguous shards of each epoch's order, one per thread; the calling
-    # thread runs the first, so a single thread starts no worker
+    # thread runs the first, so a single shard needs no pool
     bounds = np.linspace(0, n, n_threads + 1).astype(np.int64)
     shards = [(int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    if len(shards) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=len(shards) - 1)
+    else:
+        pool = nullcontext()
 
     def shard_args(lo, hi):
         return (
@@ -220,7 +226,7 @@ def train(
         )
 
     reports = []
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    with pool:
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             order = rng.permutation(n).astype(np.int64)

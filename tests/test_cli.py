@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,9 +15,9 @@ from jrme.cli import main
 from jrme.data import PackedBeliefs, Vocabulary, parse_belief_file
 from jrme.embeddings import ModelConfig, init_embeddings, load_model, save_model
 from jrme.evaluation import candidate_scores
-from jrme.kernels import RANK_BLOCK, relation_scores
+from jrme.kernels import RANK_BLOCK, top_relations
 from test_embeddings import edit_header
-from test_kernels import _child_env
+from test_kernels import _child_env, needs_c
 
 
 @pytest.fixture
@@ -471,11 +472,11 @@ class TestPredictBlocks:
         tied = {vocab.relations.names[i] for i in (1, 2, 4, 5)}
         block_rows = []
 
-        def counting_scores(entity, relation, word, packed, *rest):
+        def counting_scorer(entity, relation, word, packed, *rest):
             block_rows.append(len(packed))
-            return relation_scores(entity, relation, word, packed, *rest)
+            return top_relations(entity, relation, word, packed, *rest)
 
-        monkeypatch.setattr(jrme.cli, "relation_scores", counting_scores)
+        monkeypatch.setattr(jrme.cli, "top_relations", counting_scorer)
         for topk in (3, len(table.relation_vecs) + 3):
             code, out, _ = run(capsys, "predict", "--model", model, "--input", queries,
                                "--topk", topk)
@@ -702,3 +703,53 @@ def test_benchmark_tracer_still_finds_every_entry_point(corpus, monkeypatch):
     assert metrics["kernels.pack_s"] == 0
     assert tracer.nested_ok()
     assert all(vars(o)[a] is original for (o, a), original in zip(owners, before))
+
+
+class TestStartup:
+    """A command pays only for what it runs: the reading commands never
+    build, hash or load the epoch kernel, and leave out the modules only
+    training needs; `train` builds the kernel on first use."""
+
+    TRAINING_ONLY = ("_hashlib", "tempfile", "concurrent.futures")
+
+    def _child(self, tmp_path, commands):
+        """Run each argv through `jrme.cli.main` in one fresh interpreter,
+        with a fresh cache and without site, whose start-up hooks may
+        import anything.  Returns the exit codes, the `BACKEND` the
+        kernels module has bound (None before the first read) and which of
+        TRAINING_ONLY are imported."""
+        script = (
+            "import sys, jrme.cli\n"
+            f"codes = [jrme.cli.main(argv) for argv in {commands!r}]\n"
+            "backend = vars(sys.modules['jrme.kernels']).get('BACKEND')\n"
+            f"print(codes, backend, [m for m in {self.TRAINING_ONLY!r} if m in sys.modules])\n"
+        )
+        env = _child_env(XDG_CACHE_HOME=str(tmp_path / "cache"))
+        env["PYTHONPATH"] += os.pathsep + str(Path(np.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                             text=True, check=True, env=env)
+        return out.stdout.splitlines()[-1]
+
+    def test_reading_commands_load_no_training_code(self, corpus, capsys, tmp_path):
+        tmp, train, test = corpus
+        model = tmp / "model.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--dim", 4,
+                   "--epochs", 1)[0] == 0
+        queries = tmp / "queries.tsv"
+        queries.write_text("e1\te2\tsig1\ne3\te4\t\n")
+        commands = [
+            ["eval", "--model", str(model), "--test", str(test)],
+            ["predict", "--model", str(model), "--input", str(queries)],
+            ["stats", "--train", str(train), "--test", str(test)],
+        ]
+        assert self._child(tmp_path, commands) == "[0, 0, 0] None []"
+        assert not (tmp_path / "cache" / "jrme").exists()
+
+    @needs_c
+    def test_train_builds_the_kernel(self, corpus, tmp_path):
+        tmp, train, _ = corpus
+        argv = ["train", "--train", str(train), "--out", str(tmp / "model.bin"),
+                "--dim", "4", "--epochs", "1"]
+        assert self._child(tmp_path, [argv]).startswith("[0] c ")
+        (lib,) = (tmp_path / "cache" / "jrme").iterdir()
+        assert lib.name.startswith("epoch-") and lib.suffix == ".so"

@@ -2,6 +2,8 @@ import copy
 import os
 import subprocess
 import sys
+import threading
+import time
 from itertools import product
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from jrme.kernels import (
     relation_scores,
     run_epoch,
     top_k,
+    top_relations,
 )
 from jrme.scoring import mention_distance, triple_distance
 from jrme.embeddings import VARIANTS
@@ -258,6 +261,73 @@ class TestBandedRanking:
             self._assert_exact(table, packed, beliefs)
 
 
+class TestBandedTopK:
+    """top_relations rescores exactly only the candidates the GEMM band
+    cannot rule out; on inputs built to sit inside or break the band its
+    ids and scores must equal `top_k` of the exact scores, bit for bit,
+    for every variant and k."""
+
+    def _case(self, rng, n, n_rel, d, mention=True):
+        table = random_table(make_vocab(30, n_rel, 20), d, rng)
+        packed, _ = random_packed(rng, n, 30, n_rel, 20, max_mention=4 if mention else 0)
+        return table, packed
+
+    def _assert_exact(self, table, packed):
+        tables = (table.entity_vecs, table.relation_vecs, table.word_vecs)
+        n_rel = table.relation_vecs.shape[0]
+        for variant in VARIANTS:
+            flags = variant_flags(variant)
+            scores = relation_scores(*tables, packed, *flags)
+            for k in (1, 3, 10, n_rel, n_rel + 5):
+                ids, values = top_relations(*tables, packed, *flags, k)
+                expected = top_k(scores, k)
+                np.testing.assert_array_equal(ids, expected, err_msg=f"{variant} k={k}")
+                want = np.take_along_axis(scores, expected, axis=1)
+                assert values.tobytes() == want.tobytes(), (variant, k)
+
+    @pytest.mark.parametrize("d", [1, 7, 100, 101])
+    def test_random_tables(self, rng, d):
+        table, packed = self._case(rng, RANK_BLOCK + 9, 60, d)
+        self._assert_exact(table, packed)
+
+    @pytest.mark.parametrize("d", [1, 7, 100, 101])
+    def test_duplicate_and_one_ulp_apart_rows(self, rng, d):
+        table, packed = self._case(rng, 70, 60, d)
+        rel = table.relation_vecs
+        rel[3::3] = rel[0]  # 20 equal rows, tied in every score
+        for i in range(1, 60, 6):
+            rel[i] = rel[0]
+            rel[i, i % d] = np.nextafter(rel[i, i % d], np.inf if i % 4 == 1 else -np.inf)
+        self._assert_exact(table, packed)
+
+    def test_tme_empty_mentions(self, rng):
+        table, packed = self._case(rng, 50, 40, 100, mention=False)
+        assert packed.mention_flat.size == 0
+        ids, _ = top_relations(table.entity_vecs, table.relation_vecs, table.word_vecs,
+                               packed, False, True, 5)
+        np.testing.assert_array_equal(ids, np.broadcast_to(np.arange(5), (50, 5)))
+        self._assert_exact(table, packed)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_rows(self, rng):
+        for kind, value in product(("entity", "relation", "word"), (np.inf, np.nan)):
+            table, packed = self._case(rng, 60, 40, 100)
+            vecs = getattr(table, f"{kind}_vecs")
+            vecs[3, 7] = value
+            vecs[5, 0] = -value
+            self._assert_exact(table, packed)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_row_norms_near_overflow(self, rng):
+        # 1e150 keeps every score finite; 1e155 overflows q.r'
+        for scale in (1e150, 1e155):
+            table, packed = self._case(rng, 70, 50, 100)
+            for t in (table.entity_vecs, table.relation_vecs, table.word_vecs):
+                t *= scale / np.linalg.norm(t, axis=1, keepdims=True)
+            table.relation_vecs[10] = table.relation_vecs[20]
+            self._assert_exact(table, packed)
+
+
 class TestTopK:
     def test_equals_the_stable_argsort_prefix(self, rng):
         # ties, signed zeros, infinities and nan, in every k
@@ -291,12 +361,18 @@ def _child(code, env):
 
 
 class TestDispatch:
-    def test_backend_constant_is_consistent(self):
-        from jrme.kernels import _jrme_epoch
+    def test_backend_constant_is_consistent(self, rng, monkeypatch):
+        import jrme.kernels as kernels
 
-        assert BACKEND == ("numpy" if _jrme_epoch is None else "c")
+        assert BACKEND == ("numpy" if kernels._jrme_epoch is None else "c")
         assert jrme.BACKEND == BACKEND
-        assert run_epoch is (_epoch_c if BACKEND == "c" else _epoch_numpy)
+        ran = []
+        for name in ("_epoch_c", "_epoch_numpy"):
+            monkeypatch.setattr(kernels, name, lambda *args, name=name: ran.append(name))
+        table, packed, order, negs = _epoch_args(rng, n=5)
+        run_epoch(table.entity_vecs, table.relation_vecs, table.word_vecs,
+                  packed, order, negs, True, 0.01, 1.0, True, True, True)
+        assert ran == ["_epoch_c" if BACKEND == "c" else "_epoch_numpy"]
 
     def test_run_epoch_and_rank_all_wrappers(self, rng):
         table, packed, order, negs = _epoch_args(rng, n=10)
@@ -329,6 +405,43 @@ class TestDispatch:
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "model.bin").exists()
 
+    def test_concurrent_first_use_builds_once(self, monkeypatch):
+        # more threads than cores reach an unresolved backend at once; the
+        # lock must let exactly one of them build the kernel
+        import jrme.kernels as kernels
+
+        monkeypatch.delattr(kernels, "BACKEND")
+        monkeypatch.setattr(kernels, "_jrme_epoch", None)
+        builds = []
+
+        def slow_build():
+            builds.append(1)
+            time.sleep(0.02)
+            return object()
+
+        monkeypatch.setattr(kernels, "_load_epoch_kernel", slow_build)
+        n = 4 * (os.cpu_count() or 1)
+        start = threading.Barrier(n)
+        seen = []
+
+        def first_use():
+            start.wait(timeout=10)
+            seen.append(kernels.BACKEND)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_use) for _ in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        assert seen == ["c"] * n
+
     @needs_c
     def test_second_import_reuses_the_cached_library(self, tmp_path):
         env = _child_env(XDG_CACHE_HOME=str(tmp_path))
@@ -344,10 +457,11 @@ class TestDispatch:
 
 
 class TestPointerGuards:
-    """Bad input to the C wrapper raises before any row is written."""
+    """Bad input to an epoch kernel raises before any row is written: ids
+    on both kernels, layout and dtype on the C wrapper."""
 
-    def _call(self, table, packed, order, negs, neg_by_relation=True):
-        return _epoch_c(
+    def _call(self, table, packed, order, negs, neg_by_relation=True, epoch=_epoch_c):
+        return epoch(
             table.entity_vecs, table.relation_vecs, table.word_vecs,
             packed, order, negs, neg_by_relation, 0.01, 1.0, True, True, True,
         )
@@ -357,19 +471,23 @@ class TestPointerGuards:
         ("mention_off", 10_000), ("order", 40), ("negs", 7),
     ])
     def test_out_of_range_index_raises(self, rng, field, value):
-        table, packed, order, negs = _epoch_args(rng)
-        target = order if field == "order" else negs if field == "negs" else getattr(packed, field)
-        target[-1] = value
-        before = copy.deepcopy(table)
-        with pytest.raises(IndexError):
-            self._call(table, packed, order, negs)
-        np.testing.assert_array_equal(table.relation_vecs, before.relation_vecs)
-        np.testing.assert_array_equal(table.entity_vecs, before.entity_vecs)
+        for epoch in (_epoch_c, _epoch_numpy):
+            table, packed, order, negs = _epoch_args(rng)
+            target = (order if field == "order" else negs if field == "negs"
+                      else getattr(packed, field))
+            target[-1] = value
+            before = copy.deepcopy(table)
+            with pytest.raises(IndexError):
+                self._call(table, packed, order, negs, epoch=epoch)
+            np.testing.assert_array_equal(table.relation_vecs, before.relation_vecs)
+            np.testing.assert_array_equal(table.entity_vecs, before.entity_vecs)
+            np.testing.assert_array_equal(table.word_vecs, before.word_vecs)
 
     def test_short_negative_table_raises(self, rng):
-        table, packed, order, negs = _epoch_args(rng)
-        with pytest.raises(IndexError):
-            self._call(table, packed, order, negs[:3], neg_by_relation=False)
+        for epoch in (_epoch_c, _epoch_numpy):
+            table, packed, order, negs = _epoch_args(rng)
+            with pytest.raises(IndexError):
+                self._call(table, packed, order, negs[:3], neg_by_relation=False, epoch=epoch)
 
     def test_bad_table_layout_or_dtype_raises(self, rng):
         table, packed, order, negs = _epoch_args(rng)
