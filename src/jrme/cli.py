@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error
 (unreadable or malformed files, empty effective splits), 3 numeric
 abort during training, 141 stdout closed by its reader (as a filter
 stopped by SIGPIPE reports it, with nothing on stderr).
+
+Importing this module loads only the standard library and the numpy-free
+`config`, `data` and `errors`.  Only `stats` runs without the numeric
+engine: every other command first calls `_bind_engine`, which imports
+it and binds its entry points as this module's globals.
 """
 
 from __future__ import annotations
@@ -14,22 +19,55 @@ import gc
 import json
 import os
 import sys
+from importlib import import_module
 from itertools import islice
 
+from .config import VARIANTS, ModelConfig, variant_flags
 from .data import (
-    PackedBeliefs, format_stats, load_dataset, parse_belief_file, read_lines, tokenize_mention,
+    PackedBeliefs, count_beliefs, format_stats, load_dataset, parse_belief_file, read_lines,
+    tokenize_mention,
 )
-from .embeddings import VARIANTS, ModelConfig, atomic_write, load_model, save_model, variant_flags
 from .errors import ConfigError, DataError, TrainingDivergedError
-# candidate_scores stays importable here: the benchmark's tracer patches it by this name
-from .evaluation import candidate_scores, evaluate, format_report, write_ranks_tsv  # noqa: F401
-from .kernels import RANK_BLOCK, top_relations
-from .training import grid_configs, grid_search, step_bound, train
 
-# The objects made by the imports above live until exit; frozen, they are
-# left out of every collection, the interpreter's final ones included,
-# which would otherwise walk all of them.
-gc.freeze()
+# The engine's entry points, by module, that `_bind_engine` binds here.
+# candidate_scores is bound only for the benchmark's tracer, which
+# patches it by this name.
+_ENGINE = {
+    "embeddings": ("atomic_write", "load_model", "save_model"),
+    "evaluation": ("candidate_scores", "evaluate", "format_report", "write_ranks_tsv"),
+    "kernels": ("RANK_BLOCK", "top_relations"),
+    "training": ("grid_configs", "grid_search", "step_bound", "train"),
+}
+_engine_bound = False
+
+
+def _bind_engine() -> None:
+    """Import the numeric engine and bind the names in `_ENGINE` as this
+    module's globals, once.  A name already bound, say a function a
+    tracer or a test put here, is left as it is, so commands call it."""
+    global _engine_bound
+    if _engine_bound:
+        return
+    g = globals()
+    for module, names in _ENGINE.items():
+        engine = import_module(f".{module}", __package__)
+        for name in names:
+            g.setdefault(name, getattr(engine, name))
+    _engine_bound = True
+    # The objects made by the imports above live until exit; frozen, they
+    # are left out of every collection, the interpreter's final ones
+    # included, which would otherwise walk all of them.
+    gc.freeze()
+
+
+def __getattr__(name):
+    # an engine name read before any command ran, e.g. by a tracer that
+    # swaps it, binds the engine first
+    if any(name in names for names in _ENGINE.values()):
+        _bind_engine()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _DEFAULTS = ModelConfig()
@@ -112,6 +150,7 @@ def _warn_step_bound(config, n_relations: int) -> None:
 
 
 def cmd_train(args) -> int:
+    _bind_engine()
     config = _config_from_args(args)
     threads = _resolve_threads(args)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
@@ -131,6 +170,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _bind_engine()
     table, vocab, _, stored_variant = load_model(args.model)
     variant = args.variant or stored_variant
     result = parse_belief_file(args.test, vocab, mode="frozen")
@@ -145,6 +185,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    _bind_engine()
     base = _config_from_args(args)
     threads = _resolve_threads(args)
     configs = grid_configs(base, args.dims, args.alphas, args.betas, args.gammas)
@@ -172,6 +213,7 @@ def cmd_predict(args) -> int:
     single-line call, and its output is one write, so ERROR lines keep
     their places and memory is bounded by the block.
     """
+    _bind_engine()
     if args.topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
     table, vocab, _, variant = load_model(args.model)
@@ -222,9 +264,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    dataset, vocab, rejected = load_dataset(args.train, args.valid, args.test)
+    counts, vocab, rejected = count_beliefs(args.train, args.valid, args.test)
     _report_rejections(rejected, sys.stderr)
-    print(format_stats(dataset, vocab))
+    print(format_stats(vocab, counts))
     return 0
 
 

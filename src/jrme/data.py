@@ -11,8 +11,11 @@ first line.  Example line::
 
     caroline\tcitylocatedinstate\tmaryland\tCounty and State of
 
-The parser writes each split straight into a `PackedBeliefs`, the int64
-id arrays that training, evaluation and grid search read.  `Belief`, one
+Reading a split takes two steps.  One line loop (`_parse_ids`) turns a
+file into id lists plus the count of rejected lines.  `parse_belief_file`
+then packs those lists into a `PackedBeliefs`, the int64 id arrays that
+training, evaluation and grid search read; `count_beliefs`, what `jrme
+stats` runs, only counts them, so it never imports numpy.  `Belief`, one
 example as a frozen tuple of ids, is the form of the reference scorers
 and of tests; `PackedBeliefs.from_beliefs` and indexing convert between
 the two.  Nothing writes a belief back as text.
@@ -21,8 +24,7 @@ the two.  Nothing writes a belief back as text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -90,13 +92,16 @@ class PackedBeliefs:
     Mentions are ragged, so they live in one flat array indexed by
     per-belief offsets: belief i's words are
     mention_flat[mention_off[i]:mention_off[i + 1]].  The constructor
-    converts id lists (or arrays) to int64 arrays; with no arguments it
-    holds no beliefs.
+    converts id lists (or arrays) to int64 arrays, importing numpy, which
+    nothing else in this module needs; with no arguments it holds no
+    beliefs.
     """
 
     __slots__ = ("heads", "relations", "tails", "mention_off", "mention_flat")
 
     def __init__(self, heads=(), relations=(), tails=(), mention_off=(0,), mention_flat=()):
+        import numpy as np
+
         self.heads = np.asarray(heads, dtype=np.int64)
         self.relations = np.asarray(relations, dtype=np.int64)
         self.tails = np.asarray(tails, dtype=np.int64)
@@ -134,8 +139,7 @@ class Dataset:
     test: PackedBeliefs = field(default_factory=PackedBeliefs)
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     beliefs: PackedBeliefs
     rejected: int = 0
 
@@ -166,16 +170,10 @@ def read_lines(path):
         raise DataError(f"{path}: not valid UTF-8 ({e.reason})") from None
 
 
-def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResult:
-    """Read a belief file into packed id-space beliefs.
-
-    mode="build" registers unseen entities, relations and words.
-    mode="frozen" rejects lines whose head, relation or tail is unknown
-    (counted in the result) and silently drops unknown mention words.
-
-    Raises ParseError for lines that do not have exactly 4 columns,
-    DataError if the file is not UTF-8, and OSError if it cannot be read.
-    """
+def _parse_ids(path, vocab: Vocabulary, mode: str) -> tuple[tuple[list[int], ...], int]:
+    """The line loop behind `parse_belief_file` and `count_beliefs`:
+    ((heads, relations, tails, mention_off, mention_flat) as id lists,
+    rejected line count); arguments and errors as `parse_belief_file`."""
     if mode not in ("build", "frozen"):
         raise ConfigError(f"unknown parse mode: {mode!r}")
     build = mode == "build"
@@ -198,39 +196,66 @@ def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResu
         tails.append(t)
         words.extend(w for w in map(word, tokenize_mention(mention_s)) if w is not None)
         off.append(len(words))
-    return ParseResult(PackedBeliefs(heads, relations, tails, off, words), rejected)
+    return (heads, relations, tails, off, words), rejected
 
 
-def load_dataset(train_path, valid_path=None, test_path=None):
-    """Load train/valid/test belief files.
+def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResult:
+    """Read a belief file into packed id-space beliefs.
+
+    mode="build" registers unseen entities, relations and words.
+    mode="frozen" rejects lines whose head, relation or tail is unknown
+    (counted in the result) and silently drops unknown mention words.
+
+    Raises ParseError for lines that do not have exactly 4 columns,
+    DataError if the file is not UTF-8, and OSError if it cannot be read.
+    """
+    ids, rejected = _parse_ids(path, vocab, mode)
+    return ParseResult(PackedBeliefs(*ids), rejected)
+
+
+def _read_splits(parse, train_path, valid_path, test_path):
+    """({split: parse's result}, vocabulary) for the splits given.
 
     The vocabulary is built from the training file; validation and test
     files are parsed with the vocabulary frozen, so lines referencing
     unknown entities or relations are dropped and counted.
-
-    Returns (Dataset, Vocabulary, rejected) where rejected maps split
-    name to the number of rejected lines.
     """
     vocab = Vocabulary()
-    train = parse_belief_file(train_path, vocab, "build")
-    rejected = {"train": train.rejected}
-    valid = test = ParseResult(PackedBeliefs())
-    if valid_path is not None:
-        valid = parse_belief_file(valid_path, vocab, "frozen")
-        rejected["valid"] = valid.rejected
-    if test_path is not None:
-        test = parse_belief_file(test_path, vocab, "frozen")
-        rejected["test"] = test.rejected
-    return Dataset(train.beliefs, valid.beliefs, test.beliefs), vocab, rejected
+    parsed = {"train": parse(train_path, vocab, "build")}
+    for split, path in (("valid", valid_path), ("test", test_path)):
+        if path is not None:
+            parsed[split] = parse(path, vocab, "frozen")
+    return parsed, vocab
 
 
-def format_stats(ds: Dataset, vocab: Vocabulary) -> str:
+def load_dataset(train_path, valid_path=None, test_path=None):
+    """Load train/valid/test belief files (see `_read_splits`).
+
+    Returns (Dataset, Vocabulary, rejected) where rejected maps split
+    name to the number of rejected lines; a split with no file is empty.
+    """
+    parsed, vocab = _read_splits(parse_belief_file, train_path, valid_path, test_path)
+    dataset = Dataset(**{split: beliefs for split, (beliefs, _) in parsed.items()})
+    return dataset, vocab, {split: rejected for split, (_, rejected) in parsed.items()}
+
+
+def count_beliefs(train_path, valid_path=None, test_path=None):
+    """`load_dataset` without the arrays: (beliefs per split, Vocabulary,
+    rejected), each dict keyed by the splits given."""
+    parsed, vocab = _read_splits(_parse_ids, train_path, valid_path, test_path)
+    counts = {split: len(ids[0]) for split, (ids, _) in parsed.items()}
+    return counts, vocab, {split: rejected for split, (_, rejected) in parsed.items()}
+
+
+def format_stats(vocab: Vocabulary, counts: dict[str, int]) -> str:
+    """The `jrme stats` table: vocabulary sizes, then the beliefs per
+    split as `count_beliefs` counts them (a split it lacks counts 0)."""
     rows = [
         ("#(ENTITIES)", len(vocab.entities)),
         ("#(RELATIONS)", len(vocab.relations)),
-        ("#(TRAINING EX.)", len(ds.train)),
-        ("#(VALIDATING EX.)", len(ds.valid)),
-        ("#(TESTING EX.)", len(ds.test)),
+        ("#(TRAINING EX.)", counts.get("train", 0)),
+        ("#(VALIDATING EX.)", counts.get("valid", 0)),
+        ("#(TESTING EX.)", counts.get("test", 0)),
     ]
     width = max(len(label) for label, _ in rows)
     return "\n".join(f"{label:<{width}}  {count:>10,}" for label, count in rows)

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import variant_flags
 from .data import PackedBeliefs
-from .embeddings import EmbeddingTable, atomic_write, variant_flags
+from .embeddings import EmbeddingTable, atomic_write
 from .errors import DataError
 from .kernels import rank_all, relation_scores
 

@@ -458,9 +458,11 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
     s~ when no candidate but the true one lies within the row's band of
     it: s~ then orders every candidate as the exact score does and no
     exact score ties the true one's, so the rank is 1 + #(s~ < s~_t).
-    Every other row is rescored with the exact scorer in one call: rows
-    with an inf band, and `tme` rows with an empty mention (q = 0), whose
-    candidates all tie.
+    A `tme` row with q = 0 (an empty mention) and a finite band, which
+    needs finite relation rows, scores every candidate +-0 exactly: all
+    tie, so its rank is 1 + the true id, with no rescoring.  Every other row is rescored with
+    the exact scorer in one call: rows with an inf band, and rows where a
+    candidate besides the true one lies within the band.
     """
     _check_packed(entity, relation, word, packed, use_text)
     n = len(packed)
@@ -477,8 +479,10 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
             s_true = s[np.arange(hi - lo), true]
             below = np.count_nonzero(s < (s_true - band)[:, None], axis=1)
             in_band = np.count_nonzero(s <= (s_true + band)[:, None], axis=1) - below
-        exact = (in_band > 1) | np.isinf(band)
-        ranks[lo:hi] = 1 + below
+        finite = ~np.isinf(band)
+        tied = finite & ~q.any(axis=1) & (not use_kg)
+        exact = ((in_band > 1) | ~finite) & ~tied
+        ranks[lo:hi] = np.where(tied, 1 + true, 1 + below)
         if exact.any():
             rows = np.flatnonzero(exact)
             rescored = _exact_scores(q[rows], None if c is None else c[rows], relation, add_sq)

@@ -23,11 +23,9 @@ from itertools import product
 
 import numpy as np
 
+from .config import _SEED_MASK, ModelConfig, parse_neg_mode, variant_flags, variant_margin
 from .data import Dataset, Vocabulary
-from .embeddings import (
-    _SEED_MASK, EmbeddingTable, ModelConfig, init_embeddings, parse_neg_mode, variant_flags,
-    variant_margin,
-)
+from .embeddings import EmbeddingTable, init_embeddings
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .kernels import enum_negative_table, run_epoch
 from .scoring import mention_distance, mention_vector, triple_distance

@@ -1,8 +1,9 @@
 """Finite-difference machinery shared by the gradient tests."""
 
+from jrme.config import variant_flags
 from jrme.data import Belief
 from jrme.kernels import enum_negative_table
-from jrme.training import _hinge_terms, variant_flags
+from jrme.training import _hinge_terms
 
 
 def finite_difference(loss_fn, arr, idx, coord, eps=1e-6):

@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
+from jrme.config import VARIANTS, ModelConfig
 from jrme.data import Belief, PackedBeliefs
-from jrme.embeddings import ModelConfig, load_model, save_model
+from jrme.embeddings import load_model, save_model
 from jrme.evaluation import evaluate, summarize_ranks
-from jrme.embeddings import VARIANTS
 from jrme.kernels import enum_negative_table
 from jrme.training import example_gradients, example_loss, train
 

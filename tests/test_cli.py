@@ -12,8 +12,9 @@ import pytest
 
 import jrme.cli
 from jrme.cli import main
+from jrme.config import ModelConfig
 from jrme.data import PackedBeliefs, Vocabulary, parse_belief_file
-from jrme.embeddings import ModelConfig, init_embeddings, load_model, save_model
+from jrme.embeddings import init_embeddings, load_model, save_model
 from jrme.evaluation import candidate_scores
 from jrme.kernels import RANK_BLOCK, top_relations
 from test_embeddings import edit_header
@@ -689,6 +690,9 @@ def test_benchmark_tracer_still_finds_every_entry_point(corpus, monkeypatch):
     import spans
 
     owners = [(o, a) for _, _, pairs in spans._entry_points() for o, a in pairs]
+    # jrme.cli binds its engine names on their first read, as the tracer reads them
+    for o, a in owners:
+        getattr(o, a)
     before = [vars(o)[a] for o, a in owners]
     tmp, train, test = corpus
     model = tmp / "m.bin"
@@ -706,29 +710,65 @@ def test_benchmark_tracer_still_finds_every_entry_point(corpus, monkeypatch):
 
 
 class TestStartup:
-    """A command pays only for what it runs: the reading commands never
-    build, hash or load the epoch kernel, and leave out the modules only
-    training needs; `train` builds the kernel on first use."""
+    """A command pays only for what it runs: `stats` loads no numeric
+    engine, the reading commands never build, hash or load the epoch
+    kernel, and leave out the modules only training needs; `train` builds
+    the kernel on first use."""
 
     TRAINING_ONLY = ("_hashlib", "tempfile", "concurrent.futures")
+    ENGINE = ("numpy", "jrme.embeddings", "jrme.kernels", "jrme.training", "jrme.evaluation")
 
-    def _child(self, tmp_path, commands):
-        """Run each argv through `jrme.cli.main` in one fresh interpreter,
-        with a fresh cache and without site, whose start-up hooks may
-        import anything.  Returns the exit codes, the `BACKEND` the
-        kernels module has bound (None before the first read) and which of
-        TRAINING_ONLY are imported."""
-        script = (
-            "import sys, jrme.cli\n"
-            f"codes = [jrme.cli.main(argv) for argv in {commands!r}]\n"
-            "backend = vars(sys.modules['jrme.kernels']).get('BACKEND')\n"
-            f"print(codes, backend, [m for m in {self.TRAINING_ONLY!r} if m in sys.modules])\n"
-        )
+    def _run_script(self, tmp_path, script):
+        """The last stdout line of `script` in a fresh interpreter, with a
+        fresh cache and without site, whose start-up hooks may import
+        anything."""
         env = _child_env(XDG_CACHE_HOME=str(tmp_path / "cache"))
         env["PYTHONPATH"] += os.pathsep + str(Path(np.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                              text=True, check=True, env=env)
         return out.stdout.splitlines()[-1]
+
+    def _child(self, tmp_path, commands, modules=TRAINING_ONLY):
+        """Run each argv through `jrme.cli.main` in one fresh interpreter.
+        Returns the exit codes, the `BACKEND` the kernels module has bound
+        (None before the first read or without the module) and which of
+        `modules` are imported."""
+        return self._run_script(tmp_path, (
+            "import sys, jrme.cli\n"
+            f"codes = [jrme.cli.main(argv) for argv in {commands!r}]\n"
+            "backend = vars(sys.modules.get('jrme.kernels', sys)).get('BACKEND')\n"
+            f"print(codes, backend, [m for m in {modules!r} if m in sys.modules])\n"
+        ))
+
+    def test_stats_loads_no_engine(self, corpus, tmp_path):
+        _, train, test = corpus
+        argv = ["stats", "--train", str(train), "--valid", str(test), "--test", str(test)]
+        assert self._child(tmp_path, [argv], self.ENGINE) == "[0] None []"
+
+    def test_engine_names_bind_on_first_read_and_keep_a_replacement(self, corpus, capsys,
+                                                                      tmp_path):
+        """Before any command, reading an engine name from `jrme.cli`
+        gives the engine's function; a function put on `jrme.cli` before
+        the engine is bound is the one the command calls."""
+        tmp, train, test = corpus
+        model = tmp / "model.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--dim", 4,
+                   "--epochs", 1)[0] == 0
+        script = (
+            "import sys, jrme.cli\n"
+            "calls = []\n"
+            "def load_model(path):\n"
+            "    calls.append(path)\n"
+            "    return sys.modules['jrme.embeddings'].load_model(path)\n"
+            "jrme.cli.load_model = load_model\n"
+            "unbound = 'numpy' not in sys.modules and 'train' not in vars(jrme.cli)\n"
+            "train = jrme.cli.train\n"
+            "import jrme.training\n"
+            "same = train is jrme.training.train and jrme.cli.load_model is load_model\n"
+            f"code = jrme.cli.main(['eval', '--model', {str(model)!r}, '--test', {str(test)!r}])\n"
+            f"print(unbound, same, code, calls == [{str(model)!r}])\n"
+        )
+        assert self._run_script(tmp_path, script) == "True True 0 True"
 
     def test_reading_commands_load_no_training_code(self, corpus, capsys, tmp_path):
         tmp, train, test = corpus

@@ -4,10 +4,10 @@ import numpy as np
 
 from jrme.data import (
     Belief,
-    Dataset,
     IdMap,
     PackedBeliefs,
     Vocabulary,
+    count_beliefs,
     format_stats,
     load_dataset,
     parse_belief_file,
@@ -224,8 +224,15 @@ class TestLoadDataset:
         )
         assert (len(ds.train), len(ds.valid), len(ds.test)) == (2, 1, 1)
         assert rejected == {"train": 0, "valid": 0, "test": 1}
-        counts = [line.split()[-1] for line in format_stats(ds, vocab).splitlines()]
-        assert counts == ["3", "2", "2", "1", "1"]
+        counts, stats_vocab, stats_rejected = count_beliefs(
+            tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv"
+        )
+        assert counts == {"train": len(ds.train), "valid": len(ds.valid), "test": len(ds.test)}
+        assert stats_rejected == rejected
+        for kind in ("entities", "relations", "words"):
+            assert getattr(stats_vocab, kind).names == getattr(vocab, kind).names
+        column = [line.split()[-1] for line in format_stats(vocab, counts).splitlines()]
+        assert column == ["3", "2", "2", "1", "1"]
 
     def test_missing_file_surfaces_as_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -235,8 +242,7 @@ class TestLoadDataset:
 class TestStatsFormat:
     def test_counts_are_comma_formatted(self):
         vocab = Vocabulary([f"e{i}" for i in range(29904)], [f"r{i}" for i in range(233)])
-        ds = Dataset(*(PackedBeliefs(np.zeros(n)) for n in (57356, 10710, 10711)))
-        text = format_stats(ds, vocab)
+        text = format_stats(vocab, {"train": 57356, "valid": 10710, "test": 10711})
         assert "#(ENTITIES)" in text
         assert "29,904" in text
         assert "233" in text

@@ -4,13 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from jrme.embeddings import (
-    ModelConfig,
-    init_embeddings,
-    load_model,
-    parse_neg_mode,
-    save_model,
-)
+from jrme.config import ModelConfig, parse_neg_mode
+from jrme.embeddings import init_embeddings, load_model, save_model
 from jrme.errors import ConfigError, FormatError
 from synth_data import make_vocab
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import jrme
+import jrme.kernels
+from jrme.config import VARIANTS, variant_flags
 from jrme.data import Belief
 from jrme.evaluation import candidate_scores
 from jrme.kernels import (
@@ -27,8 +29,7 @@ from jrme.kernels import (
     top_relations,
 )
 from jrme.scoring import mention_distance, triple_distance
-from jrme.embeddings import VARIANTS
-from jrme.training import _sample_negative_rows, variant_flags
+from jrme.training import _sample_negative_rows
 from synth_data import make_vocab, random_table
 from test_evaluation import oracle_rank
 
@@ -232,12 +233,40 @@ class TestBandedRanking:
             rel[3::3] = rel[0]  # 40 equal rows spread over the table
             self._assert_exact(table, packed, beliefs)
 
-    def test_tme_empty_mentions_rank_by_id(self, rng):
+    def _tme_rows_rescored(self, table, packed, monkeypatch):
+        """(tme ranks, rows rank_all handed the exact scorer)."""
+        rescored = []
+        exact_scores = jrme.kernels._exact_scores
+
+        def counting(q, *args):
+            rescored.append(len(q))
+            return exact_scores(q, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(jrme.kernels, "_exact_scores", counting)
+            ranks = rank_all(
+                table.entity_vecs, table.relation_vecs, table.word_vecs, packed, False, True)
+        return ranks, sum(rescored)
+
+    def test_tme_empty_mentions_rank_by_id(self, rng, monkeypatch):
         table, packed, beliefs = self._case(rng, RANK_BLOCK + 9, 50, mention=False)
         assert packed.mention_flat.size == 0
-        ranks = rank_all(
-            table.entity_vecs, table.relation_vecs, table.word_vecs, packed, False, True)
+        ranks, rescored = self._tme_rows_rescored(table, packed, monkeypatch)
         np.testing.assert_array_equal(ranks, packed.relations + 1)
+        assert rescored == 0
+        self._assert_exact(table, packed, beliefs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tme_empty_mentions_with_an_inf_band_are_rescored(self, rng, monkeypatch):
+        # an inf relation row makes every band inf: the exact scorer ranks
+        # its nan scores (0 * inf) after every number
+        table, packed, beliefs = self._case(rng, 40, 50, mention=False)
+        table.relation_vecs[7, 3] = np.inf
+        ranks, rescored = self._tme_rows_rescored(table, packed, monkeypatch)
+        assert rescored == len(packed)
+        np.testing.assert_array_equal(ranks, np.where(
+            packed.relations < 7, packed.relations + 1,
+            np.where(packed.relations == 7, 50, packed.relations)))
         self._assert_exact(table, packed, beliefs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

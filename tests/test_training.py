@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from jrme.config import VARIANTS, ModelConfig, variant_flags, variant_margin
 from jrme.data import Belief, Dataset, PackedBeliefs
-from jrme.embeddings import EmbeddingTable, ModelConfig, init_embeddings
+from jrme.embeddings import EmbeddingTable, init_embeddings
 from jrme.errors import ConfigError, DataError, TrainingDivergedError
-from jrme.embeddings import VARIANTS
 from jrme.kernels import enum_negative_table, run_epoch
 from jrme.training import (
     _sample_negative_rows,
@@ -19,8 +19,6 @@ from jrme.training import (
     grid_search,
     step_bound,
     train,
-    variant_flags,
-    variant_margin,
 )
 from gradcheck import finite_difference, sample_smooth_example
 from synth_data import make_vocab, random_table, text_signal_dataset
