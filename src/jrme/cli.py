@@ -7,8 +7,9 @@ stopped by SIGPIPE reports it, with nothing on stderr).
 
 Importing this module loads only the standard library and the numpy-free
 `config`, `data` and `errors`.  Only `stats` runs without the numeric
-engine: every other command first calls `_bind_engine`, which imports
-it and binds its entry points as this module's globals.
+engine: every other command first calls `_bind_engine` with the engine
+modules it runs, which imports them and binds their entry points as this
+module's globals; `eval` and `predict` never import `training`.
 """
 
 from __future__ import annotations
@@ -38,35 +39,34 @@ _ENGINE = {
     "kernels": ("RANK_BLOCK", "top_relations"),
     "training": ("grid_configs", "grid_search", "step_bound", "train"),
 }
-_engine_bound = False
+_bound = set()  # the modules of _ENGINE whose names are bound
 
 
-def _bind_engine() -> None:
-    """Import the numeric engine and bind the names in `_ENGINE` as this
-    module's globals, once.  A name already bound, say a function a
+def _bind_engine(*modules) -> None:
+    """Import each named engine module and bind its names in `_ENGINE` as
+    this module's globals, once.  A name already bound, say a function a
     tracer or a test put here, is left as it is, so commands call it."""
-    global _engine_bound
-    if _engine_bound:
-        return
     g = globals()
-    for module, names in _ENGINE.items():
-        engine = import_module(f".{module}", __package__)
-        for name in names:
-            g.setdefault(name, getattr(engine, name))
-    _engine_bound = True
-    # The objects made by the imports above live until exit; frozen, they
-    # are left out of every collection, the interpreter's final ones
-    # included, which would otherwise walk all of them.
-    gc.freeze()
+    for module in modules:
+        if module not in _bound:
+            engine = import_module(f".{module}", __package__)
+            for name in _ENGINE[module]:
+                g.setdefault(name, getattr(engine, name))
+            _bound.add(module)
+            # The objects made by the import live until exit; frozen, they
+            # are left out of every collection, the interpreter's final
+            # ones included, which would otherwise walk all of them.
+            gc.freeze()
 
 
 def __getattr__(name):
-    # an engine name read before any command ran, e.g. by a tracer that
-    # swaps it, binds the engine first
-    if any(name in names for names in _ENGINE.values()):
-        _bind_engine()
-        if name in globals():
-            return globals()[name]
+    # an engine name read before a command bound it, e.g. by a tracer
+    # that swaps it, binds the module that owns it first
+    for module, names in _ENGINE.items():
+        if name in names:
+            _bind_engine(module)
+            if name in globals():
+                return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -150,7 +150,7 @@ def _warn_step_bound(config, n_relations: int) -> None:
 
 
 def cmd_train(args) -> int:
-    _bind_engine()
+    _bind_engine(*_ENGINE)
     config = _config_from_args(args)
     threads = _resolve_threads(args)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
@@ -170,7 +170,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _bind_engine()
+    _bind_engine("embeddings", "evaluation")
     table, vocab, _, stored_variant = load_model(args.model)
     variant = args.variant or stored_variant
     result = parse_belief_file(args.test, vocab, mode="frozen")
@@ -185,7 +185,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    _bind_engine()
+    _bind_engine(*_ENGINE)
     base = _config_from_args(args)
     threads = _resolve_threads(args)
     configs = grid_configs(base, args.dims, args.alphas, args.betas, args.gammas)
@@ -213,7 +213,7 @@ def cmd_predict(args) -> int:
     single-line call, and its output is one write, so ERROR lines keep
     their places and memory is bounded by the block.
     """
-    _bind_engine()
+    _bind_engine("embeddings", "kernels")
     if args.topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
     table, vocab, _, variant = load_model(args.model)

@@ -33,33 +33,28 @@ class IdMap:
     """Bidirectional symbol <-> dense-id map; ids are contiguous from 0,
     first the positions in `names` (a repeat raises DataError), then `add`s."""
 
-    __slots__ = ("_ids", "_names")
+    __slots__ = ("_ids",)
 
     def __init__(self, names=()):
-        self._names: list[str] = list(names)
-        self._ids: dict[str, int] = {name: i for i, name in enumerate(self._names)}
-        if len(self._ids) != len(self._names):
-            repeated = next(n for i, n in enumerate(self._names) if self._ids[n] != i)
-            raise DataError(f"repeats the name {repeated!r}")
+        # a dict keeps insertion order, so its keys are the names in id order
+        self._ids: dict[str, int] = {}
+        for i, name in enumerate(names):
+            if self._ids.setdefault(name, i) != i:
+                raise DataError(f"repeats the name {name!r}")
 
     def add(self, name: str) -> int:
         """Return the id for name, registering it if unseen."""
-        i = self._ids.get(name)
-        if i is None:
-            i = len(self._names)
-            self._ids[name] = i
-            self._names.append(name)
-        return i
+        return self._ids.setdefault(name, len(self._ids))
 
     def get(self, name: str) -> int | None:
         return self._ids.get(name)
 
     @property
     def names(self) -> list[str]:
-        return list(self._names)
+        return list(self._ids)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._ids)
 
 
 class Vocabulary:

@@ -84,11 +84,18 @@ def atomic_write(path, mode: str = "w"):
 
     On any exception, in the block or in the rename, the temp file is
     removed, so a failed write leaves neither a partial target nor a stray
-    temp file.
+    temp file.  A target that exists and is not a regular file, after
+    links, such as a FIFO or /dev/stdout, is written in place instead: a
+    rename would replace it, and its reader would get nothing.
     """
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as f:
+            yield f
+        return
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+        with open(tmp, mode, encoding=encoding) as f:
             yield f
         os.replace(tmp, path)
     except BaseException:

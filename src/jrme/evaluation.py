@@ -4,9 +4,9 @@ Every candidate relation is substituted for the true one and scored;
 candidates are ranked ascending (lower score is better).  Ranking is
 raw: nothing is filtered out, and the candidate set always includes
 the true relation itself.  Ties are broken by relation id, which makes
-every rank deterministic.  Every score is
-`kernels.relation_scores` and every rank `kernels.tie_ranks` of it, so a
-belief gets the same score and rank alone as inside `evaluate`, whose
+every rank deterministic.  Every score is `kernels.relation_scores` and
+every rank the true id's place in its stable argsort, so a belief gets
+the same score and rank alone as inside `evaluate`, whose
 `kernels.rank_all` sorts by BLAS scores and rescores exactly every belief
 whose order they cannot settle.
 `evaluate` hands a split to `rank_all` as the parser packed it

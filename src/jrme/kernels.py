@@ -11,12 +11,12 @@ vectorized numpy twin runs instead and one stderr line says so.
 `run_epoch` runs that kernel.  The twin is also the reference the tests
 hold the C kernel to: the two may differ in the last float bits
 (summation order), never in semantics.  Ranking, numpy on both backends,
-has one exact scorer (`relation_scores`) and one tie rule (`tie_ranks`)
-behind every score and rank.  `rank_all` and `top_relations` order each
-block by BLAS GEMM and rescore with the exact scorer only the candidates
-inside the GEMM error band (`_gemm_scores`) that can change the result,
-so their ranks and top k are the exact scorer's whatever the BLAS, its
-threads or the block.
+has one exact scorer (`relation_scores`) and one order, numpy's stable
+argsort (ties by id, nan last), behind every score and rank.  `rank_all`
+and `top_relations` order each block by BLAS GEMM and rescore with the
+exact scorer only the candidates inside the GEMM error band
+(`_gemm_scores`) that can change the result, so their ranks and top k
+are the exact scorer's whatever the BLAS, its threads or the block.
 
 Every kernel takes the three tables as arrays and the beliefs as one
 `data.PackedBeliefs`, the form the parser writes, so no caller unpacks
@@ -373,41 +373,6 @@ def relation_scores(entity, relation, word, packed, use_kg, use_text):
     return _exact_scores(q, c, relation, rel_sq)
 
 
-def tie_ranks(scores, true_ids):
-    """Per row, the true id's 1-based place in `np.argsort(row, kind="stable")`,
-    the order `top_k` keeps: 1 + #(scores below the true id's) + #(ties
-    with a smaller id), where nan counts as above every number and tied
-    with every nan."""
-    s_true = scores[np.arange(len(true_ids)), true_ids][:, None]
-    nan, nan_true = np.isnan(scores), np.isnan(s_true)
-    below = (scores < s_true) | (nan_true & ~nan)
-    tied = (scores == s_true) | (nan_true & nan)
-    tied_before = tied & (np.arange(scores.shape[1]) < true_ids[:, None])
-    return 1 + np.count_nonzero(below, axis=1) + np.count_nonzero(tied_before, axis=1)
-
-
-def top_k(scores, k):
-    """`np.argsort(scores, axis=1, kind="stable")[:, :k]`, without sorting
-    each whole row.
-
-    The stable argsort orders a row by (score, id), nan after every
-    number and -0.0 equal to 0.0.  Its first k places hold only entries
-    at or below the row's k-th smallest value (every entry when that is
-    nan), and `np.partition` finds that value under the same order.
-    `np.nonzero` lists those entries by (row, id), so one stable lexsort
-    by (row, score) orders each row's as the argsort does, and each row's
-    first k are the argsort's.
-    """
-    n, r = scores.shape
-    k = min(k, r)
-    kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
-    rows, ids = np.nonzero((scores <= kth) | np.isnan(kth))
-    order = np.lexsort((scores[rows, ids], rows))
-    counts = np.bincount(rows, minlength=n)
-    first = np.cumsum(counts) - counts
-    return ids[order][first[:, None] + np.arange(k)]
-
-
 def _gemm_scores(q, c, relation, rel_sq, use_kg):
     """(s~, band) for a block of queries: s~ = q @ relation.T by BLAS
     (+ ||r'||^2 for the kg variants), without the row constant
@@ -453,16 +418,18 @@ def _gemm_scores(q, c, relation, rel_sq, use_kg):
 def rank_all(entity, relation, word, packed, use_kg, use_text):
     """Raw rank of the true relation for each belief, as an int64 array.
 
-    Equal, rank for rank, to `tie_ranks(relation_scores(...))`, but each
-    block is scored with BLAS (`_gemm_scores`).  A row's rank is read from
-    s~ when no candidate but the true one lies within the row's band of
-    it: s~ then orders every candidate as the exact score does and no
-    exact score ties the true one's, so the rank is 1 + #(s~ < s~_t).
-    A `tme` row with q = 0 (an empty mention) and a finite band, which
-    needs finite relation rows, scores every candidate +-0 exactly: all
-    tie, so its rank is 1 + the true id, with no rescoring.  Every other row is rescored with
-    the exact scorer in one call: rows with an inf band, and rows where a
-    candidate besides the true one lies within the band.
+    Equal, rank for rank, to the true id's place in the stable argsort of
+    `relation_scores(...)`, but each block is scored with BLAS
+    (`_gemm_scores`).  A row's rank is read from s~ when no candidate but
+    the true one lies within the row's band of it: s~ then orders every
+    candidate as the exact score does and no exact score ties the true
+    one's, so the rank is 1 + #(s~ < s~_t).  A `tme` row with q = 0 (an
+    empty mention) and a finite band, which needs finite relation rows,
+    scores every candidate +-0 exactly: all tie, so its rank is 1 + the
+    true id, with no rescoring.  Every other row is rescored with the
+    exact scorer in one call and ranked by its argsort: rows with an inf
+    band, and rows where a candidate besides the true one lies within the
+    band.
     """
     _check_packed(entity, relation, word, packed, use_text)
     n = len(packed)
@@ -486,14 +453,15 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
         if exact.any():
             rows = np.flatnonzero(exact)
             rescored = _exact_scores(q[rows], None if c is None else c[rows], relation, add_sq)
-            ranks[lo + rows] = tie_ranks(rescored, true[rows])
+            order = np.argsort(rescored, axis=1, kind="stable")
+            ranks[lo + rows] = 1 + (order == true[rows, None]).argmax(axis=1)
     return ranks
 
 
 def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     """(ids, scores) of the k best relations for each belief, two (n, k)
-    arrays for k <= R: `ids = top_k(scores, k)` and the entries of
-    `scores = relation_scores(...)` it names, bit for bit.
+    arrays for k <= R: the first k columns of the stable argsort of
+    `scores = relation_scores(...)` and the entries they name, bit for bit.
 
     The block is scored with BLAS (`_gemm_scores`), and a row keeps only
     the candidates with s~ <= (the row's k-th smallest s~) + band: any
@@ -501,9 +469,9 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     score, so it cannot be among the k first by (score, id).  The kept
     candidates are rescored with the exact scorer's fixed-order sum on
     gathered rows, which gives the bits of the full scorer, and ordered
-    by (score, id).  Rows with an inf band, and rows that keep more than
+    by their argsort.  Rows with an inf band, and rows that keep more than
     half the relations, such as `tme` rows with an empty mention, whose
-    candidates all tie, take the exact scorer and `top_k` whole.
+    candidates all tie, take the exact scorer and its argsort whole.
     """
     _check_packed(entity, relation, word, packed, use_text)
     n, (n_rel, d) = len(packed), relation.shape
@@ -523,7 +491,7 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     rows = np.flatnonzero(exact)
     if rows.size:
         full = _exact_scores(q[rows], None if c is None else c[rows], relation, add_sq)
-        ids[rows] = top_k(full, k)
+        ids[rows] = np.argsort(full, axis=1, kind="stable")[:, :k]
         scores[rows] = np.take_along_axis(full, ids[rows], axis=1)
 
     rows = np.flatnonzero(~exact)
@@ -543,7 +511,7 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
             part += c[sub][:, None]
             part += rel_sq[gathered]
         part[np.arange(width) >= counts[sub][:, None]] = np.inf
-        top = top_k(part, k)
+        top = np.argsort(part, axis=1, kind="stable")[:, :k]
         ids[sub] = np.take_along_axis(gathered, top, axis=1)
         scores[sub] = np.take_along_axis(part, top, axis=1)
     return ids, scores

@@ -2,8 +2,12 @@ import dataclasses
 import json
 import os
 import re
+import select
+import stat
 import subprocess
 import sys
+import threading
+import time
 from itertools import product
 from pathlib import Path
 
@@ -68,7 +72,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("blocked", ["model.bin", "model.bin.manifest.json"])
     def test_failed_rename_leaves_no_temp_file(self, corpus, capsys, blocked):
-        # a non-empty directory at the target makes the final rename fail
+        # a non-empty directory at the target can be written neither in
+        # place nor by a rename
         tmp, train, _ = corpus
         (tmp / blocked).mkdir()
         (tmp / blocked / "keep").write_text("")
@@ -333,6 +338,45 @@ class TestEvalCommand:
                          "--ranks-out", ranks)
         assert code == 0
         assert ranks.read_text().splitlines()[0] == "index\trank"
+
+    def test_ranks_out_fifo_is_written_in_place(self, corpus, capsys):
+        """A reader waiting on a FIFO gets the ranks file and the FIFO stays
+        one: a temp file renamed over it would leave the reader nothing."""
+        tmp, model, test = self._train(corpus, capsys)
+        ranks = tmp / "ranks.tsv"
+        assert run(capsys, "eval", "--model", model, "--test", test,
+                   "--ranks-out", ranks)[0] == 0
+        fifo = tmp / "ranks.fifo"
+        os.mkfifo(fifo)
+        received = []
+        opened = threading.Event()
+
+        def read():
+            # non-blocking, so that the reader gives up when no writer comes
+            fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            opened.set()
+            deadline = time.monotonic() + 20
+            try:
+                while (left := deadline - time.monotonic()) > 0:
+                    if select.select([fd], [], [], left)[0]:
+                        chunk = os.read(fd, 1 << 16)
+                        if not chunk:
+                            break
+                        received.append(chunk)
+            finally:
+                os.close(fd)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert opened.wait(20)
+        code, _, err = run(capsys, "eval", "--model", model, "--test", test,
+                           "--ranks-out", fifo)
+        reader.join(30)
+        assert code == 0, err
+        assert not reader.is_alive()
+        assert b"".join(received).decode() == ranks.read_text()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert not (tmp / "ranks.fifo.tmp").exists()
 
     def test_partial_rejection_warns_but_succeeds(self, corpus, capsys):
         tmp, model, test = self._train(corpus, capsys)
@@ -784,6 +828,20 @@ class TestStartup:
         ]
         assert self._child(tmp_path, commands) == "[0, 0, 0] None []"
         assert not (tmp_path / "cache" / "jrme").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_reading_commands_import_no_training_modules(self, corpus, capsys, tmp_path,
+                                                         command):
+        tmp, train, test = corpus
+        model = tmp / "model.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--dim", 4,
+                   "--epochs", 1)[0] == 0
+        queries = tmp / "queries.tsv"
+        queries.write_text("e1\te2\tsig1\n")
+        argv = {"eval": ["eval", "--model", str(model), "--test", str(test)],
+                "predict": ["predict", "--model", str(model), "--input", str(queries)]}[command]
+        modules = ("jrme.training", "jrme.scoring")
+        assert self._child(tmp_path, [argv], modules) == "[0] None []"
 
     @needs_c
     def test_train_builds_the_kernel(self, corpus, tmp_path):

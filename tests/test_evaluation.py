@@ -139,7 +139,7 @@ class TestRankTrueRelation:
 
     def test_nan_scores_rank_after_every_number(self, rng):
         # every relation row nan, so every score is nan and ranks follow
-        # ids, as in the stable argsort and predict's top_k
+        # ids, as in the stable argsort that predict takes its top k from
         t = random_table(make_vocab(5, 4, 3), 3, rng)
         t.relation_vecs[:] = np.nan
         beliefs = pack([Belief(0, 2, 1, (0,)), Belief(1, 0, 2, ()), Belief(3, 3, 4, (1, 2))])
