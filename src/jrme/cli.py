@@ -133,6 +133,13 @@ def _write_manifest(out_path, config, variant, inputs, outputs) -> None:
         f.write("\n")
 
 
+def _check_out(*paths) -> None:
+    """Fail before training where writing an output would fail after it."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"cannot write {path}: it is a directory or its directory is missing")
+
+
 def _report_rejections(rejected: dict, log) -> None:
     for split, count in rejected.items():
         if count:
@@ -153,6 +160,7 @@ def cmd_train(args) -> int:
     _bind_engine(*_ENGINE)
     config = _config_from_args(args)
     threads = _resolve_threads(args)
+    _check_out(args.out, f"{args.out}.manifest.json")
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(config, len(vocab.relations))
@@ -189,6 +197,7 @@ def cmd_grid(args) -> int:
     base = _config_from_args(args)
     threads = _resolve_threads(args)
     configs = grid_configs(base, args.dims, args.alphas, args.betas, args.gammas)
+    _check_out(args.out)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(base, len(vocab.relations))

@@ -15,10 +15,8 @@ Reading a split takes two steps.  One line loop (`_parse_ids`) turns a
 file into id lists plus the count of rejected lines.  `parse_belief_file`
 then packs those lists into a `PackedBeliefs`, the int64 id arrays that
 training, evaluation and grid search read; `count_beliefs`, what `jrme
-stats` runs, only counts them, so it never imports numpy.  `Belief`, one
-example as a frozen tuple of ids, is the form of the reference scorers
-and of tests; `PackedBeliefs.from_beliefs` and indexing convert between
-the two.  Nothing writes a belief back as text.
+stats` runs, only counts them, so it never imports numpy.  Nothing
+writes a belief back as text.
 """
 
 from __future__ import annotations
@@ -71,16 +69,6 @@ class Vocabulary:
         self.entities, self.relations, self.words = maps
 
 
-@dataclass(frozen=True)
-class Belief:
-    """One (head, relation, tail) triple plus its mention word ids."""
-
-    head: int
-    relation: int
-    tail: int
-    mention: tuple[int, ...] = ()
-
-
 class PackedBeliefs:
     """Beliefs as int64 id arrays, the form the kernels read.
 
@@ -106,16 +94,9 @@ class PackedBeliefs:
     def __len__(self) -> int:
         return self.heads.shape[0]
 
-    def __getitem__(self, i: int) -> Belief:
-        i = range(len(self))[i]
-        words = self.mention_flat[self.mention_off[i] : self.mention_off[i + 1]]
-        return Belief(
-            int(self.heads[i]), int(self.relations[i]), int(self.tails[i]),
-            tuple(int(w) for w in words),
-        )
-
     @classmethod
     def from_beliefs(cls, beliefs) -> "PackedBeliefs":
+        """Pack objects with `head`, `relation`, `tail` and `mention` ids."""
         off = [0]
         words = []
         for b in beliefs:

@@ -175,6 +175,8 @@ def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
             vocab = Vocabulary(header["entities"], header["relations"], header["words"])
         except DataError as e:
             raise FormatError(f"{path}: header {e}") from None
+        if not vocab.relations:
+            raise FormatError(f"{path}: header 'relations' is empty")
 
         def read_table(n_rows: int, what: str) -> np.ndarray:
             # checked against the bytes left before the array is allocated,

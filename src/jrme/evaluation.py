@@ -10,8 +10,8 @@ the same score and rank alone as inside `evaluate`, whose
 `kernels.rank_all` sorts by BLAS scores and rescores exactly every belief
 whose order they cannot settle.
 `evaluate` hands a split to `rank_all` as the parser packed it
-(`data.PackedBeliefs`), and `candidate_scores` packs its one query the
-same way.
+(`data.PackedBeliefs`).  No command calls `candidate_scores`, which
+scores one query for the tests' rank oracle and the benchmark's tracer.
 """
 
 from __future__ import annotations

@@ -348,7 +348,8 @@ def _queries(entity, word, packed, lo, hi, d, use_kg, use_text):
 
 
 def _exact_scores(q, c, relation, rel_sq):
-    """c + q.r' + ||r'||^2 per (row, relation), summed in a fixed order."""
+    """c + q.r' + ||r'||^2 per (row, relation), or q.r' alone when c is
+    None (no kg part, rel_sq unread), each summed in a fixed order."""
     scores = np.einsum("bd,dr->br", q, relation.T)
     if c is not None:
         scores += c[:, None]
@@ -369,13 +370,13 @@ def relation_scores(entity, relation, word, packed, use_kg, use_text):
     """
     _check_packed(entity, relation, word, packed, use_text)
     q, c = _queries(entity, word, packed, 0, len(packed), relation.shape[1], use_kg, use_text)
-    rel_sq = np.einsum("rd,rd->r", relation, relation) if use_kg else None
+    rel_sq = None if c is None else np.einsum("rd,rd->r", relation, relation)
     return _exact_scores(q, c, relation, rel_sq)
 
 
-def _gemm_scores(q, c, relation, rel_sq, use_kg):
+def _gemm_scores(q, c, relation, rel_sq):
     """(s~, band) for a block of queries: s~ = q @ relation.T by BLAS
-    (+ ||r'||^2 for the kg variants), without the row constant
+    (+ ||r'||^2 when c is not None: the kg variants), without the row constant
     c = ||h - t||^2, which moves every candidate of a row alike, and each
     row's error band; two candidates whose s~ differ by more than the band
     have exact scores in the same order and never tie.  The band is inf on
@@ -402,14 +403,13 @@ def _gemm_scores(q, c, relation, rel_sq, use_kg):
     d = relation.shape[1]
     g = (d + 3) * _U / (1 - (d + 3) * _U)
     r_max = np.sqrt(rel_sq.max()) if rel_sq.size else 0.0
-    n_max = rel_sq.max() if use_kg and rel_sq.size else 0.0
+    n_max = rel_sq.max() if c is not None and rel_sq.size else 0.0
     # overflow and inf - inf here only send rows to the exact scorer
     with np.errstate(over="ignore", invalid="ignore"):
         s = q @ relation.T
-        if use_kg:
-            s += rel_sq
         scale = np.sqrt(np.einsum("bd,bd->b", q, q)) * r_max + n_max
         if c is not None:
+            s += rel_sq
             scale += c
         band = np.where(np.isfinite(2.0 * scale), 8.0 * g * scale + 8.0 * d * _ETA, np.inf)
     return s, band
@@ -436,23 +436,22 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
     d = relation.shape[1]
     ranks = np.empty(n, dtype=np.int64)
     rel_sq = np.einsum("rd,rd->r", relation, relation)
-    add_sq = rel_sq if use_kg else None
     for lo in range(0, n, RANK_BLOCK):
         hi = min(lo + RANK_BLOCK, n)
         q, c = _queries(entity, word, packed, lo, hi, d, use_kg, use_text)
         true = packed.relations[lo:hi]
-        s, band = _gemm_scores(q, c, relation, rel_sq, use_kg)
+        s, band = _gemm_scores(q, c, relation, rel_sq)
         with np.errstate(invalid="ignore"):
             s_true = s[np.arange(hi - lo), true]
             below = np.count_nonzero(s < (s_true - band)[:, None], axis=1)
             in_band = np.count_nonzero(s <= (s_true + band)[:, None], axis=1) - below
         finite = ~np.isinf(band)
-        tied = finite & ~q.any(axis=1) & (not use_kg)
+        tied = finite & ~q.any(axis=1) & (c is None)
         exact = ((in_band > 1) | ~finite) & ~tied
         ranks[lo:hi] = np.where(tied, 1 + true, 1 + below)
         if exact.any():
             rows = np.flatnonzero(exact)
-            rescored = _exact_scores(q[rows], None if c is None else c[rows], relation, add_sq)
+            rescored = _exact_scores(q[rows], None if c is None else c[rows], relation, rel_sq)
             order = np.argsort(rescored, axis=1, kind="stable")
             ranks[lo + rows] = 1 + (order == true[rows, None]).argmax(axis=1)
     return ranks
@@ -479,9 +478,8 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     ids = np.empty((n, k), dtype=np.int64)
     scores = np.empty((n, k))
     rel_sq = np.einsum("rd,rd->r", relation, relation)
-    add_sq = rel_sq if use_kg else None
     q, c = _queries(entity, word, packed, 0, n, d, use_kg, use_text)
-    s, band = _gemm_scores(q, c, relation, rel_sq, use_kg)
+    s, band = _gemm_scores(q, c, relation, rel_sq)
     with np.errstate(invalid="ignore"):
         kth = np.partition(s, k - 1, axis=1)[:, k - 1]
         keep = s <= (kth + band)[:, None]
@@ -490,7 +488,7 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
 
     rows = np.flatnonzero(exact)
     if rows.size:
-        full = _exact_scores(q[rows], None if c is None else c[rows], relation, add_sq)
+        full = _exact_scores(q[rows], None if c is None else c[rows], relation, rel_sq)
         ids[rows] = np.argsort(full, axis=1, kind="stable")[:, :k]
         scores[rows] = np.take_along_axis(full, ids[rows], axis=1)
 

@@ -7,9 +7,7 @@ Variants select which distance terms enter the per-negative hinge:
     jrme   gamma + D_r(h,r,t) - D_r(h,r',t) + D_m(r,m) - D_m(r',m)
 
 with one shared corrupt relation r' per term and [x]_+ around each.
-`example_loss`, one reference loss for all three variants, and
-`example_gradients` are the reference semantics; the batched kernels
-must match them and the unit tests enforce that.
+`kernels.run_epoch` applies it; `tests/reference.py` holds the reference.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from .data import Dataset, Vocabulary
 from .embeddings import EmbeddingTable, init_embeddings
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .kernels import enum_negative_table, run_epoch
-from .scoring import mention_distance, mention_vector, triple_distance
 
 # Rows start with norm at most 6 and a healthy mean loss stays within a
 # few thousand; an epoch that ends with the mean loss or any row norm past
@@ -45,77 +42,6 @@ def step_bound(config: ModelConfig, n_relations: int) -> float:
     """
     mode, k = parse_neg_mode(config.neg_mode)
     return config.learning_rate * (n_relations - 1 if mode == "all" else k)
-
-
-def _hinge_terms(table, belief, negatives, margin, use_kg, use_text):
-    """Yield (negative id, hinge argument) per negative, pre-step values."""
-    h, r, t = belief.head, belief.relation, belief.tail
-    dr_pos = triple_distance(table, h, r, t) if use_kg else 0.0
-    dm_pos = mention_distance(table, r, belief.mention) if use_text else 0.0
-    for rp in negatives:
-        rp = int(rp)
-        term = margin
-        if use_kg:
-            term = term + dr_pos - triple_distance(table, h, rp, t)
-        if use_text:
-            term = term + dm_pos - mention_distance(table, rp, belief.mention)
-        yield rp, term
-
-
-def example_loss(table, belief, negatives, variant, margin):
-    """Hinge loss of one example over its corrupt relations under a variant.
-
-    Returns (loss, active ids); a term exactly at the margin boundary
-    is inactive and contributes nothing.
-    """
-    if len(negatives) == 0:
-        raise ConfigError("example loss needs at least one negative")
-    use_kg, use_text = variant_flags(variant)
-    active = []
-    terms = []
-    for rp, term in _hinge_terms(table, belief, negatives, margin, use_kg, use_text):
-        if term > 0.0:
-            active.append(rp)
-            terms.append(term)
-    return math.fsum(terms), active
-
-
-def example_gradients(table, belief, negatives, variant, margin):
-    """Analytic subgradient of the example loss per touched table row.
-
-    Returns (loss, grads) with grads keyed by (kind, id), kind in
-    entity/relation/word, each value the accumulated gradient over all
-    active terms.  A self-loop's head and tail contributions land on
-    one entity row and cancel; repeated mention words accumulate once
-    per occurrence.
-    """
-    use_kg, use_text = variant_flags(variant)
-    h, r, t = belief.head, belief.relation, belief.tail
-    m = mention_vector(table, belief.mention)
-    diff_pos = table.entity_vecs[h] + table.relation_vecs[r] - table.entity_vecs[t]
-    grads: dict[tuple[str, int], np.ndarray] = {}
-
-    def bump(kind, idx, vec):
-        key = (kind, idx)
-        if key in grads:
-            grads[key] = grads[key] + vec
-        else:
-            grads[key] = np.array(vec, dtype=np.float64)
-
-    loss, active = example_loss(table, belief, negatives, variant, margin)
-    for rp in active:
-        if use_kg:
-            diff_neg = table.entity_vecs[h] + table.relation_vecs[rp] - table.entity_vecs[t]
-            bump("relation", r, 2.0 * diff_pos)
-            bump("relation", rp, -2.0 * diff_neg)
-            bump("entity", h, 2.0 * (table.relation_vecs[r] - table.relation_vecs[rp]))
-            bump("entity", t, -2.0 * (table.relation_vecs[r] - table.relation_vecs[rp]))
-        if use_text:
-            bump("relation", r, -m)
-            bump("relation", rp, m)
-            for w in belief.mention:
-                bump("word", w, table.relation_vecs[rp] - table.relation_vecs[r])
-    return loss, grads
 
 
 @dataclass(frozen=True)

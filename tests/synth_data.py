@@ -13,7 +13,8 @@ Three constructions:
 
 import numpy as np
 
-from jrme.data import Belief, Dataset, PackedBeliefs, Vocabulary
+from jrme.data import Dataset, Vocabulary
+from reference import Belief, pack
 
 
 def make_vocab(n_entities, n_relations, n_words):
@@ -40,7 +41,7 @@ def _split(beliefs, holdout, rng):
     n_valid = int(round(len(beliefs) * holdout))
     valid = [beliefs[i] for i in order[:n_valid]]
     train = [beliefs[i] for i in order[n_valid:]]
-    return Dataset(PackedBeliefs.from_beliefs(train), valid=PackedBeliefs.from_beliefs(valid))
+    return Dataset(pack(train), valid=pack(valid))
 
 
 def text_signal_dataset(n_beliefs=2000, n_relations=20, n_entities=100,

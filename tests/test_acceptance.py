@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from jrme.config import VARIANTS, ModelConfig
-from jrme.data import Belief, PackedBeliefs
 from jrme.embeddings import load_model, save_model
 from jrme.evaluation import evaluate, summarize_ranks
 from jrme.kernels import enum_negative_table
-from jrme.training import example_gradients, example_loss, train
+from jrme.training import train
 
-from gradcheck import finite_difference, sample_smooth_example
+from gradcheck import check_gradients
+from reference import Belief, example_loss, pack
 from synth_data import (
     graph_signal_dataset,
     make_vocab,
@@ -51,28 +51,7 @@ def test_gradients_match_finite_differences(accept):
     for variant in VARIANTS:
         for dim in (2, 4, 8):
             for _ in range(100):
-                vocab = make_vocab(6, 5, 7)
-                table = random_table(vocab, dim, rng, scale=0.8)
-                margin = float(rng.choice([0.5, 1.0, 2.0]))
-                b, negs = sample_smooth_example(rng, table, 5, 7, margin, variant)
-                _, grads = example_gradients(table, b, negs, variant, margin)
-                arrays = {
-                    "entity": table.entity_vecs,
-                    "relation": table.relation_vecs,
-                    "word": table.word_vecs,
-                }
-
-                def loss_fn():
-                    return example_loss(table, b, negs, variant, margin)[0]
-
-                for (kind, idx), grad in grads.items():
-                    for coord in range(dim):
-                        fd = finite_difference(loss_fn, arrays[kind], idx, coord)
-                        a = grad[coord]
-                        err = abs(a - fd)
-                        tol = max(1e-5 * max(abs(a), abs(fd)), 1e-8)
-                        assert err <= tol, (variant, dim, kind, idx, coord, a, fd)
-                        worst = max(worst, err / tol)
+                worst = max(worst, check_gradients(rng, variant, dim))
                 checked += 1
     elapsed = time.perf_counter() - t0
     accept(
@@ -102,7 +81,7 @@ def test_rank_agrees_with_stable_sort_oracle(accept):
         scores = candidate_scores(table, b.head, b.tail, b.mention, variant)
         keyed = sorted(range(n_rel), key=lambda j: (scores[j], j))
         oracle = 1 + keyed.index(b.relation)
-        assert evaluate(table, PackedBeliefs.from_beliefs([b]), variant).ranks == (oracle,), (
+        assert evaluate(table, pack([b]), variant).ranks == (oracle,), (
             i, variant)
     elapsed = time.perf_counter() - t0
     accept(

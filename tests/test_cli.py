@@ -17,12 +17,11 @@ import pytest
 import jrme.cli
 from jrme.cli import main
 from jrme.config import ModelConfig
-from jrme.data import PackedBeliefs, Vocabulary, parse_belief_file
+from jrme.data import PackedBeliefs, Vocabulary
 from jrme.embeddings import init_embeddings, load_model, save_model
 from jrme.evaluation import candidate_scores
 from jrme.kernels import RANK_BLOCK, top_relations
-from test_embeddings import edit_header
-from test_kernels import _child_env, needs_c
+from reference import child_env, edit_header, needs_c, tables_equal
 
 
 @pytest.fixture
@@ -45,6 +44,24 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """The config of every `train` call, from a command or from
+    `grid_search`, in call order; each call still trains."""
+    import jrme.training
+
+    calls = []
+    real_train = jrme.training.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(args[2])
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(jrme.training, "train", counting_train)
+    monkeypatch.setattr(jrme.cli, "train", counting_train)
+    return calls
 
 
 class TestTrainCommand:
@@ -71,19 +88,23 @@ class TestTrainCommand:
         assert "created" in manifest
 
     @pytest.mark.parametrize("blocked", ["model.bin", "model.bin.manifest.json"])
-    def test_failed_rename_leaves_no_temp_file(self, corpus, capsys, blocked):
+    def test_failed_rename_leaves_no_temp_file(self, corpus, capsys, train_calls, blocked):
         # a non-empty directory at the target can be written neither in
-        # place nor by a rename
+        # place nor by a rename, and nothing can be written into a missing
+        # directory; both are reported before anything trains
         tmp, train, _ = corpus
         (tmp / blocked).mkdir()
         (tmp / blocked / "keep").write_text("")
-        code, _, err = run(
-            capsys, "train", "--train", train, "--out", tmp / "model.bin",
-            "--dim", 4, "--epochs", 1,
-        )
-        assert code == 2 and err.splitlines()[-1].startswith("error: ")
-        assert not (tmp / f"{blocked}.tmp").exists()
-        assert (tmp / blocked / "keep").exists()
+        files = sorted(tmp.rglob("*"))
+        for out in (tmp / "model.bin", tmp / "nodir" / "model.bin"):
+            code, _, err = run(
+                capsys, "train", "--train", train, "--out", out, "--dim", 4, "--epochs", 1,
+            )
+            assert code == 2 and err.splitlines()[-1].startswith("error: ")
+            assert "epoch=" not in err and train_calls == []
+            assert not (tmp / f"{blocked}.tmp").exists()
+            assert (tmp / blocked / "keep").exists()
+            assert sorted(tmp.rglob("*")) == files
 
     def test_flag_defaults_are_the_model_config_defaults(self):
         args = jrme.cli.build_parser().parse_args(["train", "--train", "a", "--out", "b"])
@@ -99,8 +120,7 @@ class TestTrainCommand:
         assert code == 0
         table, vocab, config, _ = load_model(model)
         fresh = init_embeddings(vocab, config)
-        assert (table.entity_vecs == fresh.entity_vecs).all()
-        assert (table.word_vecs == fresh.word_vecs).all()
+        assert tables_equal(table, fresh)
 
     def test_kre_accepts_empty_mentions(self, tmp_path, capsys):
         train = tmp_path / "train.tsv"
@@ -266,6 +286,18 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: {model}: {kind} table holds a non-finite value"]
 
+    def test_model_without_relations_is_2(self, tmp_path, capsys):
+        # training never writes one; predict would rank an empty score row
+        vocab = Vocabulary(["e1", "e2"], [], ["sig0"])
+        config = ModelConfig(dim=4)
+        model = tmp_path / "m.bin"
+        save_model(init_embeddings(vocab, config), vocab, config, model, "jrme")
+        queries = tmp_path / "queries.tsv"
+        queries.write_text("e1\te2\tsig0\n")
+        code, out, err = run(capsys, "predict", "--model", model, "--input", queries)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {model}: header 'relations' is empty"]
+
     def test_closed_stdout_is_141_and_silent(self, corpus, capsys):
         tmp, train, _ = corpus
         model = tmp / "m.bin"
@@ -276,7 +308,7 @@ class TestExitCodes:
         queries.write_text(f"{head}\t{tail}\tsig0\n" * 8000)
         proc = subprocess.Popen(
             [sys.executable, "-m", "jrme.cli", "predict", "--model", model, "--input", queries],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
         )
         assert proc.stdout.readline().startswith("1\t1\t")
         proc.stdout.close()
@@ -303,18 +335,18 @@ class TestExitCodes:
         assert err.splitlines()[-1].startswith(f"error: {bad}: not valid UTF-8")
 
 
-class TestEvalCommand:
-    def _train(self, corpus, capsys, **kw):
-        tmp, train, test = corpus
-        model = tmp / "model.bin"
-        assert run(
-            capsys, "train", "--train", train, "--out", model,
-            "--dim", 10, "--epochs", 15, "--seed", 0,
-        )[0] == 0
-        return tmp, model, test
+def trained(corpus, capsys):
+    """(directory, model trained on the corpus, test split)."""
+    tmp, train, test = corpus
+    model = tmp / "model.bin"
+    assert run(capsys, "train", "--train", train, "--out", model,
+               "--dim", 10, "--epochs", 15, "--seed", 0)[0] == 0
+    return tmp, model, test
 
+
+class TestEvalCommand:
     def test_report_printed_with_invariants(self, corpus, capsys):
-        tmp, model, test = self._train(corpus, capsys)
+        tmp, model, test = trained(corpus, capsys)
         code, out, _ = run(capsys, "eval", "--model", model, "--test", test)
         assert code == 0
         hit10 = float(re.search(r"hit_at_10=([0-9.e+-]+)", out).group(1))
@@ -324,7 +356,7 @@ class TestEvalCommand:
         assert hit1 >= 0.9
 
     def test_threads_flags_accepted_and_ignored(self, corpus, capsys):
-        tmp, model, test = self._train(corpus, capsys)
+        tmp, model, test = trained(corpus, capsys)
         one = run(capsys, "eval", "--model", model, "--test", test, "--threads", 1)
         two = run(capsys, "eval", "--model", model, "--test", test,
                   "--threads", 2, "--nondeterministic-ok")
@@ -332,7 +364,7 @@ class TestEvalCommand:
         assert two[1] == one[1]
 
     def test_ranks_tsv_written(self, corpus, capsys):
-        tmp, model, test = self._train(corpus, capsys)
+        tmp, model, test = trained(corpus, capsys)
         ranks = tmp / "ranks.tsv"
         code, _, _ = run(capsys, "eval", "--model", model, "--test", test,
                          "--ranks-out", ranks)
@@ -342,7 +374,7 @@ class TestEvalCommand:
     def test_ranks_out_fifo_is_written_in_place(self, corpus, capsys):
         """A reader waiting on a FIFO gets the ranks file and the FIFO stays
         one: a temp file renamed over it would leave the reader nothing."""
-        tmp, model, test = self._train(corpus, capsys)
+        tmp, model, test = trained(corpus, capsys)
         ranks = tmp / "ranks.tsv"
         assert run(capsys, "eval", "--model", model, "--test", test,
                    "--ranks-out", ranks)[0] == 0
@@ -379,7 +411,7 @@ class TestEvalCommand:
         assert not (tmp / "ranks.fifo.tmp").exists()
 
     def test_partial_rejection_warns_but_succeeds(self, corpus, capsys):
-        tmp, model, test = self._train(corpus, capsys)
+        tmp, model, test = trained(corpus, capsys)
         mixed = tmp / "mixed.tsv"
         mixed.write_text("ghost\trel0\te1\t\n# a comment line\n" + test.read_text())
         ranks = tmp / "ranks.tsv"
@@ -396,7 +428,7 @@ class TestEvalCommand:
         assert (out, ranks.read_text()) == (alone, clean.read_text())
 
     def test_fully_unknown_test_file_is_2(self, corpus, capsys):
-        tmp, model, _ = self._train(corpus, capsys)
+        tmp, model, _ = trained(corpus, capsys)
         bad = tmp / "bad.tsv"
         bad.write_text("a\tunknown\tb\t\nc\tunknown\td\t\n")
         code, _, err = run(capsys, "eval", "--model", model, "--test", bad)
@@ -405,15 +437,8 @@ class TestEvalCommand:
 
 
 class TestPredictCommand:
-    def _model(self, corpus, capsys):
-        tmp, train, _ = corpus
-        model = tmp / "model.bin"
-        assert run(capsys, "train", "--train", train, "--out", model,
-                   "--dim", 10, "--epochs", 15, "--seed", 0)[0] == 0
-        return tmp, model
-
     def test_topk_all_relations_scores_nondecreasing(self, corpus, capsys):
-        tmp, model = self._model(corpus, capsys)
+        tmp, model, _ = trained(corpus, capsys)
         inp = tmp / "q.tsv"
         inp.write_text("e1\te2\tsig3\n")
         code, out, _ = run(capsys, "predict", "--model", model, "--input", inp,
@@ -426,7 +451,7 @@ class TestPredictCommand:
         assert rows[0][2] == "rel3"
 
     def test_empty_mention_matches_kre_ordering(self, corpus, capsys):
-        tmp, model = self._model(corpus, capsys)
+        tmp, model, _ = trained(corpus, capsys)
         inp = tmp / "q.tsv"
         inp.write_text("e1\te2\t\n")
         code, out, _ = run(capsys, "predict", "--model", model, "--input", inp,
@@ -440,7 +465,7 @@ class TestPredictCommand:
         assert got == expected
 
     def test_per_line_error_markers(self, corpus, capsys):
-        tmp, model = self._model(corpus, capsys)
+        tmp, model, _ = trained(corpus, capsys)
         inp = tmp / "q.tsv"
         # a byte-order mark is not part of the first line's head entity
         inp.write_text("\ufeffe1\te2\tsig0\nghost\te2\thello\ne1\te2\n# skipped\ne1\te2\tsig0\n",
@@ -553,19 +578,23 @@ class TestGridCommand:
         assert best["dim"] == 6
         assert best["alpha"] in (0.5, 1.0)
 
-    def test_failed_out_rename_leaves_no_temp_file(self, corpus, capsys):
+    def test_failed_out_rename_leaves_no_temp_file(self, corpus, capsys, train_calls):
         tmp, train, test = corpus
         best_out = tmp / "best"
         best_out.mkdir()
         (best_out / "keep").write_text("")
-        code, _, err = run(
-            capsys, "grid", "--train", train, "--valid", test,
-            "--dims", "4", "--alphas", "1.0", "--betas", "1.0", "--gammas", "2.0",
-            "--epochs", 1, "--out", best_out,
-        )
-        assert code == 2 and err.splitlines()[-1].startswith("error: ")
-        assert not (tmp / "best.tmp").exists()
-        assert (best_out / "keep").exists()
+        files = sorted(tmp.rglob("*"))
+        for out in (best_out, tmp / "nodir" / "best.json"):
+            code, stdout, err = run(
+                capsys, "grid", "--train", train, "--valid", test,
+                "--dims", "4", "--alphas", "1.0", "--betas", "1.0", "--gammas", "2.0",
+                "--epochs", 1, "--out", out,
+            )
+            assert code == 2 and err.splitlines()[-1].startswith("error: ")
+            assert (stdout, train_calls) == ("", [])
+            assert not (tmp / "best.tmp").exists()
+            assert (best_out / "keep").exists()
+            assert sorted(tmp.rglob("*")) == files
 
     def test_duplicate_points_print_in_order_as_single_point_runs(self, corpus, capsys):
         # jrme reads only gamma, so each alpha pair and beta pair is a duplicate
@@ -625,18 +654,8 @@ class TestGridCommand:
         ("--gammas", "1,2,nan", "gamma must be finite"),
         ("--dims", "4,-1", "dim must be positive"),
     ])
-    def test_invalid_grid_value_is_1_before_any_training(self, corpus, capsys, monkeypatch,
+    def test_invalid_grid_value_is_1_before_any_training(self, corpus, capsys, train_calls,
                                                          flag, values, message):
-        import jrme.training
-
-        calls = []
-        real_train = jrme.training.train
-
-        def counting_train(*args, **kwargs):
-            calls.append(args[2])
-            return real_train(*args, **kwargs)
-
-        monkeypatch.setattr(jrme.training, "train", counting_train)
         tmp, train, test = corpus
         grid = {"--dims": "4", "--alphas": "1", "--betas": "1", "--gammas": "1", flag: values}
         flags = [a for k, v in grid.items() for a in (k, v)]
@@ -645,7 +664,7 @@ class TestGridCommand:
             code, out, err = run(
                 capsys, "grid", "--train", train_path, "--valid", test, *flags, "--epochs", 1,
             )
-            assert (code, out, calls) == (1, "", [])
+            assert (code, out, train_calls) == (1, "", [])
             assert message in err
 
 
@@ -766,7 +785,7 @@ class TestStartup:
         """The last stdout line of `script` in a fresh interpreter, with a
         fresh cache and without site, whose start-up hooks may import
         anything."""
-        env = _child_env(XDG_CACHE_HOME=str(tmp_path / "cache"))
+        env = child_env(XDG_CACHE_HOME=str(tmp_path / "cache"))
         env["PYTHONPATH"] += os.pathsep + str(Path(np.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                              text=True, check=True, env=env)
@@ -840,8 +859,7 @@ class TestStartup:
         queries.write_text("e1\te2\tsig1\n")
         argv = {"eval": ["eval", "--model", str(model), "--test", str(test)],
                 "predict": ["predict", "--model", str(model), "--input", str(queries)]}[command]
-        modules = ("jrme.training", "jrme.scoring")
-        assert self._child(tmp_path, [argv], modules) == "[0] None []"
+        assert self._child(tmp_path, [argv], ("jrme.training",)) == "[0] None []"
 
     @needs_c
     def test_train_builds_the_kernel(self, corpus, tmp_path):

@@ -3,7 +3,6 @@ import pytest
 import numpy as np
 
 from jrme.data import (
-    Belief,
     IdMap,
     PackedBeliefs,
     Vocabulary,
@@ -14,6 +13,7 @@ from jrme.data import (
     tokenize_mention,
 )
 from jrme.errors import ConfigError, DataError, ParseError
+from reference import Belief, belief_at, unpack
 
 
 class TestIdMap:
@@ -67,9 +67,9 @@ class TestParse:
         )
         vocab = Vocabulary()
         result = parse_belief_file(p, vocab, mode="build")
-        assert [b.head for b in result.beliefs] == [0, 0]
-        assert result.beliefs[0].mention == (0, 1, 2)
-        assert result.beliefs[1].mention == ()
+        assert [b.head for b in unpack(result.beliefs)] == [0, 0]
+        assert belief_at(result.beliefs, 0).mention == (0, 1, 2)
+        assert belief_at(result.beliefs, 1).mention == ()
         assert result.rejected == 0
         assert len(vocab.entities) == 3
         assert len(vocab.relations) == 2
@@ -101,7 +101,7 @@ class TestParse:
         result = parse_belief_file(test, vocab, mode="frozen")
         assert result.rejected == 2
         assert len(result.beliefs) == 1
-        assert result.beliefs[0].mention == (0,)
+        assert belief_at(result.beliefs, 0).mention == (0,)
 
     def test_frozen_reparse_of_training_file_rejects_nothing(self, tmp_path):
         p = self._write(tmp_path, "a\tr1\tb\tx y\nb\tr2\tc\tz\n")
@@ -109,7 +109,7 @@ class TestParse:
         built = parse_belief_file(p, vocab, mode="build")
         frozen = parse_belief_file(p, vocab, mode="frozen")
         assert frozen.rejected == 0
-        assert list(frozen.beliefs) == list(built.beliefs)
+        assert unpack(frozen.beliefs) == unpack(built.beliefs)
 
     def test_byte_order_mark_is_not_part_of_the_first_entity(self, tmp_path):
         text = "caroline\tcitylocatedinstate\tmaryland\tCounty and State of\n"
@@ -193,7 +193,7 @@ class TestPackedParse:
         p = self._write(tmp_path, "t.tsv", "a\tr\tb\tx x y\nb\tq\ta\t\nc\tr\ta\ty\n")
         parsed = parse_belief_file(p, Vocabulary()).beliefs
         beliefs = [Belief(0, 0, 1, (0, 0, 1)), Belief(1, 1, 0, ()), Belief(2, 0, 0, (1,))]
-        assert list(parsed) == beliefs
+        assert unpack(parsed) == beliefs
         packed = PackedBeliefs.from_beliefs(beliefs)
         for name in PackedBeliefs.__slots__:
             assert getattr(packed, name).tolist() == getattr(parsed, name).tolist()
@@ -203,10 +203,10 @@ class TestPackedBeliefs:
     def test_indexing_returns_beliefs_and_bounds_checks(self):
         beliefs = [Belief(0, 1, 2, (3, 3)), Belief(1, 0, 0, ()), Belief(2, 1, 1, (0,))]
         p = PackedBeliefs.from_beliefs(beliefs)
-        assert [p[i] for i in range(3)] == beliefs
-        assert p[-1] == beliefs[-1]
+        assert [belief_at(p, i) for i in range(3)] == beliefs
+        assert belief_at(p, -1) == beliefs[-1]
         with pytest.raises(IndexError):
-            p[3]
+            belief_at(p, 3)
 
     def test_default_is_empty(self):
         assert len(PackedBeliefs()) == 0

@@ -6,19 +6,11 @@ import numpy as np
 import pytest
 
 from jrme.config import ModelConfig, parse_neg_mode
+from jrme.data import Vocabulary
 from jrme.embeddings import init_embeddings, load_model, save_model
 from jrme.errors import ConfigError, FormatError
+from reference import edit_header, tables_equal
 from synth_data import make_vocab
-
-
-def edit_header(path, edit):
-    """Rewrite a model file's JSON header in place through edit(header)."""
-    blob = path.read_bytes()
-    (n,) = struct.unpack("<Q", blob[6:14])
-    header = json.loads(blob[14 : 14 + n])
-    edit(header)
-    new = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
-    path.write_bytes(blob[:6] + struct.pack("<Q", len(new)) + new + blob[14 + n :])
 
 
 class TestModelConfig:
@@ -81,9 +73,7 @@ class TestInit:
         cfg = ModelConfig(dim=8, seed=99)
         a = init_embeddings(vocab, cfg)
         b = init_embeddings(vocab, cfg)
-        assert (a.entity_vecs == b.entity_vecs).all()
-        assert (a.relation_vecs == b.relation_vecs).all()
-        assert (a.word_vecs == b.word_vecs).all()
+        assert tables_equal(a, b)
 
     def test_different_seeds_differ(self):
         vocab = make_vocab(10, 4, 6)
@@ -124,9 +114,7 @@ class TestPersistence:
         assert vocab2.entities.names == vocab.entities.names
         assert vocab2.relations.names == vocab.relations.names
         assert vocab2.words.names == vocab.words.names
-        assert (table2.entity_vecs == table.entity_vecs).all()
-        assert (table2.relation_vecs == table.relation_vecs).all()
-        assert (table2.word_vecs == table.word_vecs).all()
+        assert tables_equal(table2, table)
 
     def test_no_temp_file_left_behind(self, tmp_path):
         table, vocab, cfg = self._fixture()
@@ -221,6 +209,16 @@ class TestPersistence:
             load_model(path)
         assert str(err.value) == f"{path}: header missing 'variant'"
 
+    def test_empty_relation_list_rejected(self, tmp_path):
+        # nothing to rank: predict would index an empty score row
+        vocab = Vocabulary(["a", "b"], [], ["w"])
+        cfg = ModelConfig(dim=4)
+        path = tmp_path / "model.bin"
+        save_model(init_embeddings(vocab, cfg), vocab, cfg, path, "jrme")
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        assert str(err.value) == f"{path}: header 'relations' is empty"
+
     def test_unknown_variant_rejected(self, tmp_path):
         table, vocab, cfg = self._fixture()
         path = tmp_path / "model.bin"
@@ -241,7 +239,7 @@ class TestPersistence:
             (None, {"entities": 5}),
             (None, {"words": [["w"]]}),
             (None, {"config": {"dim": 10**15}, "dim": 10**15, "entities": ["e"],
-                    "relations": [], "words": []}),
+                    "relations": ["r"], "words": []}),
             (None, {"config": {"gamma": float("nan")}}),
         ],
         ids=["len-2^63", "len-2^40", "list", "config-int", "neg-mode-int", "dim-float",

@@ -3,7 +3,6 @@ import copy
 import numpy as np
 import pytest
 
-from jrme.data import Belief, PackedBeliefs
 from jrme.embeddings import EmbeddingTable
 from jrme.errors import DataError
 from jrme.evaluation import (
@@ -15,29 +14,8 @@ from jrme.evaluation import (
     write_ranks_tsv,
 )
 from jrme.kernels import RANK_BLOCK
+from reference import Belief, oracle_rank, oracle_ranks, pack, random_beliefs
 from synth_data import make_vocab, random_table
-
-pack = PackedBeliefs.from_beliefs
-
-
-def oracle_rank(scores, true_id):
-    """1-indexed position of the true id in the stable argsort of the
-    scores: by (score, relation id), nan after every number, as `predict`
-    orders candidates."""
-    order = np.argsort(np.asarray(scores), kind="stable")
-    return int(np.flatnonzero(order == true_id)[0]) + 1
-
-
-def random_beliefs(rng, n, n_entities, n_relations, n_words, max_mention=3):
-    return [
-        Belief(
-            int(rng.integers(n_entities)),
-            int(rng.integers(n_relations)),
-            int(rng.integers(n_entities)),
-            tuple(int(w) for w in rng.integers(n_words, size=rng.integers(max_mention + 1))),
-        )
-        for _ in range(n)
-    ]
 
 
 class TestSummarize:
@@ -159,10 +137,7 @@ class TestEvaluate:
         t, beliefs = self._setup(rng, n=2 * RANK_BLOCK + 13)
         for variant in ("kre", "tme", "jrme"):
             report = evaluate(t, pack(beliefs), variant)
-            expected = [
-                oracle_rank(list(candidate_scores(t, b.head, b.tail, b.mention, variant)), b.relation)
-                for b in beliefs
-            ]
+            expected = oracle_ranks(t, beliefs, variant)
             assert report.ranks == tuple(expected)
             assert all(type(r) is int for r in report.ranks)
             avg, hit10, hit1 = summarize_ranks(expected)

