@@ -114,7 +114,7 @@ def _file_sha256(paths) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, config, variant, inputs, outputs) -> None:
+def _write_manifest(path, config, variant, inputs, outputs) -> None:
     import datetime
 
     from .kernels import BACKEND
@@ -128,7 +128,7 @@ def _write_manifest(out_path, config, variant, inputs, outputs) -> None:
         "backend": BACKEND,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with atomic_write(f"{out_path}.manifest.json") as f:
+    with atomic_write(path) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -160,17 +160,21 @@ def cmd_train(args) -> int:
     _bind_engine(*_ENGINE)
     config = _config_from_args(args)
     threads = _resolve_threads(args)
-    _check_out(args.out, f"{args.out}.manifest.json")
+    # beside a FIFO or a device, a manifest would be a new file no one asked for
+    manifest = f"{args.out}.manifest.json"
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        print(f"warning: {args.out} is not a regular file; no manifest is written",
+              file=sys.stderr)
+        manifest = None
+    _check_out(args.out, manifest)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(config, len(vocab.relations))
     table, _ = train(dataset, vocab, config, args.variant, n_threads=threads, log=sys.stderr)
     save_model(table, vocab, config, args.out, args.variant)
-    _write_manifest(
-        args.out, config, args.variant,
-        {"train": args.train, "valid": args.valid},
-        {"model": args.out},
-    )
+    if manifest:
+        _write_manifest(manifest, config, args.variant,
+                        {"train": args.train, "valid": args.valid}, {"model": args.out})
     if dataset.valid:
         report = evaluate(table, dataset.valid, args.variant)
         print(format_report(report, args.variant.upper()))
@@ -181,6 +185,9 @@ def cmd_eval(args) -> int:
     _bind_engine("embeddings", "evaluation")
     table, vocab, _, stored_variant = load_model(args.model)
     variant = args.variant or stored_variant
+    if variant != stored_variant:
+        print(f"warning: {args.model} was trained as {stored_variant}; scoring it as {variant}",
+              file=sys.stderr)
     result = parse_belief_file(args.test, vocab, mode="frozen")
     _report_rejections({args.test: result.rejected}, sys.stderr)
     if not result.beliefs:
@@ -227,7 +234,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
     table, vocab, _, variant = load_model(args.model)
     flags = variant_flags(variant)
-    names = vocab.relations.names
+    names = list(vocab.relations)
     lines = read_lines(args.input)
     while block := list(islice(lines, RANK_BLOCK)):
         out = []  # output per line in order; a scorable line's slot is filled once scored

@@ -11,24 +11,31 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
-VARIANTS = ("kre", "tme", "jrme")
+# each variant's (use_kg, use_text, its margin's ModelConfig field)
+_VARIANTS = {
+    "kre": (True, False, "alpha"),
+    "tme": (False, True, "beta"),
+    "jrme": (True, True, "gamma"),
+}
+VARIANTS = tuple(_VARIANTS)
 
 _SEED_MASK = (1 << 64) - 1
 
 
+def _variant(variant: str) -> tuple[bool, bool, str]:
+    try:
+        return _VARIANTS[variant]
+    except KeyError:
+        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}") from None
+
+
 def variant_flags(variant: str) -> tuple[bool, bool]:
     """(use_kg, use_text) for a variant name."""
-    if variant == "kre":
-        return True, False
-    if variant == "tme":
-        return False, True
-    if variant == "jrme":
-        return True, True
-    raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    return _variant(variant)[:2]
 
 
 def variant_margin(variant: str, config: ModelConfig) -> float:
-    return {"kre": config.alpha, "tme": config.beta, "jrme": config.gamma}[variant]
+    return getattr(config, _variant(variant)[2])
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ then packs those lists into a `PackedBeliefs`, the int64 id arrays that
 training, evaluation and grid search read; `count_beliefs`, what `jrme
 stats` runs, only counts them, so it never imports numpy.  Nothing
 writes a belief back as text.
+
+A `Vocabulary` is three plain dicts from name to dense id.  Build mode
+gives each unseen name the next id; frozen mode only looks names up.
 """
 
 from __future__ import annotations
@@ -27,45 +30,19 @@ from typing import NamedTuple
 from .errors import ConfigError, DataError, ParseError
 
 
-class IdMap:
-    """Bidirectional symbol <-> dense-id map; ids are contiguous from 0,
-    first the positions in `names` (a repeat raises DataError), then `add`s."""
-
-    __slots__ = ("_ids",)
-
-    def __init__(self, names=()):
-        # a dict keeps insertion order, so its keys are the names in id order
-        self._ids: dict[str, int] = {}
-        for i, name in enumerate(names):
-            if self._ids.setdefault(name, i) != i:
-                raise DataError(f"repeats the name {name!r}")
-
-    def add(self, name: str) -> int:
-        """Return the id for name, registering it if unseen."""
-        return self._ids.setdefault(name, len(self._ids))
-
-    def get(self, name: str) -> int | None:
-        return self._ids.get(name)
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
 class Vocabulary:
-    """Entity, relation and mention-word namespaces, each an IdMap built
-    from its list of names; a repeated name raises DataError naming both."""
+    """Entity, relation and mention-word namespaces, each a dict from name
+    to id, 0, 1, ... in insertion order (so `list(d)` is the names in id
+    order), built from its list of names; a repeat raises DataError."""
 
     def __init__(self, entities=(), relations=(), words=()):
         maps = []
         for kind, names in (("entities", entities), ("relations", relations), ("words", words)):
-            try:
-                maps.append(IdMap(names))
-            except DataError as e:
-                raise DataError(f"{kind!r} {e}") from None
+            ids = dict(zip(names, range(len(names))))
+            if len(ids) < len(names):  # a repeat keeps its last id
+                repeat = next(name for i, name in enumerate(names) if ids[name] != i)
+                raise DataError(f"{kind!r} repeats the name {repeat!r}")
+            maps.append(ids)
         self.entities, self.relations, self.words = maps
 
 
@@ -152,10 +129,10 @@ def _parse_ids(path, vocab: Vocabulary, mode: str) -> tuple[tuple[list[int], ...
     rejected line count); arguments and errors as `parse_belief_file`."""
     if mode not in ("build", "frozen"):
         raise ConfigError(f"unknown parse mode: {mode!r}")
-    build = mode == "build"
-    entity = vocab.entities.add if build else vocab.entities.get
-    relation = vocab.relations.add if build else vocab.relations.get
-    word = vocab.words.add if build else vocab.words.get
+    # build mode gives each unseen name the next dense id
+    entity, relation, word = (
+        (lambda name, d=d: d.setdefault(name, len(d))) if mode == "build" else d.get
+        for d in (vocab.entities, vocab.relations, vocab.words))
     heads, relations, tails, off, words = [], [], [], [0], []
     rejected = 0
     for line_no, line in read_lines(path):

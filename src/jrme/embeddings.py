@@ -116,9 +116,9 @@ def save_model(
         "config": dataclasses.asdict(config),
         "variant": variant,
         "dim": table.relation_vecs.shape[1],
-        "entities": vocab.entities.names,
-        "relations": vocab.relations.names,
-        "words": vocab.words.names,
+        "entities": list(vocab.entities),
+        "relations": list(vocab.relations),
+        "words": list(vocab.words),
     }
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as f:

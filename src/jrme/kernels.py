@@ -347,13 +347,16 @@ def _queries(entity, word, packed, lo, hi, d, use_kg, use_text):
     return q, c
 
 
-def _exact_scores(q, c, relation, rel_sq):
-    """c + q.r' + ||r'||^2 per (row, relation), or q.r' alone when c is
-    None (no kg part, rel_sq unread), each summed in a fixed order."""
-    scores = np.einsum("bd,dr->br", q, relation.T)
+def _exact_scores(q, c, relation, rel_sq, ids=None):
+    """c + q.r' + ||r'||^2 for each row of q and every relation r', or the
+    k relations its row of `ids` (n, k) names; q.r' alone when c is None.
+    One fixed-order einsum over the candidate rows (a broadcast view of
+    `relation` for whole rows) gives an entry the same bits in any call."""
+    rows = np.broadcast_to(relation, (len(q), *relation.shape)) if ids is None else relation[ids]
+    scores = np.einsum("nd,nkd->nk", q, rows)
     if c is not None:
         scores += c[:, None]
-        scores += rel_sq
+        scores += rel_sq if ids is None else rel_sq[ids]
     return scores
 
 
@@ -466,11 +469,11 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     the candidates with s~ <= (the row's k-th smallest s~) + band: any
     other candidate has k candidates strictly better than it in exact
     score, so it cannot be among the k first by (score, id).  The kept
-    candidates are rescored with the exact scorer's fixed-order sum on
-    gathered rows, which gives the bits of the full scorer, and ordered
-    by their argsort.  Rows with an inf band, and rows that keep more than
-    half the relations, such as `tme` rows with an empty mention, whose
-    candidates all tie, take the exact scorer and its argsort whole.
+    candidates are rescored by `_exact_scores` on their ids, with the bits
+    of the whole row, and ordered by their argsort.  Rows with an inf
+    band, and rows that keep more than half the relations, such as `tme`
+    rows with an empty mention, whose candidates all tie, take the exact
+    scorer and its argsort whole.
     """
     _check_packed(entity, relation, word, packed, use_text)
     n, (n_rel, d) = len(packed), relation.shape
@@ -504,10 +507,7 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
         first = np.cumsum(counts[sub]) - counts[sub]
         gathered = np.zeros((sub.size, width), dtype=np.int64)
         gathered[row, np.arange(row.size) - first[row]] = cand
-        part = np.einsum("nd,nkd->nk", q[sub], relation[gathered])
-        if c is not None:
-            part += c[sub][:, None]
-            part += rel_sq[gathered]
+        part = _exact_scores(q[sub], None if c is None else c[sub], relation, rel_sq, gathered)
         part[np.arange(width) >= counts[sub][:, None]] = np.inf
         top = np.argsort(part, axis=1, kind="stable")[:, :k]
         ids[sub] = np.take_along_axis(gathered, top, axis=1)

@@ -46,6 +46,41 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def read_fifo(fifo, timeout=20):
+    """Start a thread that reads the FIFO at `fifo` to its end; return a
+    function that waits for it and returns the bytes read.  The reader
+    opens the FIFO before this returns and gives up after `timeout`
+    seconds without a writer's end of file."""
+    received = []
+    opened = threading.Event()
+
+    def read():
+        # non-blocking, so that the reader gives up when no writer comes
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        opened.set()
+        deadline = time.monotonic() + timeout
+        try:
+            while (left := deadline - time.monotonic()) > 0:
+                if select.select([fd], [], [], left)[0]:
+                    chunk = os.read(fd, 1 << 16)
+                    if not chunk:
+                        break
+                    received.append(chunk)
+        finally:
+            os.close(fd)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert opened.wait(timeout)
+
+    def result():
+        reader.join(timeout + 10)
+        assert not reader.is_alive()
+        return b"".join(received)
+
+    return result
+
+
 @pytest.fixture
 def train_calls(monkeypatch):
     """The config of every `train` call, from a command or from
@@ -86,6 +121,23 @@ class TestTrainCommand:
         assert manifest["variant"] == "jrme"
         assert len(manifest["dataset_sha256"]) == 64
         assert "created" in manifest
+
+    def test_model_written_to_a_fifo_gets_no_manifest(self, corpus, capsys):
+        """The manifest goes beside a regular model file only: beside a FIFO
+        or a device it would be a new file no one asked for."""
+        tmp, train, _ = corpus
+        fifo = tmp / "model.fifo"
+        os.mkfifo(fifo)
+        received = read_fifo(fifo)
+        code, _, err = run(capsys, "train", "--train", train, "--out", fifo,
+                           "--dim", 4, "--epochs", 1)
+        assert code == 0, err
+        model = tmp / "model.bin"
+        model.write_bytes(received())
+        assert load_model(model)[2].dim == 4
+        assert not (tmp / "model.fifo.manifest.json").exists()
+        assert f"warning: {fifo} is not a regular file; no manifest is written" in err.splitlines()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
     @pytest.mark.parametrize("blocked", ["model.bin", "model.bin.manifest.json"])
     def test_failed_rename_leaves_no_temp_file(self, corpus, capsys, train_calls, blocked):
@@ -262,7 +314,7 @@ class TestExitCodes:
         tmp, train, test = corpus
         model = tmp / "m.bin"
         assert run(capsys, "train", "--train", train, "--out", model, "--epochs", 0)[0] == 0
-        first = load_model(model)[1].relations.names[0]
+        first = next(iter(load_model(model)[1].relations))
         edit_header(model, lambda h: h.update(relations=[first, first, *h["relations"][2:]]))
         code, _, err = run(capsys, "eval", "--model", model, "--test", test)
         assert code == 2
@@ -380,33 +432,11 @@ class TestEvalCommand:
                    "--ranks-out", ranks)[0] == 0
         fifo = tmp / "ranks.fifo"
         os.mkfifo(fifo)
-        received = []
-        opened = threading.Event()
-
-        def read():
-            # non-blocking, so that the reader gives up when no writer comes
-            fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-            opened.set()
-            deadline = time.monotonic() + 20
-            try:
-                while (left := deadline - time.monotonic()) > 0:
-                    if select.select([fd], [], [], left)[0]:
-                        chunk = os.read(fd, 1 << 16)
-                        if not chunk:
-                            break
-                        received.append(chunk)
-            finally:
-                os.close(fd)
-
-        reader = threading.Thread(target=read, daemon=True)
-        reader.start()
-        assert opened.wait(20)
+        received = read_fifo(fifo)
         code, _, err = run(capsys, "eval", "--model", model, "--test", test,
                            "--ranks-out", fifo)
-        reader.join(30)
         assert code == 0, err
-        assert not reader.is_alive()
-        assert b"".join(received).decode() == ranks.read_text()
+        assert received().decode() == ranks.read_text()
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert not (tmp / "ranks.fifo.tmp").exists()
 
@@ -460,7 +490,8 @@ class TestPredictCommand:
         table, vocab, _, _ = load_model(model)
         kre_scores = candidate_scores(table, vocab.entities.get("e1"),
                                       vocab.entities.get("e2"), (), "kre")
-        expected = [vocab.relations.names[int(i)] for i in np.argsort(kre_scores, kind="stable")]
+        names = list(vocab.relations)
+        expected = [names[int(i)] for i in np.argsort(kre_scores, kind="stable")]
         got = [line.split("\t")[2] for line in out.splitlines()]
         assert got == expected
 
@@ -507,6 +538,7 @@ class TestPredictBlocks:
     @staticmethod
     def _reference(path, table, vocab, variant, topk):
         out = []
+        names = list(vocab.relations)
         k = min(topk, len(table.relation_vecs))
         for line_no, line in enumerate(path.read_text().split("\n")[:-1], 1):
             if line.startswith("#"):
@@ -523,7 +555,7 @@ class TestPredictBlocks:
             mention = [vocab.words.get(w) for w in cols[2].lower().split()]
             scores = candidate_scores(table, h, t, [w for w in mention if w is not None], variant)
             for pos, rid in enumerate(np.argsort(scores, kind="stable")[:k], 1):
-                out.append(f"{line_no}\t{pos}\t{vocab.relations.names[int(rid)]}\t"
+                out.append(f"{line_no}\t{pos}\t{names[int(rid)]}\t"
                            f"{float(scores[rid])!r}")
         return "".join(f"{line}\n" for line in out)
 
@@ -539,7 +571,7 @@ class TestPredictBlocks:
         table.relation_vecs[[2, 4, 5]] = table.relation_vecs[1]
         save_model(table, vocab, config, model, variant)
         queries, errors = self._query_file(tmp, rng)
-        tied = {vocab.relations.names[i] for i in (1, 2, 4, 5)}
+        tied = {list(vocab.relations)[i] for i in (1, 2, 4, 5)}
         block_rows = []
 
         def counting_scorer(entity, relation, word, packed, *rest):
@@ -691,13 +723,14 @@ class TestStoredVariant:
         default = run(capsys, "eval", "--model", model, "--test", test)
         explicit = run(capsys, "eval", "--model", model, "--test", test, "--variant", "tme")
         assert default[0] == 0 and default == explicit
-        assert "TME" in default[1]
+        assert "TME" in default[1] and "trained as" not in default[2]
 
     def test_explicit_variant_overrides_the_stored_one(self, corpus, capsys):
         _, model, test = self._model(corpus, capsys, "tme")
-        code, out, _ = run(capsys, "eval", "--model", model, "--test", test, "--variant", "kre")
+        code, out, err = run(capsys, "eval", "--model", model, "--test", test, "--variant", "kre")
         assert code == 0
         assert "KRE" in out and "TME" not in out
+        assert f"warning: {model} was trained as tme; scoring it as kre" in err.splitlines()
 
     def test_predict_scores_with_the_stored_variant(self, corpus, capsys):
         tmp, model, _ = self._model(corpus, capsys, "tme")
@@ -710,7 +743,7 @@ class TestStoredVariant:
         scores = candidate_scores(table, vocab.entities.get("e1"), vocab.entities.get("e2"),
                                   mention, "tme")
         expected = [
-            f"1\t{pos}\t{vocab.relations.names[int(rid)]}\t{float(scores[rid])!r}"
+            f"1\t{pos}\t{list(vocab.relations)[int(rid)]}\t{float(scores[rid])!r}"
             for pos, rid in enumerate(np.argsort(scores, kind="stable"), 1)
         ]
         assert out.splitlines() == expected

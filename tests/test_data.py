@@ -3,7 +3,6 @@ import pytest
 import numpy as np
 
 from jrme.data import (
-    IdMap,
     PackedBeliefs,
     Vocabulary,
     count_beliefs,
@@ -16,21 +15,27 @@ from jrme.errors import ConfigError, DataError, ParseError
 from reference import Belief, belief_at, unpack
 
 
-class TestIdMap:
-    def test_ids_are_dense_and_stable(self):
-        m = IdMap()
-        assert m.add("a") == 0
-        assert m.add("b") == 1
-        assert m.add("a") == 0
-        assert len(m) == 2
-        assert m.names[1] == "b"
-        assert m.names == ["a", "b"]
-        assert m.get("a") == 0 and m.get("c") is None
-        assert m.get("c") is None
+class TestVocabulary:
+    def test_ids_are_dense_and_stable(self, tmp_path):
+        # heads and tails share one namespace: a and b come from the first
+        # line, c as a head, a again as a tail, d as a tail
+        p = tmp_path / "beliefs.tsv"
+        p.write_text("a\tr\tb\tx\nc\tq\ta\ty x\nb\tr\td\t\n")
+        vocab = Vocabulary()
+        beliefs = parse_belief_file(p, vocab, mode="build").beliefs
+        assert vocab.entities == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert beliefs.heads.tolist() == [0, 2, 1] and beliefs.tails.tolist() == [1, 0, 3]
+        assert len(vocab.relations) == 2
+        assert list(vocab.relations)[1] == "q"
+        assert list(vocab.words) == ["x", "y"]
+        assert vocab.words.get("x") == 0 and vocab.words.get("z") is None
+        assert vocab.entities.get("e") is None
 
     def test_repeated_name_rejected(self):
-        with pytest.raises(DataError, match="repeats the name 'b'"):
-            IdMap(["a", "b", "c", "b"])
+        with pytest.raises(DataError, match="'entities' repeats the name 'b'"):
+            Vocabulary(["a", "b", "c", "b"])
+        with pytest.raises(DataError, match="'relations' repeats the name 'b'"):
+            Vocabulary(["a", "b"], ["a", "b", "c", "b", "c"])
         with pytest.raises(DataError, match="'words' repeats the name 'w'"):
             Vocabulary(["x"], ["r"], ["w", "w"])
 
@@ -119,8 +124,8 @@ class TestParse:
         for name in PackedBeliefs.__slots__:
             assert getattr(got, name).tolist() == getattr(want, name).tolist()
         for kind in ("entities", "relations", "words"):
-            assert getattr(marked, kind).names == getattr(plain, kind).names
-        assert marked.entities.names[0] == "caroline"
+            assert list(getattr(marked, kind)) == list(getattr(plain, kind))
+        assert list(marked.entities)[0] == "caroline"
 
     def test_unknown_mode_rejected(self, tmp_path):
         p = self._write(tmp_path, "")
@@ -158,7 +163,7 @@ class TestPackedParse:
         result = parse_belief_file(p, vocab, mode="build")
         assert result.rejected == 0
         assert_packed(result.beliefs, [0, 1, 0], [0, 1, 1], [1, 0, 2], [0, 3, 3, 4], [0, 1, 0, 1])
-        assert (vocab.entities.names, vocab.relations.names, vocab.words.names) == (
+        assert (list(vocab.entities), list(vocab.relations), list(vocab.words)) == (
             ["a", "b", "c"], ["r", "q"], ["x", "y"]
         )
 
@@ -230,7 +235,7 @@ class TestLoadDataset:
         assert counts == {"train": len(ds.train), "valid": len(ds.valid), "test": len(ds.test)}
         assert stats_rejected == rejected
         for kind in ("entities", "relations", "words"):
-            assert getattr(stats_vocab, kind).names == getattr(vocab, kind).names
+            assert list(getattr(stats_vocab, kind)) == list(getattr(vocab, kind))
         column = [line.split()[-1] for line in format_stats(vocab, counts).splitlines()]
         assert column == ["3", "2", "2", "1", "1"]
 

@@ -111,9 +111,9 @@ class TestPersistence:
         table2, vocab2, cfg2, variant2 = load_model(path)
         assert cfg2 == cfg
         assert variant2 == "tme"
-        assert vocab2.entities.names == vocab.entities.names
-        assert vocab2.relations.names == vocab.relations.names
-        assert vocab2.words.names == vocab.words.names
+        assert list(vocab2.entities.items()) == list(vocab.entities.items())
+        assert list(vocab2.relations.items()) == list(vocab.relations.items())
+        assert list(vocab2.words.items()) == list(vocab.words.items())
         assert tables_equal(table2, table)
 
     def test_no_temp_file_left_behind(self, tmp_path):

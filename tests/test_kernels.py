@@ -19,6 +19,7 @@ from jrme.kernels import (
     PackedBeliefs,
     _epoch_c,
     _epoch_numpy,
+    _exact_scores,
     enum_negative_table,
     rank_all,
     relation_scores,
@@ -290,6 +291,18 @@ class TestBandedTopK:
                 np.testing.assert_array_equal(ids, expected, err_msg=f"{variant} k={k}")
                 want = np.take_along_axis(scores, expected, axis=1)
                 assert values.tobytes() == want.tobytes(), (variant, k)
+
+    @pytest.mark.parametrize("d", [1, 7, 100, 101])
+    def test_exact_scores_on_ids_are_the_whole_row_bits(self, rng, d):
+        q, c = rng.standard_normal((50, d)), rng.random(50)
+        relation = rng.standard_normal((40, d))
+        rel_sq = np.einsum("rd,rd->r", relation, relation)
+        ids = rng.integers(40, size=(50, 12))
+        for row_c in (c, None):
+            whole = _exact_scores(q, row_c, relation, rel_sq)
+            gathered = _exact_scores(q, row_c, relation, rel_sq, ids)
+            want = np.take_along_axis(whole, ids, axis=1)
+            assert gathered.tobytes() == want.tobytes(), row_c is None
 
     @pytest.mark.parametrize("d", [1, 7, 100, 101])
     def test_random_tables(self, rng, d):

@@ -40,7 +40,8 @@ class TestVariants:
         assert variant_flags("kre") == (True, False)
         assert variant_flags("tme") == (False, True)
         assert variant_flags("jrme") == (True, True)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown variant 'kme', expected one of "
+                           r"\('kre', 'tme', 'jrme'\)"):
             variant_flags("kme")
 
     def test_margins(self):
@@ -48,6 +49,8 @@ class TestVariants:
         assert variant_margin("kre", cfg) == 0.3
         assert variant_margin("tme", cfg) == 0.7
         assert variant_margin("jrme", cfg) == 1.9
+        with pytest.raises(ConfigError, match="unknown variant 'kme'"):
+            variant_margin("kme", cfg)
 
 
 class TestNegatives:
