@@ -191,7 +191,8 @@ def cmd_eval(args) -> int:
     result = parse_belief_file(args.test, vocab, mode="frozen")
     _report_rejections({args.test: result.rejected}, sys.stderr)
     if not result.beliefs:
-        raise DataError(f"{args.test}: no evaluable beliefs (all lines rejected)")
+        why = "all lines rejected" if result.rejected else "the file holds no belief lines"
+        raise DataError(f"{args.test}: no evaluable beliefs ({why})")
     report = evaluate(table, result.beliefs, variant)
     print(format_report(report, variant.upper()))
     if args.ranks_out:

@@ -13,10 +13,10 @@ hold the C kernel to: the two may differ in the last float bits
 (summation order), never in semantics.  Ranking, numpy on both backends,
 has one exact scorer (`relation_scores`) and one order, numpy's stable
 argsort (ties by id, nan last), behind every score and rank.  `rank_all`
-and `top_relations` order each block by BLAS GEMM and rescore with the
-exact scorer only the candidates inside the GEMM error band
-(`_gemm_scores`) that can change the result, so their ranks and top k
-are the exact scorer's whatever the BLAS, its threads or the block.
+and `top_relations` score each block by BLAS GEMM; a row its error band
+(`_gemm_scores`) settles is ranked from GEMM, or for a top k rescored on
+its k ids, and every other row is rescored whole, so their ranks and top
+k are the exact scorer's whatever the BLAS, its threads or the block.
 
 Every kernel takes the three tables as arrays and the beliefs as one
 `data.PackedBeliefs`, the form the parser writes, so no caller unpacks
@@ -418,6 +418,13 @@ def _gemm_scores(q, c, relation, rel_sq):
     return s, band
 
 
+def _whole_rows(q, c, relation, rel_sq, rows):
+    """(scores, order) of the given rows of a block: the exact scores of
+    every relation and their stable argsort."""
+    scores = _exact_scores(q[rows], None if c is None else c[rows], relation, rel_sq)
+    return scores, np.argsort(scores, axis=1, kind="stable")
+
+
 def rank_all(entity, relation, word, packed, use_kg, use_text):
     """Raw rank of the true relation for each belief, as an int64 array.
 
@@ -429,10 +436,9 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
     one's, so the rank is 1 + #(s~ < s~_t).  A `tme` row with q = 0 (an
     empty mention) and a finite band, which needs finite relation rows,
     scores every candidate +-0 exactly: all tie, so its rank is 1 + the
-    true id, with no rescoring.  Every other row is rescored with the
-    exact scorer in one call and ranked by its argsort: rows with an inf
-    band, and rows where a candidate besides the true one lies within the
-    band.
+    true id, with no rescoring.  Every other row, one with an inf band or
+    with a candidate besides the true one within the band, is ranked
+    whole (`_whole_rows`).
     """
     _check_packed(entity, relation, word, packed, use_text)
     n = len(packed)
@@ -450,30 +456,28 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
             in_band = np.count_nonzero(s <= (s_true + band)[:, None], axis=1) - below
         finite = ~np.isinf(band)
         tied = finite & ~q.any(axis=1) & (c is None)
-        exact = ((in_band > 1) | ~finite) & ~tied
         ranks[lo:hi] = np.where(tied, 1 + true, 1 + below)
-        if exact.any():
-            rows = np.flatnonzero(exact)
-            rescored = _exact_scores(q[rows], None if c is None else c[rows], relation, rel_sq)
-            order = np.argsort(rescored, axis=1, kind="stable")
+        rows = np.flatnonzero(((in_band > 1) | ~finite) & ~tied)
+        if rows.size:
+            _, order = _whole_rows(q, c, relation, rel_sq, rows)
             ranks[lo + rows] = 1 + (order == true[rows, None]).argmax(axis=1)
     return ranks
 
 
 def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     """(ids, scores) of the k best relations for each belief, two (n, k)
-    arrays for k <= R: the first k columns of the stable argsort of
+    arrays for 1 <= k <= R: the first k columns of the stable argsort of
     `scores = relation_scores(...)` and the entries they name, bit for bit.
 
-    The block is scored with BLAS (`_gemm_scores`), and a row keeps only
-    the candidates with s~ <= (the row's k-th smallest s~) + band: any
-    other candidate has k candidates strictly better than it in exact
-    score, so it cannot be among the k first by (score, id).  The kept
-    candidates are rescored by `_exact_scores` on their ids, with the bits
-    of the whole row, and ordered by their argsort.  Rows with an inf
-    band, and rows that keep more than half the relations, such as `tme`
-    rows with an empty mention, whose candidates all tie, take the exact
-    scorer and its argsort whole.
+    The block is scored with BLAS (`_gemm_scores`).  A candidate with
+    s~ > (the row's k-th smallest s~) + band has k candidates strictly
+    better in exact score, so it is not among the k first by (score, id).
+    A row is settled when its band is finite, exactly k candidates pass
+    that test and 2k <= R: those are the k first, and only their ids are
+    rescored (`_exact_scores`, with the whole row's bits) and ordered by
+    their argsort.  Every other row, such as one tied at the k-th place
+    (a `tme` row with an empty mention ties throughout), is ranked whole
+    (`_whole_rows`).
     """
     _check_packed(entity, relation, word, packed, use_text)
     n, (n_rel, d) = len(packed), relation.shape
@@ -486,30 +490,22 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     with np.errstate(invalid="ignore"):
         kth = np.partition(s, k - 1, axis=1)[:, k - 1]
         keep = s <= (kth + band)[:, None]
-    counts = np.count_nonzero(keep, axis=1)
-    exact = np.isinf(band) | (2 * counts > n_rel)
+    settled = ~np.isinf(band) & (np.count_nonzero(keep, axis=1) == k) & (2 * k <= n_rel)
 
-    rows = np.flatnonzero(exact)
+    rows = np.flatnonzero(~settled)
     if rows.size:
-        full = _exact_scores(q[rows], None if c is None else c[rows], relation, rel_sq)
-        ids[rows] = np.argsort(full, axis=1, kind="stable")[:, :k]
-        scores[rows] = np.take_along_axis(full, ids[rows], axis=1)
+        whole, order = _whole_rows(q, c, relation, rel_sq, rows)
+        ids[rows] = order[:, :k]
+        scores[rows] = np.take_along_axis(whole, ids[rows], axis=1)
 
-    rows = np.flatnonzero(~exact)
-    width = int(counts[rows].max(initial=1))
-    # gather at most one relation table's worth of rows at a time
-    step = max(1, n_rel // width)
+    rows = np.flatnonzero(settled)
+    # gather about one relation table's worth of rows at a time
+    step = n_rel // k
     for lo in range(0, rows.size, step):
         sub = rows[lo : lo + step]
-        # each row's kept ids, ascending, left-aligned; the rest of a row
-        # is padding that scores inf, after the >= k kept candidates
-        row, cand = np.nonzero(keep[sub])
-        first = np.cumsum(counts[sub]) - counts[sub]
-        gathered = np.zeros((sub.size, width), dtype=np.int64)
-        gathered[row, np.arange(row.size) - first[row]] = cand
-        part = _exact_scores(q[sub], None if c is None else c[sub], relation, rel_sq, gathered)
-        part[np.arange(width) >= counts[sub][:, None]] = np.inf
-        top = np.argsort(part, axis=1, kind="stable")[:, :k]
-        ids[sub] = np.take_along_axis(gathered, top, axis=1)
+        kept = np.nonzero(keep[sub])[1].reshape(-1, k)  # ascending ids
+        part = _exact_scores(q[sub], None if c is None else c[sub], relation, rel_sq, kept)
+        top = np.argsort(part, axis=1, kind="stable")
+        ids[sub] = np.take_along_axis(kept, top, axis=1)
         scores[sub] = np.take_along_axis(part, top, axis=1)
     return ids, scores

@@ -57,11 +57,13 @@ class EpochReport:
 
 
 def max_row_norm(table: EmbeddingTable) -> float:
-    """Largest Euclidean row norm over the entity, relation and word tables."""
-    return math.sqrt(max(
-        float(np.einsum("ij,ij->i", vecs, vecs).max(initial=0.0))
+    """Largest Euclidean row norm over the entity, relation and word tables;
+    nan when any of them holds a nan (numpy's max propagates it, Python's
+    `max(1.0, nan)` would return 1.0)."""
+    return math.sqrt(np.max([
+        np.einsum("ij,ij->i", vecs, vecs).max(initial=0.0)
         for vecs in (table.entity_vecs, table.relation_vecs, table.word_vecs)
-    ))
+    ]))
 
 
 def _sample_negative_rows(rels, n_relations, k, rng):

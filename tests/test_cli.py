@@ -465,6 +465,15 @@ class TestEvalCommand:
         assert code == 2
         assert "rejected" in err
 
+    def test_test_file_without_belief_lines_is_2_and_named(self, corpus, capsys):
+        tmp, model, _ = trained(corpus, capsys)
+        comments = tmp / "comments.tsv"
+        comments.write_text("# only a comment\n# and another\n")
+        code, _, err = run(capsys, "eval", "--model", model, "--test", comments)
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: {comments}: no evaluable beliefs (the file holds no belief lines)"]
+
 
 class TestPredictCommand:
     def test_topk_all_relations_scores_nondecreasing(self, corpus, capsys):

@@ -283,8 +283,8 @@ class TestBandedTopK:
         for variant in VARIANTS:
             flags = variant_flags(variant)
             scores = relation_scores(*tables, packed, *flags)
-            # at k = n_rel // 2 + 1 a row keeps more than half the
-            # relations and takes the exact path whole
+            # from k = n_rel // 2 + 1 on, 2k > R: no row is settled on its
+            # k kept ids, so every row takes the exact path whole
             for k in (1, 3, 10, n_rel // 2, n_rel // 2 + 1, n_rel, n_rel + 5):
                 ids, values = top_relations(*tables, packed, *flags, k)
                 expected = np.argsort(scores, axis=1, kind="stable")[:, :k]
@@ -303,6 +303,32 @@ class TestBandedTopK:
             gathered = _exact_scores(q, row_c, relation, rel_sq, ids)
             want = np.take_along_axis(whole, ids, axis=1)
             assert gathered.tobytes() == want.tobytes(), row_c is None
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_twin_rows_rescore_k_ids_or_the_whole_row(self, rng, monkeypatch, k):
+        # every relation row has an exact twin: at k = 1 each row ties at
+        # the first place and is ranked whole; at k = 10 the 10th candidate
+        # is the 9th's twin, so a row keeps exactly its 10 first
+        table, packed = self._case(rng, RANK_BLOCK, 60, 100)
+        rel = table.relation_vecs
+        rel[1::2] = rel[0::2]
+        tables = (table.entity_vecs, rel, table.word_vecs)
+        widths = []
+        exact_scores = jrme.kernels._exact_scores
+
+        def counting(q, c, relation, rel_sq, ids=None):
+            widths.extend([len(relation) if ids is None else ids.shape[1]] * len(q))
+            return exact_scores(q, c, relation, rel_sq, ids)
+
+        for variant in VARIANTS:
+            widths.clear()
+            with monkeypatch.context() as m:
+                m.setattr(jrme.kernels, "_exact_scores", counting)
+                top_relations(*tables, packed, *variant_flags(variant), k)
+            assert len(widths) == len(packed), variant
+            assert set(widths) <= {k, 60}, variant
+            assert (k in widths) == (k == 10), variant
+        self._assert_exact(table, packed)
 
     @pytest.mark.parametrize("d", [1, 7, 100, 101])
     def test_random_tables(self, rng, d):

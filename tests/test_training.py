@@ -1,5 +1,6 @@
 import copy
 import io
+import math
 import re
 import sys
 
@@ -8,10 +9,12 @@ import pytest
 
 from jrme.config import VARIANTS, ModelConfig, variant_flags, variant_margin
 from jrme.data import Dataset, PackedBeliefs
-from jrme.embeddings import init_embeddings
+from jrme.embeddings import EmbeddingTable, init_embeddings
 from jrme.errors import ConfigError, DataError, TrainingDivergedError
 from jrme.kernels import enum_negative_table, run_epoch
-from jrme.training import _sample_negative_rows, grid_configs, grid_search, step_bound, train
+from jrme.training import (
+    _sample_negative_rows, grid_configs, grid_search, max_row_norm, step_bound, train,
+)
 from gradcheck import check_gradients
 from reference import (
     Belief, belief_at, example_gradients, example_loss, mention_distance, pack, random_beliefs,
@@ -442,6 +445,28 @@ class TestTrain:
         monkeypatch.setattr(training, "init_embeddings", init_with_far_word)
         with pytest.raises(TrainingDivergedError, match="diverged at epoch 0"):
             train(ds, vocab, ModelConfig(dim=4, epochs=1), "jrme")
+
+    @pytest.mark.parametrize("kind", range(3), ids=["entity", "relation", "word"])
+    def test_max_row_norm_is_nan_when_a_table_holds_a_nan(self, kind):
+        tables = [np.ones((3, 3)) for _ in range(3)]
+        assert max_row_norm(EmbeddingTable(*tables)) == pytest.approx(math.sqrt(3))
+        tables[kind][1, 2] = np.nan
+        assert math.isnan(max_row_norm(EmbeddingTable(*tables)))
+
+    def test_nan_word_row_stops_training(self, rng, monkeypatch):
+        import jrme.training as training
+
+        ds, vocab = tiny_dataset(rng)
+        real_epoch = training.run_epoch
+
+        def epoch_leaving_a_nan_word(entity, relation, word, *rest):
+            result = real_epoch(entity, relation, word, *rest)
+            word[0, 0] = np.nan  # a row the kernel's own checks never read
+            return result
+
+        monkeypatch.setattr(training, "run_epoch", epoch_leaving_a_nan_word)
+        with pytest.raises(TrainingDivergedError, match="diverged at epoch 0"):
+            train(ds, vocab, ModelConfig(dim=4, epochs=1), "tme")
 
     def test_empty_train_split_rejected(self, rng):
         _, vocab = tiny_dataset(rng)
