@@ -2,7 +2,9 @@
  *
  * A line-for-line port of the reference loop that jrme.kernels keeps as
  * the numpy twin (_epoch_numpy): same update rule, same order of row
- * writes, same per-example non-finite check.  Per example, all active
+ * writes, same per-example non-finite check.  score() scores the true
+ * relation r and each negative r' alike; an example's hinge terms are
+ * margin + score(r) - score(r').  Per example, all active
  * hinge terms are accumulated against the pre-step table and applied as
  * one update.  Negative-relation rows are written during the scan (each
  * appears at most once per example, and nothing later reads them);
@@ -29,6 +31,26 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+
+/* ||h + v - t||^2 - v.m for relation row v, head row eh, tail row et and
+ * mention vector m, leaving h + v - t in diff; kre drops the text part and
+ * tme the graph part.  Each part is summed from 0 in index order. */
+static double score(const double *eh, const double *v, const double *et, const double *m,
+                    double *diff, int64_t d, int use_kg, int use_text)
+{
+    double kg = 0.0;
+    double text = 0.0;
+    if (use_kg)
+        for (int64_t q = 0; q < d; q++) {
+            double x = eh[q] + v[q] - et[q];
+            diff[q] = x;
+            kg += x * x;
+        }
+    if (use_text)
+        for (int64_t q = 0; q < d; q++)
+            text -= v[q] * m[q];
+    return kg + text;
+}
 
 /* Returns the first example index (an entry of `order`) whose step left a
  * non-finite value, -1 when the epoch ran clean, or -2 when scratch memory
@@ -73,22 +95,7 @@ int64_t jrme_epoch(
                     m[q] += wv[q];
             }
         }
-        double s_pos = 0.0;
-        if (use_kg) {
-            double acc = 0.0;
-            for (int64_t q = 0; q < d; q++) {
-                double v = eh[q] + rr[q] - et[q];
-                diff_pos[q] = v;
-                acc += v * v;
-            }
-            s_pos += acc;
-        }
-        if (use_text) {
-            double acc = 0.0;
-            for (int64_t q = 0; q < d; q++)
-                acc -= rr[q] * m[q];
-            s_pos += acc;
-        }
+        double s_pos = score(eh, rr, et, m, diff_pos, d, use_kg, use_text);
 
         const int64_t *negs = neg_table + (neg_by_relation ? r : pos) * k;
         int64_t a = 0;
@@ -97,23 +104,7 @@ int64_t jrme_epoch(
             sum_rneg[q] = 0.0;
         for (int64_t j = 0; j < k; j++) {
             double *rn = relation + negs[j] * d;
-            double s_neg = 0.0;
-            if (use_kg) {
-                double acc = 0.0;
-                for (int64_t q = 0; q < d; q++) {
-                    double v = eh[q] + rn[q] - et[q];
-                    diff_neg[q] = v;
-                    acc += v * v;
-                }
-                s_neg += acc;
-            }
-            if (use_text) {
-                double acc = 0.0;
-                for (int64_t q = 0; q < d; q++)
-                    acc -= rn[q] * m[q];
-                s_neg += acc;
-            }
-            double term = margin + s_pos - s_neg;
+            double term = margin + s_pos - score(eh, rn, et, m, diff_neg, d, use_kg, use_text);
             if (term > 0.0) {
                 a += 1;
                 loss_i += term;

@@ -134,10 +134,11 @@ def _write_manifest(path, config, variant, inputs, outputs) -> None:
 
 
 def _check_out(*paths) -> None:
-    """Fail before training where writing an output would fail after it."""
-    for path in filter(None, paths):
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-            raise OSError(f"cannot write {path}: it is a directory or its directory is missing")
+    """Fail before any work where writing an output would fail after it;
+    None is an output not asked for, and an empty path is never writable."""
+    for path in (p for p in paths if p is not None):
+        if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"cannot write {path!r}: it is empty, a directory or in a missing one")
 
 
 def _report_rejections(rejected: dict, log) -> None:
@@ -183,6 +184,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _bind_engine("embeddings", "evaluation")
+    _check_out(args.ranks_out)
     table, vocab, _, stored_variant = load_model(args.model)
     variant = args.variant or stored_variant
     if variant != stored_variant:

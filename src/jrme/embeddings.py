@@ -125,9 +125,10 @@ def save_model(
         f.write(MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        f.write(np.ascontiguousarray(table.entity_vecs, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(table.relation_vecs, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(table.word_vecs, dtype="<f8").tobytes())
+        # straight from each table's buffer: .tobytes() would copy it first
+        f.write(np.ascontiguousarray(table.entity_vecs, dtype="<f8"))
+        f.write(np.ascontiguousarray(table.relation_vecs, dtype="<f8"))
+        f.write(np.ascontiguousarray(table.word_vecs, dtype="<f8"))
 
 
 def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:

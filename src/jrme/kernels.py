@@ -147,9 +147,11 @@ def enum_negative_table(n_relations: int) -> np.ndarray:
 # else from row pos.  It returns (loss_sum: float, active_term_count: int,
 # bad_index: int); bad_index is the first example whose step produced a
 # non-finite value, -1 when clean.  The update rule is documented in
-# _epoch.c.  _epoch_numpy is its vectorized twin and _epoch_c guards the
-# pointers handed to it; both check every id first (_check_epoch_ids),
-# and run_epoch runs the one that BACKEND names.
+# _epoch.c, whose score() gives the true relation and each negative
+# ||h + r - t||^2 - r.m.  _epoch_numpy is its vectorized twin: one
+# expression scores the rows [r, *negatives] the same way.  _epoch_c
+# guards the pointers handed to the C kernel; both check every id first
+# (_check_epoch_ids), and run_epoch runs the one that BACKEND names.
 
 
 def _epoch_numpy(
@@ -159,49 +161,35 @@ def _epoch_numpy(
     _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_relation, use_text)
     heads, rels, tails = packed.heads, packed.relations, packed.tails
     moff, mflat = packed.mention_off, packed.mention_flat
-    d = relation.shape[1]
     loss_sum = 0.0
     active_sum = 0
-    zero_m = np.zeros(d, dtype=np.float64)
     for pos in range(order.shape[0]):
         i = int(order[pos])
         h = int(heads[i])
         r = int(rels[i])
         t = int(tails[i])
-        ids = mflat[moff[i] : moff[i + 1]]
-        m = word[ids].sum(axis=0) if (use_text and ids.size) else zero_m
-        s_pos = 0.0
-        if use_kg:
-            diff_pos = entity[h] + relation[r] - entity[t]
-            s_pos += float(diff_pos @ diff_pos)
-        if use_text:
-            s_pos -= float(relation[r] @ m)
-
         negs = neg_table[r] if neg_by_relation else neg_table[pos]
-        rel_negs = relation[negs]
-        s_negs = np.zeros(negs.shape[0], dtype=np.float64)
-        if use_kg:
-            diff_negs = (entity[h] - entity[t])[None, :] + rel_negs
-            s_negs += np.einsum("ij,ij->i", diff_negs, diff_negs)
+        rows = relation[np.concatenate(([r], negs))]  # a copy: the pre-step rows
+        diff = entity[h] + rows - entity[t]
+        s = np.einsum("ij,ij->i", diff, diff) if use_kg else np.zeros(rows.shape[0])
         if use_text:
-            s_negs -= rel_negs @ m
-        terms = margin + s_pos - s_negs
+            ids = mflat[moff[i] : moff[i + 1]]
+            m = word[ids].sum(axis=0)
+            s -= rows @ m
+        terms = margin + s[0] - s[1:]
         act = terms > 0.0
         a = int(np.count_nonzero(act))
-        loss_i = float(terms[act].sum()) if a else 0.0
+        loss_i = float(terms[act].sum())
 
         if a:
-            sum_rneg = rel_negs[act].sum(axis=0)
-            wc = sum_rneg - a * relation[r]
-            # the active negative ids are distinct, so plain fancy
-            # indexing applies each row's update exactly once
+            wc = rows[1:][act].sum(axis=0) - a * rows[0]
+            # r is not among its negatives and the active negatives are
+            # distinct, so plain fancy indexing writes each row once per term
             if use_kg:
-                relation[negs[act]] += lr * 2.0 * diff_negs[act]
+                relation[negs[act]] += lr * 2.0 * diff[1:][act]
+                relation[r] -= lr * 2.0 * a * diff[0]
             if use_text:
                 relation[negs[act]] -= lr * m
-            if use_kg:
-                relation[r] -= lr * 2.0 * a * diff_pos
-            if use_text:
                 relation[r] += lr * a * m
             if use_kg and h != t:
                 entity[h] += lr * 2.0 * wc
@@ -211,7 +199,7 @@ def _epoch_numpy(
                         nrm = float(np.linalg.norm(entity[e]))
                         if nrm > 0.0:
                             entity[e] /= nrm
-            if use_text and ids.size:
+            if use_text:
                 np.subtract.at(word, ids, lr * wc)
 
         loss_sum += loss_i
@@ -418,10 +406,11 @@ def _gemm_scores(q, c, relation, rel_sq):
     return s, band
 
 
-def _whole_rows(q, c, relation, rel_sq, rows):
+def _whole_rows(q, c, relation, rel_sq, rows, ids=None):
     """(scores, order) of the given rows of a block: the exact scores of
-    every relation and their stable argsort."""
-    scores = _exact_scores(q[rows], None if c is None else c[rows], relation, rel_sq)
+    every relation, or of the k relations each row of `ids` (len(rows), k)
+    names, and their stable argsort."""
+    scores = _exact_scores(q[rows], None if c is None else c[rows], relation, rel_sq, ids)
     return scores, np.argsort(scores, axis=1, kind="stable")
 
 
@@ -474,10 +463,10 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     better in exact score, so it is not among the k first by (score, id).
     A row is settled when its band is finite, exactly k candidates pass
     that test and 2k <= R: those are the k first, and only their ids are
-    rescored (`_exact_scores`, with the whole row's bits) and ordered by
-    their argsort.  Every other row, such as one tied at the k-th place
-    (a `tme` row with an empty mention ties throughout), is ranked whole
-    (`_whole_rows`).
+    rescored (with the whole row's bits) and ordered by their argsort.
+    Every other row, such as one tied at the k-th place (a `tme` row with
+    an empty mention ties throughout), is ranked whole.  Both go through
+    `_whole_rows`.
     """
     _check_packed(entity, relation, word, packed, use_text)
     n, (n_rel, d) = len(packed), relation.shape
@@ -504,8 +493,7 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     for lo in range(0, rows.size, step):
         sub = rows[lo : lo + step]
         kept = np.nonzero(keep[sub])[1].reshape(-1, k)  # ascending ids
-        part = _exact_scores(q[sub], None if c is None else c[sub], relation, rel_sq, kept)
-        top = np.argsort(part, axis=1, kind="stable")
+        part, top = _whole_rows(q, c, relation, rel_sq, sub, kept)
         ids[sub] = np.take_along_axis(kept, top, axis=1)
         scores[sub] = np.take_along_axis(part, top, axis=1)
     return ids, scores

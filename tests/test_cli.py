@@ -158,6 +158,15 @@ class TestTrainCommand:
             assert (tmp / blocked / "keep").exists()
             assert sorted(tmp.rglob("*")) == files
 
+    def test_empty_out_is_2_before_any_epoch(self, corpus, capsys, train_calls):
+        tmp, train, _ = corpus
+        files = sorted(tmp.rglob("*"))
+        code, out, err = run(capsys, "train", "--train", train, "--out", "", "--epochs", 1)
+        assert code == 2 and err.splitlines()[-1].startswith("error: ")
+        assert (out, train_calls) == ("", [])
+        assert "epoch=" not in err
+        assert sorted(tmp.rglob("*")) == files
+
     def test_flag_defaults_are_the_model_config_defaults(self):
         args = jrme.cli.build_parser().parse_args(["train", "--train", "a", "--out", "b"])
         assert jrme.cli._config_from_args(args) == ModelConfig()
@@ -439,6 +448,21 @@ class TestEvalCommand:
         assert received().decode() == ranks.read_text()
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert not (tmp / "ranks.fifo.tmp").exists()
+
+    @pytest.mark.parametrize("where", ["directory", "missing directory", "empty"])
+    def test_unwritable_ranks_out_is_2_before_any_output(self, corpus, capsys, where):
+        """A script reading stdout must not get the report of a failed run."""
+        tmp, model, test = trained(corpus, capsys)
+        (tmp / "ranks").mkdir()
+        (tmp / "ranks" / "keep").write_text("")
+        files = sorted(tmp.rglob("*"))
+        ranks = {"directory": tmp / "ranks", "missing directory": tmp / "nodir" / "ranks.tsv",
+                 "empty": ""}[where]
+        code, out, err = run(capsys, "eval", "--model", model, "--test", test,
+                             "--ranks-out", ranks)
+        assert code == 2 and err.splitlines()[-1].startswith("error: ")
+        assert out == ""
+        assert sorted(tmp.rglob("*")) == files
 
     def test_partial_rejection_warns_but_succeeds(self, corpus, capsys):
         tmp, model, test = trained(corpus, capsys)

@@ -99,6 +99,27 @@ class TestBackendAgreement:
             np.testing.assert_allclose(ta.word_vecs, tb.word_vecs, rtol=1e-9, atol=1e-12)
 
     @needs_c
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_epochs_agree_on_a_word_table_without_rows(self, rng, variant):
+        """With no word rows every mention is empty, so the text term
+        scores each relation against m = 0."""
+        use_kg, use_text = variant_flags(variant)
+        table = random_table(make_vocab(12, 7, 0), 6, rng, scale=0.5)
+        packed = pack(random_beliefs(rng, 40, 12, 7, 1, max_mention=0))
+        order = rng.permutation(40).astype(np.int64)
+        args = (packed, order, enum_negative_table(7), True, 0.01, 1.0, use_kg, use_text, True)
+        ta = copy.deepcopy(table)
+        tb = copy.deepcopy(table)
+        la, aa, bada = _epoch_c(ta.entity_vecs, ta.relation_vecs, ta.word_vecs, *args)
+        lb, ab, badb = _epoch_numpy(tb.entity_vecs, tb.relation_vecs, tb.word_vecs, *args)
+        assert aa == ab > 0
+        assert bada == badb == -1
+        assert la == pytest.approx(lb, rel=1e-10)
+        np.testing.assert_allclose(ta.entity_vecs, tb.entity_vecs, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(ta.relation_vecs, tb.relation_vecs, rtol=1e-9, atol=1e-12)
+        assert ta.word_vecs.shape == tb.word_vecs.shape == (0, 6)
+
+    @needs_c
     def test_run_epoch_runs_the_c_kernel(self, rng):
         table, packed, order, negs = _epoch_args(rng, n=15)
         ta = copy.deepcopy(table)
