@@ -6,18 +6,17 @@ abort during training, 141 stdout closed by its reader (as a filter
 stopped by SIGPIPE reports it, with nothing on stderr).
 
 Importing this module loads only the standard library and the numpy-free
-`config`, `data` and `errors`.  Only `stats` runs without the numeric
-engine: every other command first calls `_bind_engine` with the engine
-modules it runs, which imports them and binds their entry points as this
-module's globals; `eval` and `predict` never import `training`.
+`config`, `data` and `errors`, none of which defines a dataclass; `json`
+loads only where a command writes it.  Only `stats` runs without the
+numeric engine: every other command first calls `_bind_engine` with the
+engine modules it runs, which imports them and binds their entry points
+as this module's globals; `eval` and `predict` never import `training`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
-import json
 import os
 import sys
 from importlib import import_module
@@ -95,8 +94,7 @@ def _config_from_args(args) -> ModelConfig:
     """The `ModelConfig` set by the flags whose destinations are its field
     names; a field the subcommand has no flag for (grid's dim and
     margins) keeps its default."""
-    fields = {f.name for f in dataclasses.fields(ModelConfig)}
-    return ModelConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    return ModelConfig(**{k: v for k, v in vars(args).items() if k in ModelConfig._fields})
 
 
 def _file_sha256(paths) -> str:
@@ -116,11 +114,12 @@ def _file_sha256(paths) -> str:
 
 def _write_manifest(path, config, variant, inputs, outputs) -> None:
     import datetime
+    import json
 
     from .kernels import BACKEND
 
     manifest = {
-        "config": dataclasses.asdict(config),
+        "config": config._asdict(),
         "variant": variant,
         "inputs": {k: v for k, v in inputs.items() if v is not None},
         "dataset_sha256": _file_sha256(inputs.values()),
@@ -133,12 +132,19 @@ def _write_manifest(path, config, variant, inputs, outputs) -> None:
         f.write("\n")
 
 
-def _check_out(*paths) -> None:
-    """Fail before any work where writing an output would fail after it;
-    None is an output not asked for, and an empty path is never writable."""
+def _check_out(inputs, *paths) -> None:
+    """Fail before any work where writing an output would fail after it,
+    or would replace a file of `inputs` (a FIFO or a device output is
+    written in place); None is a path not given, and an empty path is
+    never writable."""
+    inputs = [p for p in inputs if p is not None and os.path.exists(p)]
     for path in (p for p in paths if p is not None):
         if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise OSError(f"cannot write {path!r}: it is empty, a directory or in a missing one")
+        if os.path.isfile(path):
+            for source in inputs:
+                if os.path.samefile(path, source):
+                    raise OSError(f"cannot write {path!r}: it is the input {source!r}")
 
 
 def _report_rejections(rejected: dict, log) -> None:
@@ -167,7 +173,7 @@ def cmd_train(args) -> int:
         print(f"warning: {args.out} is not a regular file; no manifest is written",
               file=sys.stderr)
         manifest = None
-    _check_out(args.out, manifest)
+    _check_out((args.train, args.valid), args.out, manifest)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(config, len(vocab.relations))
@@ -184,7 +190,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _bind_engine("embeddings", "evaluation")
-    _check_out(args.ranks_out)
+    _check_out((args.model, args.test), args.ranks_out)
     table, vocab, _, stored_variant = load_model(args.model)
     variant = args.variant or stored_variant
     if variant != stored_variant:
@@ -207,7 +213,7 @@ def cmd_grid(args) -> int:
     base = _config_from_args(args)
     threads = _resolve_threads(args)
     configs = grid_configs(base, args.dims, args.alphas, args.betas, args.gammas)
-    _check_out(args.out)
+    _check_out((args.train, args.valid), args.out)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(base, len(vocab.relations))
@@ -219,8 +225,10 @@ def cmd_grid(args) -> int:
         )
     print(f"best: dim={b.dim} alpha={b.alpha} beta={b.beta} gamma={b.gamma}")
     if args.out:
+        import json
+
         with atomic_write(args.out) as f:
-            json.dump(dataclasses.asdict(b), f, indent=2, sort_keys=True)
+            json.dump(b._asdict(), f, indent=2, sort_keys=True)
             f.write("\n")
     return 0
 

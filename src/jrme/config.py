@@ -1,13 +1,14 @@
 """Model variants and hyperparameters.
 
 Plain Python with no numpy, so the CLI can build its parser and validate
-flags before, or without, loading the numeric engine.
+flags before, or without, loading the numeric engine, and with no
+dataclass, whose module loads `inspect`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -38,16 +39,7 @@ def variant_margin(variant: str, config: ModelConfig) -> float:
     return getattr(config, _variant(variant)[2])
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Hyperparameters for training any of the three variants.
-
-    alpha, beta and gamma are the ranking margins of the KRE, TME and
-    JRME objectives.  neg_mode is "all" (every wrong relation is a
-    negative) or "sample:K" (K wrong relations drawn uniformly without
-    replacement per example).
-    """
-
+class _ModelFields(NamedTuple):
     dim: int = 100
     alpha: float = 1.0
     beta: float = 1.0
@@ -58,7 +50,21 @@ class ModelConfig:
     seed: int = 0
     normalize_entities: bool = True
 
-    def __post_init__(self):
+
+class ModelConfig(_ModelFields):
+    """Hyperparameters for training any of the three variants.
+
+    alpha, beta and gamma are the ranking margins of the KRE, TME and
+    JRME objectives.  neg_mode is "all" (every wrong relation is a
+    negative) or "sample:K" (K wrong relations drawn uniformly without
+    replacement per example).  A NamedTuple whose constructor and
+    `_replace` both validate.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dim <= 0:
             raise ConfigError(f"dim must be positive, got {self.dim}")
         # nan fails every comparison, so it is rejected too
@@ -71,6 +77,11 @@ class ModelConfig:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
         parse_neg_mode(self.neg_mode)
+        return self
+
+    def _replace(self, **changes):
+        # the stock _replace builds the tuple without calling __new__
+        return type(self)(**{**self._asdict(), **changes})
 
 
 def parse_neg_mode(value: str) -> tuple[str, int]:

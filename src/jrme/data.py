@@ -20,11 +20,12 @@ writes a belief back as text.
 
 A `Vocabulary` is three plain dicts from name to dense id.  Build mode
 gives each unseen name the next id; frozen mode only looks names up.
+Both are C-level dict lookups in the line loop.  No class here is a
+dataclass, whose module loads `inspect`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ConfigError, DataError, ParseError
@@ -85,11 +86,15 @@ class PackedBeliefs:
         )
 
 
-@dataclass
 class Dataset:
-    train: PackedBeliefs
-    valid: PackedBeliefs = field(default_factory=PackedBeliefs)
-    test: PackedBeliefs = field(default_factory=PackedBeliefs)
+    """The train, valid and test splits; a split not given is empty."""
+
+    __slots__ = ("train", "valid", "test")
+
+    def __init__(self, train: PackedBeliefs, valid=None, test=None):
+        self.train = train
+        self.valid = PackedBeliefs() if valid is None else valid
+        self.test = PackedBeliefs() if test is None else test
 
 
 class ParseResult(NamedTuple):
@@ -123,16 +128,24 @@ def read_lines(path):
         raise DataError(f"{path}: not valid UTF-8 ({e.reason})") from None
 
 
+class _NextId(dict):
+    """A name-to-id dict that gives a missing name the next dense id."""
+
+    def __missing__(self, name):
+        self[name] = i = len(self)
+        return i
+
+
 def _parse_ids(path, vocab: Vocabulary, mode: str) -> tuple[tuple[list[int], ...], int]:
     """The line loop behind `parse_belief_file` and `count_beliefs`:
     ((heads, relations, tails, mention_off, mention_flat) as id lists,
     rejected line count); arguments and errors as `parse_belief_file`."""
     if mode not in ("build", "frozen"):
         raise ConfigError(f"unknown parse mode: {mode!r}")
-    # build mode gives each unseen name the next dense id
-    entity, relation, word = (
-        (lambda name, d=d: d.setdefault(name, len(d))) if mode == "build" else d.get
-        for d in (vocab.entities, vocab.relations, vocab.words))
+    build = mode == "build"
+    # a build lookup gives an unseen name the next id, a frozen one None
+    maps = [_NextId(d) if build else d for d in (vocab.entities, vocab.relations, vocab.words)]
+    entity, relation, word = (d.__getitem__ if build else d.get for d in maps)
     heads, relations, tails, off, words = [], [], [], [0], []
     rejected = 0
     for line_no, line in read_lines(path):
@@ -147,8 +160,13 @@ def _parse_ids(path, vocab: Vocabulary, mode: str) -> tuple[tuple[list[int], ...
         heads.append(h)
         relations.append(r)
         tails.append(t)
-        words.extend(w for w in map(word, tokenize_mention(mention_s)) if w is not None)
+        ids = list(map(word, tokenize_mention(mention_s)))
+        if None in ids:  # frozen mode drops unknown words
+            ids = [w for w in ids if w is not None]
+        words += ids
         off.append(len(words))
+    if build:  # the vocabulary keeps plain dicts
+        vocab.entities, vocab.relations, vocab.words = map(dict, maps)
     return (heads, relations, tails, off, words), rejected
 
 

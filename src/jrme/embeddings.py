@@ -11,7 +11,6 @@ Model file layout (all integers little-endian):
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import struct
@@ -62,7 +61,7 @@ def init_embeddings(vocab: Vocabulary, config: ModelConfig) -> EmbeddingTable:
 def _config_from_dict(d) -> ModelConfig:
     if not isinstance(d, dict):
         raise FormatError("model header config is not a JSON object")
-    defaults = dataclasses.asdict(ModelConfig())
+    defaults = ModelConfig._field_defaults
     unknown = set(d) - set(defaults)
     if unknown:
         raise FormatError(f"model header has unknown config keys: {sorted(unknown)}")
@@ -113,7 +112,7 @@ def save_model(
     partial model.
     """
     header = {
-        "config": dataclasses.asdict(config),
+        "config": config._asdict(),
         "variant": variant,
         "dim": table.relation_vecs.shape[1],
         "entities": list(vocab.entities),

@@ -12,7 +12,6 @@ with one shared corrupt relation r' per term and [x]_+ around each.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from contextlib import nullcontext
@@ -194,7 +193,7 @@ def grid_configs(base: ModelConfig, dims, alphas, betas, gammas) -> list[ModelCo
     if not (dims and alphas and betas and gammas):
         raise ConfigError("grid search needs at least one value per hyperparameter")
     return [
-        dataclasses.replace(base, dim=d, alpha=a, beta=b, gamma=g)
+        base._replace(dim=d, alpha=a, beta=b, gamma=g)
         for d, a, b, g in product(dims, alphas, betas, gammas)
     ]
 

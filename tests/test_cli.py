@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -117,7 +116,7 @@ class TestTrainCommand:
 
         manifest = json.loads((tmp / "model.bin.manifest.json").read_text())
         assert manifest["config"]["dim"] == 8
-        assert manifest["config"] == dataclasses.asdict(config)
+        assert manifest["config"] == config._asdict()
         assert manifest["variant"] == "jrme"
         assert len(manifest["dataset_sha256"]) == 64
         assert "created" in manifest
@@ -166,6 +165,24 @@ class TestTrainCommand:
         assert (out, train_calls) == ("", [])
         assert "epoch=" not in err
         assert sorted(tmp.rglob("*")) == files
+
+    @pytest.mark.parametrize("target", ["train", "valid", "manifest"])
+    def test_output_that_is_an_input_is_2_before_any_epoch(self, corpus, capsys, train_calls,
+                                                           target):
+        """The model or its manifest written over a file the run reads
+        would replace the data, and hash the model as the data."""
+        tmp, train, test = corpus
+        data = tmp / "model.bin.manifest.json"
+        data.write_bytes(train.read_bytes())
+        train_path, out = {"train": (train, tmp / "." / "train.tsv"), "valid": (train, test),
+                           "manifest": (data, tmp / "model.bin")}[target]
+        files = {p: p.read_bytes() for p in sorted(tmp.rglob("*"))}
+        code, stdout, err = run(capsys, "train", "--train", train_path, "--valid", test,
+                                "--out", out, "--dim", 4, "--epochs", 1)
+        assert code == 2 and err.splitlines()[-1].startswith("error: ")
+        assert "is the input" in err and "epoch=" not in err
+        assert (stdout, train_calls) == ("", [])
+        assert {p: p.read_bytes() for p in sorted(tmp.rglob("*"))} == files
 
     def test_flag_defaults_are_the_model_config_defaults(self):
         args = jrme.cli.build_parser().parse_args(["train", "--train", "a", "--out", "b"])
@@ -449,20 +466,22 @@ class TestEvalCommand:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert not (tmp / "ranks.fifo.tmp").exists()
 
-    @pytest.mark.parametrize("where", ["directory", "missing directory", "empty"])
+    @pytest.mark.parametrize(
+        "where", ["directory", "missing directory", "empty", "the model", "the test file"])
     def test_unwritable_ranks_out_is_2_before_any_output(self, corpus, capsys, where):
-        """A script reading stdout must not get the report of a failed run."""
+        """A script reading stdout must not get the report of a failed run,
+        and an input must not be replaced by the ranks."""
         tmp, model, test = trained(corpus, capsys)
         (tmp / "ranks").mkdir()
         (tmp / "ranks" / "keep").write_text("")
-        files = sorted(tmp.rglob("*"))
+        files = {p: p.read_bytes() for p in sorted(tmp.rglob("*")) if p.is_file()}
         ranks = {"directory": tmp / "ranks", "missing directory": tmp / "nodir" / "ranks.tsv",
-                 "empty": ""}[where]
+                 "empty": "", "the model": model, "the test file": tmp / "." / test.name}[where]
         code, out, err = run(capsys, "eval", "--model", model, "--test", test,
                              "--ranks-out", ranks)
         assert code == 2 and err.splitlines()[-1].startswith("error: ")
         assert out == ""
-        assert sorted(tmp.rglob("*")) == files
+        assert {p: p.read_bytes() for p in sorted(tmp.rglob("*")) if p.is_file()} == files
 
     def test_partial_rejection_warns_but_succeeds(self, corpus, capsys):
         tmp, model, test = trained(corpus, capsys)
@@ -644,12 +663,14 @@ class TestGridCommand:
         assert best["alpha"] in (0.5, 1.0)
 
     def test_failed_out_rename_leaves_no_temp_file(self, corpus, capsys, train_calls):
+        # written over an input, --out would replace the data after the search
         tmp, train, test = corpus
         best_out = tmp / "best"
         best_out.mkdir()
         (best_out / "keep").write_text("")
         files = sorted(tmp.rglob("*"))
-        for out in (best_out, tmp / "nodir" / "best.json"):
+        data = train.read_bytes(), test.read_bytes()
+        for out in (best_out, tmp / "nodir" / "best.json", train, tmp / "." / test.name):
             code, stdout, err = run(
                 capsys, "grid", "--train", train, "--valid", test,
                 "--dims", "4", "--alphas", "1.0", "--betas", "1.0", "--gammas", "2.0",
@@ -660,6 +681,7 @@ class TestGridCommand:
             assert not (tmp / "best.tmp").exists()
             assert (best_out / "keep").exists()
             assert sorted(tmp.rglob("*")) == files
+            assert (train.read_bytes(), test.read_bytes()) == data
 
     def test_duplicate_points_print_in_order_as_single_point_runs(self, corpus, capsys):
         # jrme reads only gamma, so each alpha pair and beta pair is a duplicate
@@ -872,7 +894,9 @@ class TestStartup:
     def test_stats_loads_no_engine(self, corpus, tmp_path):
         _, train, test = corpus
         argv = ["stats", "--train", str(train), "--valid", str(test), "--test", str(test)]
-        assert self._child(tmp_path, [argv], self.ENGINE) == "[0] None []"
+        # dataclasses (with the inspect it loads) and json are never used by stats
+        modules = (*self.ENGINE, "dataclasses", "inspect", "json")
+        assert self._child(tmp_path, [argv], modules) == "[0] None []"
 
     def test_engine_names_bind_on_first_read_and_keep_a_replacement(self, corpus, capsys,
                                                                       tmp_path):

@@ -68,17 +68,23 @@ class TestParse:
         p = self._write(
             tmp_path,
             "caroline\tatheletePlaysForTeam\tsteelers\tplays linebacker for\n"
-            "caroline\tatheleteWonAward\tmvp\t\n",
+            "caroline\tatheleteWonAward\tmvp\t\n"
+            "lions\tteamPlaysAgainstTeam\tbears\tPlays against\n"  # new head, then new tail
+            "detroit\tcityLocatedIn\tdetroit\t\n",  # the tail is its own new head
         )
         vocab = Vocabulary()
         result = parse_belief_file(p, vocab, mode="build")
-        assert [b.head for b in unpack(result.beliefs)] == [0, 0]
+        assert [b.head for b in unpack(result.beliefs)] == [0, 0, 3, 5]
+        assert [b.tail for b in unpack(result.beliefs)] == [1, 2, 4, 5]
+        assert [b.relation for b in unpack(result.beliefs)] == [0, 1, 2, 3]
         assert belief_at(result.beliefs, 0).mention == (0, 1, 2)
         assert belief_at(result.beliefs, 1).mention == ()
+        assert belief_at(result.beliefs, 2).mention == (0, 3)
         assert result.rejected == 0
-        assert len(vocab.entities) == 3
-        assert len(vocab.relations) == 2
-        assert len(vocab.words) == 3
+        assert list(vocab.entities) == ["caroline", "steelers", "mvp", "lions", "bears", "detroit"]
+        assert len(vocab.relations) == 4
+        assert list(vocab.words) == ["plays", "linebacker", "for", "against"]
+        assert all(type(d) is dict for d in (vocab.entities, vocab.relations, vocab.words))
 
     def test_comment_lines_skipped(self, tmp_path):
         p = self._write(tmp_path, "# header\na\tr\tb\tx\n")
@@ -100,13 +106,16 @@ class TestParse:
         test.write_text(
             "a\tr\tb\thello novel\n"  # unknown word dropped, belief kept
             "a\tUNKNOWN\tb\thello\n"  # unknown relation: rejected
-            "ghost\tr\tb\t\n",  # unknown entity: rejected
+            "ghost\tr\tb\t\n"  # unknown entity: rejected
+            "b\tr\ta\tworld novel hello\n",  # the known words keep their order
             encoding="utf-8",
         )
         result = parse_belief_file(test, vocab, mode="frozen")
         assert result.rejected == 2
-        assert len(result.beliefs) == 1
+        assert len(result.beliefs) == 2
         assert belief_at(result.beliefs, 0).mention == (0,)
+        assert belief_at(result.beliefs, 1).mention == (1, 0)
+        assert list(vocab.words) == ["hello", "world"]
 
     def test_frozen_reparse_of_training_file_rejects_nothing(self, tmp_path):
         p = self._write(tmp_path, "a\tr1\tb\tx y\nb\tr2\tc\tz\n")

@@ -46,6 +46,9 @@ class TestModelConfig:
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ModelConfig(**kwargs)
+        # the stock NamedTuple _replace would skip the checks
+        with pytest.raises(ConfigError):
+            ModelConfig()._replace(**kwargs)
 
     def test_zero_epochs_and_zero_margins_allowed(self):
         ModelConfig(epochs=0, alpha=0.0, beta=0.0, gamma=0.0)
