@@ -134,17 +134,22 @@ def _write_manifest(path, config, variant, inputs, outputs) -> None:
 
 def _check_out(inputs, *paths) -> None:
     """Fail before any work where writing an output would fail after it,
-    or would replace a file of `inputs` (a FIFO or a device output is
-    written in place); None is a path not given, and an empty path is
-    never writable."""
+    or would replace a file of `inputs`, through the output or through
+    the `<output>.tmp` that `atomic_write` renames over it (a FIFO or a
+    device output is written in place); None is a path not given, and an
+    empty path is never writable."""
     inputs = [p for p in inputs if p is not None and os.path.exists(p)]
     for path in (p for p in paths if p is not None):
-        if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-            raise OSError(f"cannot write {path!r}: it is empty, a directory or in a missing one")
-        if os.path.isfile(path):
+        if not path or not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"cannot write {path!r}: it is empty or in a missing directory")
+        if os.path.exists(path) and not os.path.isfile(path) and not os.path.isdir(path):
+            continue
+        for target in (path, f"{path}.tmp"):
+            if os.path.isdir(target):
+                raise OSError(f"cannot write {path!r}: {target!r} is a directory")
             for source in inputs:
-                if os.path.samefile(path, source):
-                    raise OSError(f"cannot write {path!r}: it is the input {source!r}")
+                if os.path.isfile(target) and os.path.samefile(target, source):
+                    raise OSError(f"cannot write {path!r}: {target!r} is the input {source!r}")
 
 
 def _report_rejections(rejected: dict, log) -> None:

@@ -138,11 +138,13 @@ class TestTrainCommand:
         assert f"warning: {fifo} is not a regular file; no manifest is written" in err.splitlines()
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
-    @pytest.mark.parametrize("blocked", ["model.bin", "model.bin.manifest.json"])
+    @pytest.mark.parametrize("blocked", ["model.bin", "model.bin.manifest.json",
+                                         "model.bin.tmp", "model.bin.manifest.json.tmp"])
     def test_failed_rename_leaves_no_temp_file(self, corpus, capsys, train_calls, blocked):
-        # a non-empty directory at the target can be written neither in
-        # place nor by a rename, and nothing can be written into a missing
-        # directory; both are reported before anything trains
+        # a non-empty directory at the target or at its temp name can be
+        # written neither in place nor by a rename, and nothing can be
+        # written into a missing directory; both are reported before
+        # anything trains
         tmp, train, _ = corpus
         (tmp / blocked).mkdir()
         (tmp / blocked / "keep").write_text("")
@@ -166,16 +168,20 @@ class TestTrainCommand:
         assert "epoch=" not in err
         assert sorted(tmp.rglob("*")) == files
 
-    @pytest.mark.parametrize("target", ["train", "valid", "manifest"])
+    @pytest.mark.parametrize("target", ["train", "valid", "manifest", "temp file"])
     def test_output_that_is_an_input_is_2_before_any_epoch(self, corpus, capsys, train_calls,
                                                            target):
-        """The model or its manifest written over a file the run reads
-        would replace the data, and hash the model as the data."""
+        """The model or its manifest written over a file the run reads,
+        directly or through the temp file renamed over it, would replace
+        the data, and hash the model as the data."""
         tmp, train, test = corpus
         data = tmp / "model.bin.manifest.json"
         data.write_bytes(train.read_bytes())
+        temp = tmp / "model.bin.tmp"
+        temp.write_bytes(train.read_bytes())
         train_path, out = {"train": (train, tmp / "." / "train.tsv"), "valid": (train, test),
-                           "manifest": (data, tmp / "model.bin")}[target]
+                           "manifest": (data, tmp / "model.bin"),
+                           "temp file": (temp, tmp / "model.bin")}[target]
         files = {p: p.read_bytes() for p in sorted(tmp.rglob("*"))}
         code, stdout, err = run(capsys, "train", "--train", train_path, "--valid", test,
                                 "--out", out, "--dim", 4, "--epochs", 1)
@@ -466,22 +472,29 @@ class TestEvalCommand:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert not (tmp / "ranks.fifo.tmp").exists()
 
-    @pytest.mark.parametrize(
-        "where", ["directory", "missing directory", "empty", "the model", "the test file"])
+    @pytest.mark.parametrize("where", ["directory", "directory at its temp name",
+                                       "missing directory", "empty", "the model",
+                                       "the test file", "the test file's temp name"])
     def test_unwritable_ranks_out_is_2_before_any_output(self, corpus, capsys, where):
         """A script reading stdout must not get the report of a failed run,
         and an input must not be replaced by the ranks."""
         tmp, model, test = trained(corpus, capsys)
         (tmp / "ranks").mkdir()
         (tmp / "ranks" / "keep").write_text("")
-        files = {p: p.read_bytes() for p in sorted(tmp.rglob("*")) if p.is_file()}
-        ranks = {"directory": tmp / "ranks", "missing directory": tmp / "nodir" / "ranks.tsv",
-                 "empty": "", "the model": model, "the test file": tmp / "." / test.name}[where]
+        if where == "directory at its temp name":
+            (tmp / "ranks.tsv.tmp").mkdir()
+        if where == "the test file's temp name":
+            test = test.rename(tmp / "ranks.tsv.tmp")
+        paths = {p: p.is_file() and p.read_bytes() for p in sorted(tmp.rglob("*"))}
+        ranks = {"directory": tmp / "ranks", "directory at its temp name": tmp / "ranks.tsv",
+                 "missing directory": tmp / "nodir" / "ranks.tsv",
+                 "empty": "", "the model": model, "the test file": tmp / "." / test.name,
+                 "the test file's temp name": tmp / "ranks.tsv"}[where]
         code, out, err = run(capsys, "eval", "--model", model, "--test", test,
                              "--ranks-out", ranks)
         assert code == 2 and err.splitlines()[-1].startswith("error: ")
         assert out == ""
-        assert {p: p.read_bytes() for p in sorted(tmp.rglob("*")) if p.is_file()} == files
+        assert {p: p.is_file() and p.read_bytes() for p in sorted(tmp.rglob("*"))} == paths
 
     def test_partial_rejection_warns_but_succeeds(self, corpus, capsys):
         tmp, model, test = trained(corpus, capsys)
@@ -668,11 +681,16 @@ class TestGridCommand:
         best_out = tmp / "best"
         best_out.mkdir()
         (best_out / "keep").write_text("")
+        temp = tmp / "best.json.tmp"
+        temp.write_bytes(train.read_bytes())
+        (tmp / "grid.json.tmp").mkdir()
         files = sorted(tmp.rglob("*"))
         data = train.read_bytes(), test.read_bytes()
-        for out in (best_out, tmp / "nodir" / "best.json", train, tmp / "." / test.name):
+        for source, out in ((train, best_out), (train, tmp / "nodir" / "best.json"),
+                            (train, train), (train, tmp / "." / test.name),
+                            (temp, tmp / "best.json"), (train, tmp / "grid.json")):
             code, stdout, err = run(
-                capsys, "grid", "--train", train, "--valid", test,
+                capsys, "grid", "--train", source, "--valid", test,
                 "--dims", "4", "--alphas", "1.0", "--betas", "1.0", "--gammas", "2.0",
                 "--epochs", 1, "--out", out,
             )
@@ -682,6 +700,7 @@ class TestGridCommand:
             assert (best_out / "keep").exists()
             assert sorted(tmp.rglob("*")) == files
             assert (train.read_bytes(), test.read_bytes()) == data
+            assert temp.read_bytes() == data[0]
 
     def test_duplicate_points_print_in_order_as_single_point_runs(self, corpus, capsys):
         # jrme reads only gamma, so each alpha pair and beta pair is a duplicate
