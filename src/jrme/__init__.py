@@ -8,7 +8,24 @@ corrupt relations and evaluated by ranking the true relation.
 The package root names only the epoch kernel backend; callers import
 everything else from its submodules (`jrme.cli`, `jrme.training`, ...).
 Importing the package loads none of them.
+
+It does install one import finder, for the submodules.  A submodule with
+no `__pycache__` entry beside its source, as in a checkout, is compiled
+once into jrme's per-user cache (`_cache_dir`, which also holds the
+compiled epoch kernel) and later imports load that bytecode.  An entry
+is named by the source's path and bytes, so an edited source gets a new
+one; a missing, corrupt or unwritable entry, or a refused cache, means
+the source is compiled as it would be without the finder, silently.  An
+installed copy, with pip's `__pycache__`, imports as usual.
 """
+
+import marshal
+import os
+import sys
+from contextlib import suppress
+from importlib.machinery import SourceFileLoader
+from importlib.util import cache_from_source, source_hash, spec_from_file_location
+from types import CodeType
 
 __version__ = "0.1.0"
 
@@ -22,3 +39,79 @@ def __getattr__(name):
 
         return BACKEND
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _cache_dir() -> str:
+    """jrme's per-user cache directory, created mode 0700 on first use:
+    `$XDG_CACHE_HOME/jrme`, or `~/.cache/jrme` when that variable is unset
+    or relative (the XDG rule).
+
+    Raises OSError when the home directory is not an absolute path, or
+    when the cache is not this user's or other users can write it: both
+    caches hold code this process runs.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        home = os.path.expanduser("~")
+        if not os.path.isabs(home):
+            raise OSError("no cache directory: HOME is not an absolute path")
+        base = os.path.join(home, ".cache")
+    cache = os.path.join(base, "jrme")
+    os.makedirs(cache, mode=0o700, exist_ok=True)
+    st = os.stat(cache)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise OSError(f"{cache} is writable by other users")
+    return cache
+
+
+# the interpreter's own tag for a bytecode file, optimization level included
+_TAG = sys.implementation.cache_tag
+if _TAG and sys.flags.optimize:
+    _TAG += f".opt-{sys.flags.optimize}"
+
+
+class _CachedLoader(SourceFileLoader):
+    def get_code(self, fullname):
+        path = self.get_filename(fullname)
+        source = self.get_data(path)
+        key = source_hash(os.fsencode(path) + source).hex()
+        try:
+            entry = os.path.join(_cache_dir(), f"{fullname}.{_TAG}.{key}.pyc")
+        except OSError:
+            return self.source_to_code(source, path)
+        try:
+            with open(entry, "rb") as f:
+                code = marshal.loads(f.read())
+            if type(code) is CodeType:
+                return code
+        except (OSError, EOFError, ValueError, TypeError):
+            pass
+        code = self.source_to_code(source, path)
+        # a temp name per process, renamed into place: no reader sees half an entry
+        tmp = f"{entry}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(marshal.dumps(code))
+            os.replace(tmp, entry)
+        except OSError:
+            with suppress(OSError):
+                os.unlink(tmp)
+        return code
+
+
+class _Finder:
+    @staticmethod
+    def find_spec(fullname, path=None, target=None):
+        package, _, name = fullname.rpartition(".")
+        if package != __name__:
+            return None
+        origin = os.path.join(os.path.dirname(__file__), f"{name}.py")
+        # an installed copy keeps pip's bytecode, and a name with no source here
+        # is left to the usual finders
+        if not os.path.isfile(origin) or os.path.exists(cache_from_source(origin)):
+            return None
+        return spec_from_file_location(fullname, origin, loader=_CachedLoader(fullname, origin))
+
+
+if _TAG:
+    sys.meta_path.insert(0, _Finder())

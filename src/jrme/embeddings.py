@@ -15,7 +15,6 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,17 +25,21 @@ from .errors import ConfigError, DataError, FormatError
 MAGIC = b"JRME1\n"
 
 
-@dataclass
 class EmbeddingTable:
     """Dense float64 vectors for entities, relations and mention words.
 
     All three tables share one dimension so relation and mention vectors
-    live in the same space.
+    live in the same space.  A plain class, not a dataclass, whose module
+    would generate and compile its methods at every import.
     """
 
-    entity_vecs: np.ndarray
-    relation_vecs: np.ndarray
-    word_vecs: np.ndarray
+    __slots__ = ("entity_vecs", "relation_vecs", "word_vecs")
+
+    def __init__(self, entity_vecs: np.ndarray, relation_vecs: np.ndarray,
+                 word_vecs: np.ndarray):
+        self.entity_vecs = entity_vecs
+        self.relation_vecs = relation_vecs
+        self.word_vecs = word_vecs
 
 
 def init_embeddings(vocab: Vocabulary, config: ModelConfig) -> EmbeddingTable:

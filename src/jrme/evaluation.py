@@ -16,7 +16,7 @@ scores one query for the tests' rank oracle and the benchmark's tracer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import variant_flags
 from .data import PackedBeliefs
@@ -25,8 +25,7 @@ from .errors import DataError
 from .kernels import rank_all, relation_scores
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Aggregate metrics plus the rank of each belief, in belief order."""
 
     avg_rank: float

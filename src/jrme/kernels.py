@@ -2,11 +2,12 @@
 
 The epoch kernel lives in `_epoch.c`.  The first `run_epoch` call or
 `BACKEND` read, not the import, compiles it with the system C compiler
-into a per-user cache and loads it with ctypes, which releases the GIL,
-so training shards run on real threads; a command that only ranks never
-builds, hashes or loads it.  When there is no compiler, the build fails,
-or the cache cannot be written or is writable by other users, the
-vectorized numpy twin runs instead and one stderr line says so.
+into the per-user cache (`jrme._cache_dir`) and loads it with ctypes,
+which releases the GIL, so training shards run on real threads; a
+command that only ranks never builds, hashes or loads it.  When there is
+no compiler, the build fails, or there is no cache, it cannot be written
+or other users can write it, the vectorized numpy twin runs instead and
+one stderr line says so.
 `BACKEND` names the one in use, "c" or "numpy", chosen once, and
 `run_epoch` runs that kernel.  The twin is also the reference the tests
 hold the C kernel to: the two may differ in the last float bits
@@ -35,6 +36,7 @@ import threading
 
 import numpy as np
 
+from . import _cache_dir
 from .data import PackedBeliefs  # noqa: F401  (importable from here, see above)
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_epoch.c")
@@ -42,11 +44,6 @@ _SOURCE = os.path.join(os.path.dirname(__file__), "_epoch.c")
 # would break isfinite), no fused multiply-add
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _PTR = ctypes.c_void_p
-
-
-def _cache_dir() -> str:
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "jrme")
 
 
 def _load_epoch_kernel():
@@ -62,10 +59,6 @@ def _load_epoch_kernel():
         source = f.read()
     digest = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
     cache = _cache_dir()
-    os.makedirs(cache, mode=0o700, exist_ok=True)
-    st = os.stat(cache)
-    if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        raise OSError(f"{cache} is writable by other users")
     lib_path = os.path.join(cache, f"epoch-{digest}.so")
     if not os.path.exists(lib_path):
         import subprocess  # only a cache miss pays for these

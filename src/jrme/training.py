@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ def step_bound(config: ModelConfig, n_relations: int) -> float:
     return config.learning_rate * (n_relations - 1 if mode == "all" else k)
 
 
-@dataclass(frozen=True)
-class EpochReport:
+class EpochReport(NamedTuple):
     epoch: int
     loss: float
     active: int

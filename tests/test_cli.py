@@ -883,7 +883,8 @@ class TestStartup:
     """A command pays only for what it runs: `stats` loads no numeric
     engine, the reading commands never build, hash or load the epoch
     kernel, and leave out the modules only training needs; `train` builds
-    the kernel on first use."""
+    the kernel on first use; `stats`, `eval`, `predict` and `train` load no
+    `dataclasses`."""
 
     TRAINING_ONLY = ("_hashlib", "tempfile", "concurrent.futures")
     ENGINE = ("numpy", "jrme.embeddings", "jrme.kernels", "jrme.training", "jrme.evaluation")
@@ -955,7 +956,11 @@ class TestStartup:
             ["stats", "--train", str(train), "--test", str(test)],
         ]
         assert self._child(tmp_path, commands) == "[0, 0, 0] None []"
-        assert not (tmp_path / "cache" / "jrme").exists()
+        # the cache may hold the bytecode of the modules they ran, but no
+        # kernel and nothing of the training module
+        cache = tmp_path / "cache" / "jrme"
+        assert not list(cache.glob("epoch-*.so"))
+        assert not list(cache.glob("jrme.training.*"))
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_reading_commands_import_no_training_modules(self, corpus, capsys, tmp_path,
@@ -968,7 +973,15 @@ class TestStartup:
         queries.write_text("e1\te2\tsig1\n")
         argv = {"eval": ["eval", "--model", str(model), "--test", str(test)],
                 "predict": ["predict", "--model", str(model), "--input", str(queries)]}[command]
-        assert self._child(tmp_path, [argv], ("jrme.training",)) == "[0] None []"
+        # nor dataclasses, whose classes compile their methods at every import
+        assert self._child(tmp_path, [argv], ("jrme.training", "dataclasses")) == "[0] None []"
+
+    def test_train_loads_no_dataclasses(self, corpus, tmp_path):
+        tmp, train, _ = corpus
+        argv = ["train", "--train", str(train), "--out", str(tmp / "model.bin"),
+                "--dim", "4", "--epochs", "1"]
+        out = self._child(tmp_path, [argv], ("dataclasses",))
+        assert out.startswith("[0] ") and out.endswith(" []")
 
     @needs_c
     def test_train_builds_the_kernel(self, corpus, tmp_path):
@@ -976,5 +989,8 @@ class TestStartup:
         argv = ["train", "--train", str(train), "--out", str(tmp / "model.bin"),
                 "--dim", "4", "--epochs", "1"]
         assert self._child(tmp_path, [argv]).startswith("[0] c ")
-        (lib,) = (tmp_path / "cache" / "jrme").iterdir()
-        assert lib.name.startswith("epoch-") and lib.suffix == ".so"
+        cache = tmp_path / "cache" / "jrme"
+        (lib,) = cache.glob("epoch-*.so")
+        # every other entry is a module's bytecode: no temp file is left
+        others = {p.name for p in cache.iterdir()} - {lib.name}
+        assert others == {p.name for p in cache.glob("jrme.*.pyc")}
