@@ -59,8 +59,10 @@ def _cache_dir() -> str:
     cache = os.path.join(base, "jrme")
     os.makedirs(cache, mode=0o700, exist_ok=True)
     st = os.stat(cache)
-    if st.st_uid != os.getuid() or st.st_mode & 0o022:
-        raise OSError(f"{cache} is writable by other users")
+    if st.st_uid != os.getuid():
+        raise OSError(f"{cache} belongs to uid {st.st_uid}, and this user is uid {os.getuid()}")
+    if st.st_mode & 0o022:
+        raise OSError(f"{cache} is writable by other users: mode {st.st_mode & 0o777:o}")
     return cache
 
 

@@ -11,6 +11,13 @@ loads only where a command writes it.  Only `stats` runs without the
 numeric engine: every other command first calls `_bind_engine` with the
 engine modules it runs, which imports them and binds their entry points
 as this module's globals; `eval` and `predict` never import `training`.
+The engine loads with the cyclic collector paused, since nothing it
+makes can be freed before exit.
+
+`run()` is the process entry point (`python -m jrme.cli` and the `jrme`
+script): it flushes the streams after `main()` and ends the process with
+`os._exit`, skipping the interpreter's teardown, so atexit handlers do
+not run.  A program that calls `main()` itself keeps its own exit.
 """
 
 from __future__ import annotations
@@ -45,17 +52,26 @@ def _bind_engine(*modules) -> None:
     """Import each named engine module and bind its names in `_ENGINE` as
     this module's globals, once.  A name already bound, say a function a
     tracer or a test put here, is left as it is, so commands call it."""
-    g = globals()
-    for module in modules:
-        if module not in _bound:
+    todo = [module for module in modules if module not in _bound]
+    if not todo:
+        return
+    # The objects made by the imports (numpy's above all) live until exit,
+    # so no collection while they load can free one: the collector is
+    # paused, and afterwards they are frozen, left out of every later
+    # collection.  A caller's own collector setting is restored.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        g = globals()
+        for module in todo:
             engine = import_module(f".{module}", __package__)
             for name in _ENGINE[module]:
                 g.setdefault(name, getattr(engine, name))
             _bound.add(module)
-            # The objects made by the import live until exit; frozen, they
-            # are left out of every collection, the interpreter's final
-            # ones included, which would otherwise walk all of them.
-            gc.freeze()
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def __getattr__(name):
@@ -414,5 +430,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry point: `main()`, whose exit code ends the process
+    once the streams are flushed, with no interpreter teardown.  An
+    exception that escapes `main()` exits as usual, with its traceback."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            pass  # main() has reported a failed stdout flush as exit 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -178,3 +178,31 @@ def test_a_relative_xdg_cache_home_is_ignored(package, tmp_path, home):
         assert proc.stderr.splitlines()[0] == (
             "jrme: C epoch kernel unavailable (no cache directory: "
             "HOME is not an absolute path); using the numpy twin")
+
+
+class TestRefusal:
+    """A cache that is not this user's, or that other users can write, is
+    refused, and the error says which of the two it is."""
+
+    def test_a_cache_another_user_owns_is_refused_as_theirs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        owner = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: owner + 1)
+        with pytest.raises(OSError) as refused:
+            jrme._cache_dir()
+        cache = tmp_path / "jrme"
+        # mode 0700, so the owner alone is the reason
+        assert cache.stat().st_mode & 0o777 == 0o700
+        assert str(refused.value) == (
+            f"{cache} belongs to uid {owner}, and this user is uid {owner + 1}")
+
+    def test_a_cache_other_users_can_write_is_refused_as_such(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "jrme"
+        cache.mkdir()
+        cache.chmod(0o777)
+        with pytest.raises(OSError) as refused:
+            jrme._cache_dir()
+        assert str(refused.value) == f"{cache} is writable by other users: mode 777"
+        cache.chmod(0o700)
+        assert jrme._cache_dir() == str(cache)

@@ -976,6 +976,22 @@ class TestStartup:
         # nor dataclasses, whose classes compile their methods at every import
         assert self._child(tmp_path, [argv], ("jrme.training", "dataclasses")) == "[0] None []"
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_engine_loads_with_the_collector_paused(self, tmp_path, enabled):
+        """No collection runs while the engine loads; what it loaded is
+        frozen, and the collector is left as the caller had it."""
+        script = (
+            "import gc, jrme.cli\n"
+            "seen = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and seen.append(info))\n"
+            f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
+            "jrme.cli._bind_engine(*jrme.cli._ENGINE)\n"
+            "during, enabled, frozen = len(seen), gc.isenabled(), gc.get_freeze_count() > 0\n"
+            "gc.collect()\n"  # the hook sees a collection
+            "print(during, len(seen) > during, enabled, frozen)\n"
+        )
+        assert self._run_script(tmp_path, script) == f"0 True {enabled} True"
+
     def test_train_loads_no_dataclasses(self, corpus, tmp_path):
         tmp, train, _ = corpus
         argv = ["train", "--train", str(train), "--out", str(tmp / "model.bin"),
@@ -994,3 +1010,99 @@ class TestStartup:
         # every other entry is a module's bytecode: no temp file is left
         others = {p.name for p in cache.iterdir()} - {lib.name}
         assert others == {p.name for p in cache.glob("jrme.*.pyc")}
+
+
+def run_process(*argv, **kwargs):
+    """`python -m jrme.cli argv` in a child whose stdout is block-buffered,
+    as it is outside a terminal unless PYTHONUNBUFFERED is set; the child
+    ends through `jrme.cli.run`."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "jrme.cli", *map(str, argv)], env=env,
+                          **kwargs)
+
+
+class TestProcessEntryPoint:
+    """`run()` ends the process without the interpreter's teardown: every
+    byte still buffered is written first, and the exit code is `main()`'s."""
+
+    @pytest.fixture
+    def predict_argv(self, corpus, capsys):
+        """A predict command with more than 2 MB of output, and that output
+        from `main()` in this process."""
+        tmp, train, _ = corpus
+        model = tmp / "m.bin"
+        assert run(capsys, "train", "--train", train, "--out", model, "--epochs", 1)[0] == 0
+        queries = tmp / "queries.tsv"
+        queries.write_text("".join(f"e{i % 25}\te{i % 7}\tsig{i % 6}\n" for i in range(12000)))
+        argv = ("predict", "--model", model, "--input", queries)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(out) > 2 << 20
+        return argv, out.encode()
+
+    def test_a_large_output_into_a_file_is_complete(self, predict_argv, tmp_path):
+        argv, expected = predict_argv
+        out = tmp_path / "predict.out"
+        with open(out, "wb") as f:
+            proc = run_process(*argv, stdout=f, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == expected
+
+    def test_a_large_output_into_a_pipe_is_complete(self, predict_argv):
+        argv, expected = predict_argv
+        proc = run_process(*argv, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
+    def test_output_before_a_late_error_is_kept(self, corpus, capsys, tmp_path):
+        # grid prints every point, then fails writing --out: main() returns 2
+        # with the printed lines still in the stdout buffer
+        _, train, test = corpus
+        argv = ("grid", "--train", train, "--valid", test, "--dims", 4, "--alphas", 1,
+                "--betas", 1, "--gammas", "1,2", "--epochs", 1, "--out", "/dev/full")
+        code, expected, _ = run(capsys, *argv)
+        assert code == 2 and expected.count("\n") == 3
+        out = tmp_path / "grid.out"
+        with open(out, "wb") as f:
+            proc = run_process(*argv, stdout=f, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1] == "error: [Errno 28] No space left on device"
+        assert out.read_text() == expected
+
+    def test_each_exit_code_comes_with_its_error_line(self, corpus):
+        tmp, train, _ = corpus
+        model = tmp / "m.bin"
+        cases = [
+            (1, ["stats", "--train", train, "--frobnicate"],
+             r"error: unrecognized arguments: --frobnicate$"),
+            (2, ["train", "--train", tmp / "nope.tsv", "--out", model],
+             r"error: \[Errno 2\] No such file or directory: "),
+            (3, ["train", "--train", train, "--out", model, "--dim", 4, "--lr", 5,
+                 "--neg", "all"], r"error: (non-finite value|training diverged) at epoch "),
+        ]
+        for code, argv, error in cases:
+            proc = run_process(*argv, capture_output=True, text=True)
+            assert proc.returncode == code, proc.stderr
+            assert proc.stdout == ""
+            assert re.match(error, proc.stderr.splitlines()[-1]), proc.stderr
+            assert "Traceback" not in proc.stderr
+        assert not model.exists()
+
+    def test_a_full_stdout_is_2_with_one_error_line(self, corpus):
+        _, train, _ = corpus
+        with open("/dev/full", "w") as full:
+            proc = run_process("stats", "--train", train, stdout=full,
+                               stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+    def test_threaded_train_writes_a_model_and_manifest_that_load(self, corpus):
+        tmp, train, _ = corpus
+        model = tmp / "m.bin"
+        proc = run_process("train", "--train", train, "--out", model, "--dim", 4,
+                           "--epochs", 2, "--threads", 2, "--nondeterministic-ok",
+                           capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert load_model(model)[0].relation_vecs.shape == (6, 4)
+        manifest = json.loads(Path(f"{model}.manifest.json").read_text())
+        assert manifest["outputs"] == {"model": str(model)}
