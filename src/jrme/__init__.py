@@ -5,9 +5,10 @@ triple scorer (kre), a bag-of-words mention scorer (tme), and their
 joint combination (jrme), all trained with margin-ranking SGD over
 corrupt relations and evaluated by ranking the true relation.
 
-The package root names only the epoch kernel backend; callers import
-everything else from its submodules (`jrme.cli`, `jrme.training`, ...).
-Importing the package loads none of them.
+The package root names the epoch kernel backend and `atomic_write` (with
+its `writes_in_place` rule), which writes every file jrme makes; callers
+import everything else from its submodules (`jrme.cli`, `jrme.training`,
+...).  Importing the package loads none of them.
 
 It does install one import finder, for the submodules.  A submodule with
 no `__pycache__` entry beside its source, as in a checkout, is compiled
@@ -22,14 +23,14 @@ installed copy, with pip's `__pycache__`, imports as usual.
 import marshal
 import os
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from importlib.machinery import SourceFileLoader
 from importlib.util import cache_from_source, source_hash, spec_from_file_location
 from types import CodeType
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND"]
+__all__ = ["BACKEND", "atomic_write", "writes_in_place"]
 
 
 def __getattr__(name):
@@ -66,6 +67,41 @@ def _cache_dir() -> str:
     return cache
 
 
+def writes_in_place(path) -> bool:
+    """Whether `atomic_write` writes `path` in place: it exists and is not
+    a regular file after links (a FIFO, /dev/stdout), which a rename would
+    replace, leaving its reader nothing."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Write `path` through `<path>.<pid>.tmp`, created exclusively and
+    renamed over it when the block ends cleanly: a reader sees the old
+    file or the whole new one, and of concurrent writers the last to
+    rename leaves its whole file.  On any exception the temp is removed,
+    and a file already at its name is left alone (FileExistsError), so a
+    call never truncates, replaces or deletes a file it did not make.  The
+    yielded file's `name` is the temp's, for a writer that fills it by
+    path.  A target that `writes_in_place` is opened as it is.
+    """
+    encoding = None if "b" in mode else "utf-8"
+    if writes_in_place(path):
+        with open(path, mode, encoding=encoding) as f:
+            yield f
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, mode.replace("w", "x"), encoding=encoding)
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 # the interpreter's own tag for a bytecode file, optimization level included
 _TAG = sys.implementation.cache_tag
 if _TAG and sys.flags.optimize:
@@ -89,15 +125,8 @@ class _CachedLoader(SourceFileLoader):
         except (OSError, EOFError, ValueError, TypeError):
             pass
         code = self.source_to_code(source, path)
-        # a temp name per process, renamed into place: no reader sees half an entry
-        tmp = f"{entry}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as f:
-                f.write(marshal.dumps(code))
-            os.replace(tmp, entry)
-        except OSError:
-            with suppress(OSError):
-                os.unlink(tmp)
+        with suppress(OSError), atomic_write(entry, "wb") as f:
+            f.write(marshal.dumps(code))
         return code
 
 

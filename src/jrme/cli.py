@@ -29,6 +29,7 @@ import sys
 from importlib import import_module
 from itertools import islice
 
+from . import atomic_write, writes_in_place
 from .config import VARIANTS, ModelConfig, variant_flags
 from .data import (
     PackedBeliefs, count_beliefs, format_stats, load_dataset, parse_belief_file, read_lines,
@@ -40,7 +41,7 @@ from .errors import ConfigError, DataError, TrainingDivergedError
 # candidate_scores is bound only for the benchmark's tracer, which
 # patches it by this name.
 _ENGINE = {
-    "embeddings": ("atomic_write", "load_model", "save_model"),
+    "embeddings": ("load_model", "save_model"),
     "evaluation": ("candidate_scores", "evaluate", "format_report", "write_ranks_tsv"),
     "kernels": ("RANK_BLOCK", "top_relations"),
     "training": ("grid_configs", "grid_search", "step_bound", "train"),
@@ -128,13 +129,20 @@ def _file_sha256(paths) -> str:
     return h.hexdigest()
 
 
+def _write_json(path, obj) -> None:
+    import json
+
+    with atomic_write(path) as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _write_manifest(path, config, variant, inputs, outputs) -> None:
     import datetime
-    import json
 
     from .kernels import BACKEND
 
-    manifest = {
+    _write_json(path, {
         "config": config._asdict(),
         "variant": variant,
         "inputs": {k: v for k, v in inputs.items() if v is not None},
@@ -142,30 +150,26 @@ def _write_manifest(path, config, variant, inputs, outputs) -> None:
         "outputs": outputs,
         "backend": BACKEND,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    with atomic_write(path) as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    })
 
 
 def _check_out(inputs, *paths) -> None:
     """Fail before any work where writing an output would fail after it,
-    or would replace a file of `inputs`, through the output or through
-    the `<output>.tmp` that `atomic_write` renames over it (a FIFO or a
-    device output is written in place); None is a path not given, and an
-    empty path is never writable."""
+    or would replace a file of `inputs`: an output that is a directory, or
+    a regular file that is an input (one `writes_in_place`, a FIFO or a
+    device, replaces nothing); None is a path not given, and an empty path
+    is never writable."""
     inputs = [p for p in inputs if p is not None and os.path.exists(p)]
     for path in (p for p in paths if p is not None):
         if not path or not os.path.isdir(os.path.dirname(path) or "."):
             raise OSError(f"cannot write {path!r}: it is empty or in a missing directory")
-        if os.path.exists(path) and not os.path.isfile(path) and not os.path.isdir(path):
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path!r}: it is a directory")
+        if writes_in_place(path):
             continue
-        for target in (path, f"{path}.tmp"):
-            if os.path.isdir(target):
-                raise OSError(f"cannot write {path!r}: {target!r} is a directory")
-            for source in inputs:
-                if os.path.isfile(target) and os.path.samefile(target, source):
-                    raise OSError(f"cannot write {path!r}: {target!r} is the input {source!r}")
+        for source in inputs:
+            if os.path.exists(path) and os.path.samefile(path, source):
+                raise OSError(f"cannot write {path!r}: it is the input {source!r}")
 
 
 def _report_rejections(rejected: dict, log) -> None:
@@ -190,7 +194,7 @@ def cmd_train(args) -> int:
     threads = _resolve_threads(args)
     # beside a FIFO or a device, a manifest would be a new file no one asked for
     manifest = f"{args.out}.manifest.json"
-    if os.path.exists(args.out) and not os.path.isfile(args.out):
+    if writes_in_place(args.out):
         print(f"warning: {args.out} is not a regular file; no manifest is written",
               file=sys.stderr)
         manifest = None
@@ -246,11 +250,7 @@ def cmd_grid(args) -> int:
         )
     print(f"best: dim={b.dim} alpha={b.alpha} beta={b.beta} gamma={b.gamma}")
     if args.out:
-        import json
-
-        with atomic_write(args.out) as f:
-            json.dump(b._asdict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(args.out, b._asdict())
     return 0
 
 
@@ -409,6 +409,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        print("error: stdout is closed", file=sys.stderr)
+        return 2
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
@@ -437,7 +440,8 @@ def run() -> None:
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:
-            stream.flush()
+            if stream is not None:
+                stream.flush()
         except (OSError, ValueError):
             pass  # main() has reported a failed stdout flush as exit 2
     os._exit(code)

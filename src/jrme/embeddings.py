@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import os
 import struct
-from contextlib import contextmanager
 
 import numpy as np
 
+from . import atomic_write
 from .config import _SEED_MASK, VARIANTS, ModelConfig
 from .data import Vocabulary
 from .errors import ConfigError, DataError, FormatError
@@ -77,33 +77,6 @@ def _config_from_dict(d) -> ModelConfig:
         return ModelConfig(**d)
     except (TypeError, ConfigError) as e:
         raise FormatError(f"model header config is invalid: {e}") from None
-
-
-@contextmanager
-def atomic_write(path, mode: str = "w"):
-    """Open a sibling `<path>.tmp` for writing and rename it over `path`
-    when the block ends cleanly.
-
-    On any exception, in the block or in the rename, the temp file is
-    removed, so a failed write leaves neither a partial target nor a stray
-    temp file.  A target that exists and is not a regular file, after
-    links, such as a FIFO or /dev/stdout, is written in place instead: a
-    rename would replace it, and its reader would get nothing.
-    """
-    encoding = None if "b" in mode else "utf-8"
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, mode, encoding=encoding) as f:
-            yield f
-        return
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, mode, encoding=encoding) as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def save_model(

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import atomic_write
 from .config import variant_flags
 from .data import PackedBeliefs
-from .embeddings import EmbeddingTable, atomic_write
+from .embeddings import EmbeddingTable
 from .errors import DataError
 from .kernels import rank_all, relation_scores
 

@@ -2,12 +2,12 @@
 
 The epoch kernel lives in `_epoch.c`.  The first `run_epoch` call or
 `BACKEND` read, not the import, compiles it with the system C compiler
-into the per-user cache (`jrme._cache_dir`) and loads it with ctypes,
-which releases the GIL, so training shards run on real threads; a
-command that only ranks never builds, hashes or loads it.  When there is
-no compiler, the build fails, or there is no cache, it cannot be written
-or other users can write it, the vectorized numpy twin runs instead and
-one stderr line says so.
+into the per-user cache (`jrme._cache_dir`, through `jrme.atomic_write`)
+and loads it with ctypes, which releases the GIL, so training shards run
+on real threads; a command that only ranks never builds, hashes or loads
+it.  When there is no compiler, the build fails, or there is no cache, it
+cannot be written or other users can write it, the vectorized numpy twin
+runs instead and one stderr line says so.
 `BACKEND` names the one in use, "c" or "numpy", chosen once, and
 `run_epoch` runs that kernel.  The twin is also the reference the tests
 hold the C kernel to: the two may differ in the last float bits
@@ -33,10 +33,11 @@ import ctypes
 import os
 import sys
 import threading
+from importlib.util import source_hash
 
 import numpy as np
 
-from . import _cache_dir
+from . import _cache_dir, atomic_write
 from .data import PackedBeliefs  # noqa: F401  (importable from here, see above)
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_epoch.c")
@@ -47,36 +48,27 @@ _PTR = ctypes.c_void_p
 
 
 def _load_epoch_kernel():
-    """Build `_epoch.c` once per (source, flags) into the cache and load it.
+    """Build `_epoch.c` once per (source, flags, interpreter) into the
+    cache, named by `source_hash` as cached bytecode is, and load it.
 
-    The library is compiled from the hashed bytes under a temporary name
-    and renamed into place, so concurrent first runs never load a
-    half-written file.
+    `cc` writes the library through `atomic_write`, so concurrent first
+    runs never load a half-written file.
     """
-    import hashlib  # OpenSSL: only a process that trains loads it
-
     with open(_SOURCE, "rb") as f:
         source = f.read()
-    digest = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
-    cache = _cache_dir()
-    lib_path = os.path.join(cache, f"epoch-{digest}.so")
+    key = source_hash(source + " ".join(_CFLAGS).encode()).hex()
+    lib_path = os.path.join(_cache_dir(), f"epoch-{key}.so")
     if not os.path.exists(lib_path):
-        import subprocess  # only a cache miss pays for these
-        import tempfile
+        import subprocess  # only a cache miss pays for it
 
-        fd, tmp = tempfile.mkstemp(prefix=".epoch-", suffix=".so", dir=cache)
-        os.close(fd)
         try:
-            subprocess.run(
-                ["cc", *_CFLAGS, "-o", tmp, "-x", "c", "-", "-lm"],
-                input=source, check=True, capture_output=True, timeout=300,
-            )
-            os.replace(tmp, lib_path)
+            with atomic_write(lib_path, "wb") as tmp:
+                subprocess.run(
+                    ["cc", *_CFLAGS, "-o", tmp.name, "-x", "c", "-", "-lm"],
+                    input=source, check=True, capture_output=True, timeout=300,
+                )
         except subprocess.SubprocessError as e:
             raise OSError(f"cc failed: {e}") from None
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
     fn = ctypes.CDLL(lib_path).jrme_epoch
     fn.argtypes = [
         _PTR, _PTR, _PTR, ctypes.c_int64,  # entity, relation, word, d

@@ -141,14 +141,23 @@ class TestTrainCommand:
     @pytest.mark.parametrize("blocked", ["model.bin", "model.bin.manifest.json",
                                          "model.bin.tmp", "model.bin.manifest.json.tmp"])
     def test_failed_rename_leaves_no_temp_file(self, corpus, capsys, train_calls, blocked):
-        # a non-empty directory at the target or at its temp name can be
-        # written neither in place nor by a rename, and nothing can be
-        # written into a missing directory; both are reported before
-        # anything trains
+        # a non-empty directory at the target can be written neither in
+        # place nor by a rename, and nothing can be written into a missing
+        # directory; both are reported before anything trains.  A directory
+        # at `<target>.tmp` is in no writer's way: it stays as it was
         tmp, train, _ = corpus
         (tmp / blocked).mkdir()
         (tmp / blocked / "keep").write_text("")
         files = sorted(tmp.rglob("*"))
+        if blocked.endswith(".tmp"):
+            code, _, err = run(capsys, "train", "--train", train, "--out", tmp / "model.bin",
+                               "--dim", 4, "--epochs", 1)
+            assert code == 0, err
+            assert load_model(tmp / "model.bin")[2].dim == 4
+            assert sorted((tmp / blocked).rglob("*")) == [tmp / blocked / "keep"]
+            assert (tmp / blocked / "keep").read_bytes() == b""
+            assert list(tmp.rglob("*.tmp")) == [tmp / blocked]
+            return
         for out in (tmp / "model.bin", tmp / "nodir" / "model.bin"):
             code, _, err = run(
                 capsys, "train", "--train", train, "--out", out, "--dim", 4, "--epochs", 1,
@@ -171,9 +180,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize("target", ["train", "valid", "manifest", "temp file"])
     def test_output_that_is_an_input_is_2_before_any_epoch(self, corpus, capsys, train_calls,
                                                            target):
-        """The model or its manifest written over a file the run reads,
-        directly or through the temp file renamed over it, would replace
-        the data, and hash the model as the data."""
+        """The model or its manifest written over a file the run reads
+        would replace the data, and hash the model as the data.  An input
+        at `<model>.tmp` is no temp file of jrme's: it is read, and left
+        as it was."""
         tmp, train, test = corpus
         data = tmp / "model.bin.manifest.json"
         data.write_bytes(train.read_bytes())
@@ -185,10 +195,17 @@ class TestTrainCommand:
         files = {p: p.read_bytes() for p in sorted(tmp.rglob("*"))}
         code, stdout, err = run(capsys, "train", "--train", train_path, "--valid", test,
                                 "--out", out, "--dim", 4, "--epochs", 1)
-        assert code == 2 and err.splitlines()[-1].startswith("error: ")
-        assert "is the input" in err and "epoch=" not in err
-        assert (stdout, train_calls) == ("", [])
-        assert {p: p.read_bytes() for p in sorted(tmp.rglob("*"))} == files
+        after = {p: p.read_bytes() for p in sorted(tmp.rglob("*"))}
+        if target == "temp file":
+            assert code == 0, err
+            assert load_model(out)[2].dim == 4
+            # the model is new, and the manifest replaces the file at its name
+            files.update({p: after[p] for p in (out, data)})
+        else:
+            assert code == 2 and err.splitlines()[-1].startswith("error: ")
+            assert "is the input" in err and "epoch=" not in err
+            assert (stdout, train_calls) == ("", [])
+        assert after == files
 
     def test_flag_defaults_are_the_model_config_defaults(self):
         args = jrme.cli.build_parser().parse_args(["train", "--train", "a", "--out", "b"])
@@ -492,8 +509,15 @@ class TestEvalCommand:
                  "the test file's temp name": tmp / "ranks.tsv"}[where]
         code, out, err = run(capsys, "eval", "--model", model, "--test", test,
                              "--ranks-out", ranks)
-        assert code == 2 and err.splitlines()[-1].startswith("error: ")
-        assert out == ""
+        if where.endswith("temp name"):
+            # `ranks.tsv.tmp` is in no writer's way: the ranks are written
+            # and what is at that name stays as it was
+            assert code == 0, err
+            assert ranks.read_text().startswith("index\trank\n")
+            paths[ranks] = ranks.read_bytes()
+        else:
+            assert code == 2 and err.splitlines()[-1].startswith("error: ")
+            assert out == ""
         assert {p: p.is_file() and p.read_bytes() for p in sorted(tmp.rglob("*"))} == paths
 
     def test_partial_rejection_warns_but_succeeds(self, corpus, capsys):
@@ -687,8 +711,7 @@ class TestGridCommand:
         files = sorted(tmp.rglob("*"))
         data = train.read_bytes(), test.read_bytes()
         for source, out in ((train, best_out), (train, tmp / "nodir" / "best.json"),
-                            (train, train), (train, tmp / "." / test.name),
-                            (temp, tmp / "best.json"), (train, tmp / "grid.json")):
+                            (train, train), (train, tmp / "." / test.name)):
             code, stdout, err = run(
                 capsys, "grid", "--train", source, "--valid", test,
                 "--dims", "4", "--alphas", "1.0", "--betas", "1.0", "--gammas", "2.0",
@@ -701,6 +724,20 @@ class TestGridCommand:
             assert sorted(tmp.rglob("*")) == files
             assert (train.read_bytes(), test.read_bytes()) == data
             assert temp.read_bytes() == data[0]
+        # an input at `best.json.tmp` and a directory at `grid.json.tmp` are
+        # in no writer's way: --out is written and each stays as it was
+        for source, out in ((temp, tmp / "best.json"), (train, tmp / "grid.json")):
+            code, stdout, err = run(
+                capsys, "grid", "--train", source, "--valid", test,
+                "--dims", "4", "--alphas", "1.0", "--betas", "1.0", "--gammas", "2.0",
+                "--epochs", 1, "--out", out,
+            )
+            assert code == 0, err
+            assert json.loads(out.read_text())["dim"] == 4
+            assert temp.read_bytes() == data[0]
+            assert list((tmp / "grid.json.tmp").iterdir()) == []
+        assert (train.read_bytes(), test.read_bytes()) == data
+        assert sorted(tmp.rglob("*")) == sorted([*files, tmp / "best.json", tmp / "grid.json"])
 
     def test_duplicate_points_print_in_order_as_single_point_runs(self, corpus, capsys):
         # jrme reads only gamma, so each alpha pair and beta pair is a duplicate
@@ -1095,6 +1132,18 @@ class TestProcessEntryPoint:
                                stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == ["error: [Errno 28] No space left on device"]
+
+    def test_a_closed_stdout_is_2_before_any_work(self, corpus):
+        # `>&-` starts the interpreter with no fd 1, and so no sys.stdout
+        tmp, train, _ = corpus
+        model = tmp / "m.bin"
+        argv = [sys.executable, "-m", "jrme.cli", "train", "--train", str(train),
+                "--out", str(model), "--dim", "4", "--epochs", "1"]
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], env=child_env(),
+                              stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: stdout is closed\n"
+        assert not model.exists()
 
     def test_threaded_train_writes_a_model_and_manifest_that_load(self, corpus):
         tmp, train, _ = corpus
