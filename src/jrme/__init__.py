@@ -34,9 +34,10 @@ __all__ = ["BACKEND", "atomic_write", "writes_in_place"]
 
 
 def __getattr__(name):
-    # reading BACKEND chooses the epoch kernel, building it on first use
+    # reading BACKEND imports `training`, whose import chooses the epoch
+    # kernel, building it on first use
     if name == "BACKEND":
-        from .kernels import BACKEND
+        from .training import BACKEND
 
         return BACKEND
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,16 +8,17 @@ stopped by SIGPIPE reports it, with nothing on stderr).
 Importing this module loads only the standard library and the numpy-free
 `config`, `data` and `errors`, none of which defines a dataclass; `json`
 loads only where a command writes it.  Only `stats` runs without the
-numeric engine: every other command first calls `_bind_engine` with the
-engine modules it runs, which imports them and binds their entry points
-as this module's globals; `eval` and `predict` never import `training`.
-The engine loads with the cyclic collector paused, since nothing it
-makes can be freed before exit.
+numeric engine: every other command calls `_bind_engine` with the engine
+modules it runs once it has read and checked its inputs, which imports
+them and binds their entry points as this module's globals; `eval` and
+`predict` never import `training`, whose import chooses the epoch kernel.
 
 `run()` is the process entry point (`python -m jrme.cli` and the `jrme`
-script): it flushes the streams after `main()` and ends the process with
-`os._exit`, skipping the interpreter's teardown, so atexit handlers do
-not run.  A program that calls `main()` itself keeps its own exit.
+script).  It turns the cyclic collector off, since nothing a command
+makes can be freed before it ends, and after `main()` it flushes the
+streams and ends the process with `os._exit`, skipping the interpreter's
+teardown, so atexit handlers do not run.  A program that calls `main()`
+itself keeps its own collector and exit.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from importlib import import_module
 from itertools import islice
 
 from . import atomic_write, writes_in_place
-from .config import VARIANTS, ModelConfig, variant_flags
+from .config import VARIANTS, ModelConfig, grid_configs, step_bound, variant_flags
 from .data import (
     PackedBeliefs, count_beliefs, format_stats, load_dataset, parse_belief_file, read_lines,
     tokenize_mention,
@@ -44,35 +45,19 @@ _ENGINE = {
     "embeddings": ("load_model", "save_model"),
     "evaluation": ("candidate_scores", "evaluate", "format_report", "write_ranks_tsv"),
     "kernels": ("RANK_BLOCK", "top_relations"),
-    "training": ("grid_configs", "grid_search", "step_bound", "train"),
+    "training": ("grid_search", "train"),
 }
-_bound = set()  # the modules of _ENGINE whose names are bound
 
 
 def _bind_engine(*modules) -> None:
     """Import each named engine module and bind its names in `_ENGINE` as
-    this module's globals, once.  A name already bound, say a function a
-    tracer or a test put here, is left as it is, so commands call it."""
-    todo = [module for module in modules if module not in _bound]
-    if not todo:
-        return
-    # The objects made by the imports (numpy's above all) live until exit,
-    # so no collection while they load can free one: the collector is
-    # paused, and afterwards they are frozen, left out of every later
-    # collection.  A caller's own collector setting is restored.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        g = globals()
-        for module in todo:
-            engine = import_module(f".{module}", __package__)
-            for name in _ENGINE[module]:
-                g.setdefault(name, getattr(engine, name))
-            _bound.add(module)
-        gc.freeze()
-    finally:
-        if enabled:
-            gc.enable()
+    this module's globals.  A name already bound, say a function a tracer
+    or a test put here, is left as it is, so commands call it."""
+    g = globals()
+    for module in modules:
+        engine = import_module(f".{module}", __package__)
+        for name in _ENGINE[module]:
+            g.setdefault(name, getattr(engine, name))
 
 
 def __getattr__(name):
@@ -81,8 +66,7 @@ def __getattr__(name):
     for module, names in _ENGINE.items():
         if name in names:
             _bind_engine(module)
-            if name in globals():
-                return globals()[name]
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -140,7 +124,7 @@ def _write_json(path, obj) -> None:
 def _write_manifest(path, config, variant, inputs, outputs) -> None:
     import datetime
 
-    from .kernels import BACKEND
+    from .training import BACKEND
 
     _write_json(path, {
         "config": config._asdict(),
@@ -189,19 +173,18 @@ def _warn_step_bound(config, n_relations: int) -> None:
 
 
 def cmd_train(args) -> int:
-    _bind_engine(*_ENGINE)
     config = _config_from_args(args)
     threads = _resolve_threads(args)
     # beside a FIFO or a device, a manifest would be a new file no one asked for
-    manifest = f"{args.out}.manifest.json"
-    if writes_in_place(args.out):
+    manifest = None if writes_in_place(args.out) else f"{args.out}.manifest.json"
+    _check_out((args.train, args.valid), args.out, manifest)
+    if manifest is None:
         print(f"warning: {args.out} is not a regular file; no manifest is written",
               file=sys.stderr)
-        manifest = None
-    _check_out((args.train, args.valid), args.out, manifest)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(config, len(vocab.relations))
+    _bind_engine(*_ENGINE)
     table, _ = train(dataset, vocab, config, args.variant, n_threads=threads, log=sys.stderr)
     save_model(table, vocab, config, args.out, args.variant)
     if manifest:
@@ -234,7 +217,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    _bind_engine(*_ENGINE)
     base = _config_from_args(args)
     threads = _resolve_threads(args)
     configs = grid_configs(base, args.dims, args.alphas, args.betas, args.gammas)
@@ -242,6 +224,7 @@ def cmd_grid(args) -> int:
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(base, len(vocab.relations))
+    _bind_engine(*_ENGINE)
     points, (b, _) = grid_search(dataset, vocab, configs, args.variant, n_threads=threads)
     for c, r in points:
         print(
@@ -436,7 +419,10 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry point: `main()`, whose exit code ends the process
     once the streams are flushed, with no interpreter teardown.  An
-    exception that escapes `main()` exits as usual, with its traceback."""
+    exception that escapes `main()` exits as usual, with its traceback.
+    The collector stays off throughout: a command's objects all live
+    until it ends, so a collection would only walk them."""
+    gc.disable()
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

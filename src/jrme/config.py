@@ -1,4 +1,5 @@
-"""Model variants and hyperparameters.
+"""Model variants and hyperparameters, and the arithmetic over them that
+the CLI checks before training: the step bound and the search grid.
 
 Plain Python with no numpy, so the CLI can build its parser and validate
 flags before, or without, loading the numeric engine, and with no
@@ -8,6 +9,7 @@ dataclass, whose module loads `inspect`.
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -97,3 +99,30 @@ def parse_neg_mode(value: str) -> tuple[str, int]:
             raise ConfigError(f"neg_mode sample count must be >= 1, got {k}")
         return "sample", k
     raise ConfigError(f"neg_mode must be 'all' or 'sample:K', got {value!r}")
+
+
+def step_bound(config: ModelConfig, n_relations: int) -> float:
+    """Learning rate times the corrupt relations each example scores.
+
+    The positive relation's step is 2*lr*a*(h+r-t) for a active
+    negatives, so once this product exceeds 1 that step can overshoot
+    and the row can grow geometrically instead of converging.
+    """
+    mode, k = parse_neg_mode(config.neg_mode)
+    return config.learning_rate * (n_relations - 1 if mode == "all" else k)
+
+
+def grid_configs(base: ModelConfig, dims, alphas, betas, gammas) -> list[ModelConfig]:
+    """One config per (dim, alpha, beta, gamma) point, in lexicographic
+    order of the deduplicated values, every other field from `base`.
+
+    Building a config validates it, so a bad value in any list fails
+    here, before a file is read or a point trains.
+    """
+    dims, alphas, betas, gammas = (sorted(set(v)) for v in (dims, alphas, betas, gammas))
+    if not (dims and alphas and betas and gammas):
+        raise ConfigError("grid search needs at least one value per hyperparameter")
+    return [
+        base._replace(dim=d, alpha=a, beta=b, gamma=g)
+        for d, a, b, g in product(dims, alphas, betas, gammas)
+    ]

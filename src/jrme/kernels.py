@@ -1,200 +1,29 @@
-"""Hot numeric kernels: the SGD epoch in C with a numpy twin, and ranking.
+"""Relation ranking, numpy on both epoch backends, and the id checks
+every kernel runs.  The SGD epoch kernels live in `training`, the only
+module that runs them, so a command that only ranks never builds, hashes
+or loads the C one.
 
-The epoch kernel lives in `_epoch.c`.  The first `run_epoch` call or
-`BACKEND` read, not the import, compiles it with the system C compiler
-into the per-user cache (`jrme._cache_dir`, through `jrme.atomic_write`)
-and loads it with ctypes, which releases the GIL, so training shards run
-on real threads; a command that only ranks never builds, hashes or loads
-it.  When there is no compiler, the build fails, or there is no cache, it
-cannot be written or other users can write it, the vectorized numpy twin
-runs instead and one stderr line says so.
-`BACKEND` names the one in use, "c" or "numpy", chosen once, and
-`run_epoch` runs that kernel.  The twin is also the reference the tests
-hold the C kernel to: the two may differ in the last float bits
-(summation order), never in semantics.  Ranking, numpy on both backends,
-has one exact scorer (`relation_scores`) and one order, numpy's stable
-argsort (ties by id, nan last), behind every score and rank.  `rank_all`
-and `top_relations` score each block by BLAS GEMM; a row its error band
-(`_gemm_scores`) settles is ranked from GEMM, or for a top k rescored on
-its k ids, and every other row is rescored whole, so their ranks and top
-k are the exact scorer's whatever the BLAS, its threads or the block.
+Ranking has one exact scorer (`relation_scores`) and one order, numpy's
+stable argsort (ties by id, nan last), behind every score and rank.
+`rank_all` and `top_relations` score each block by BLAS GEMM; a row its
+error band (`_gemm_scores`) settles is ranked from GEMM, or for a top k
+rescored on its k ids, and every other row is rescored whole, so their
+ranks and top k are the exact scorer's whatever the BLAS, its threads or
+the block.
 
 Every kernel takes the three tables as arrays and the beliefs as one
 `data.PackedBeliefs`, the form the parser writes, so no caller unpacks
-its id arrays; the class is importable from here too.  Both epoch
-kernels, `relation_scores`, `rank_all` and `top_relations` check every id
-against its table (`_check_packed`) before they read a row, so an id
-outside it, negative ones included, raises IndexError.
+its id arrays; the class is importable from here too.
+`relation_scores`, `rank_all`, `top_relations` and both epoch kernels
+check every id against its table (`_check_packed`) before they read a
+row, so an id outside it, negative ones included, raises IndexError.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-import sys
-import threading
-from importlib.util import source_hash
-
 import numpy as np
 
-from . import _cache_dir, atomic_write
 from .data import PackedBeliefs  # noqa: F401  (importable from here, see above)
-
-_SOURCE = os.path.join(os.path.dirname(__file__), "_epoch.c")
-# IEEE semantics on every host: no -march=native, no -ffast-math (which
-# would break isfinite), no fused multiply-add
-_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
-_PTR = ctypes.c_void_p
-
-
-def _load_epoch_kernel():
-    """Build `_epoch.c` once per (source, flags, interpreter) into the
-    cache, named by `source_hash` as cached bytecode is, and load it.
-
-    `cc` writes the library through `atomic_write`, so concurrent first
-    runs never load a half-written file.
-    """
-    with open(_SOURCE, "rb") as f:
-        source = f.read()
-    key = source_hash(source + " ".join(_CFLAGS).encode()).hex()
-    lib_path = os.path.join(_cache_dir(), f"epoch-{key}.so")
-    if not os.path.exists(lib_path):
-        import subprocess  # only a cache miss pays for it
-
-        try:
-            with atomic_write(lib_path, "wb") as tmp:
-                subprocess.run(
-                    ["cc", *_CFLAGS, "-o", tmp.name, "-x", "c", "-", "-lm"],
-                    input=source, check=True, capture_output=True, timeout=300,
-                )
-        except subprocess.SubprocessError as e:
-            raise OSError(f"cc failed: {e}") from None
-    fn = ctypes.CDLL(lib_path).jrme_epoch
-    fn.argtypes = [
-        _PTR, _PTR, _PTR, ctypes.c_int64,  # entity, relation, word, d
-        _PTR, _PTR, _PTR, _PTR, _PTR,  # heads, rels, tails, moff, mflat
-        _PTR, ctypes.c_int64,  # order, n_order
-        _PTR, ctypes.c_int64, ctypes.c_int,  # neg_table, k, neg_by_relation
-        ctypes.c_double, ctypes.c_double,  # lr, margin
-        ctypes.c_int, ctypes.c_int, ctypes.c_int,  # use_kg, use_text, normalize
-        ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64),
-    ]
-    fn.restype = ctypes.c_int64
-    return fn
-
-
-_backend_lock = threading.Lock()
-_jrme_epoch = None  # the loaded C function, once _backend() has chosen "c"
-
-
-def _backend() -> str:
-    """The epoch backend, "c" or "numpy", chosen on the first call.
-
-    The first call builds or loads the C kernel, or prints the one line
-    saying the numpy twin runs instead, and binds `BACKEND`.  The lock
-    makes concurrent first calls, such as the shards of a threaded
-    epoch, build it once.
-    """
-    global BACKEND, _jrme_epoch
-    with _backend_lock:
-        if "BACKEND" not in globals():
-            try:
-                _jrme_epoch = _load_epoch_kernel()
-            except OSError as e:
-                print(f"jrme: C epoch kernel unavailable ({e}); using the numpy twin",
-                      file=sys.stderr)
-            BACKEND = "numpy" if _jrme_epoch is None else "c"
-        return BACKEND
-
-
-def __getattr__(name):
-    # BACKEND is bound by its first read, so importing never builds the kernel
-    if name == "BACKEND":
-        return _backend()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def enum_negative_table(n_relations: int) -> np.ndarray:
-    """Row r lists every relation id except r, ascending."""
-    r = np.arange(n_relations, dtype=np.int64)
-    grid = np.broadcast_to(r, (n_relations, n_relations))
-    keep = grid != r[:, None]
-    return grid[keep].reshape(n_relations, n_relations - 1)
-
-
-# --- training epoch -------------------------------------------------------
-#
-# run_epoch(entity, relation, word, packed, order, neg_table,
-#           neg_by_relation, lr, margin, use_kg, use_text, normalize)
-# is one pass of hinge SGD over the beliefs of `packed` in `order`,
-# updating the three tables in place.  Example order[pos] takes its
-# negatives from row r of `neg_table` (its relation) when neg_by_relation,
-# else from row pos.  It returns (loss_sum: float, active_term_count: int,
-# bad_index: int); bad_index is the first example whose step produced a
-# non-finite value, -1 when clean.  The update rule is documented in
-# _epoch.c, whose score() gives the true relation and each negative
-# ||h + r - t||^2 - r.m.  _epoch_numpy is its vectorized twin: one
-# expression scores the rows [r, *negatives] the same way.  _epoch_c
-# guards the pointers handed to the C kernel; both check every id first
-# (_check_epoch_ids), and run_epoch runs the one that BACKEND names.
-
-
-def _epoch_numpy(
-    entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
-    use_kg, use_text, normalize,
-):
-    _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_relation, use_text)
-    heads, rels, tails = packed.heads, packed.relations, packed.tails
-    moff, mflat = packed.mention_off, packed.mention_flat
-    loss_sum = 0.0
-    active_sum = 0
-    for pos in range(order.shape[0]):
-        i = int(order[pos])
-        h = int(heads[i])
-        r = int(rels[i])
-        t = int(tails[i])
-        negs = neg_table[r] if neg_by_relation else neg_table[pos]
-        rows = relation[np.concatenate(([r], negs))]  # a copy: the pre-step rows
-        diff = entity[h] + rows - entity[t]
-        s = np.einsum("ij,ij->i", diff, diff) if use_kg else np.zeros(rows.shape[0])
-        if use_text:
-            ids = mflat[moff[i] : moff[i + 1]]
-            m = word[ids].sum(axis=0)
-            s -= rows @ m
-        terms = margin + s[0] - s[1:]
-        act = terms > 0.0
-        a = int(np.count_nonzero(act))
-        loss_i = float(terms[act].sum())
-
-        if a:
-            wc = rows[1:][act].sum(axis=0) - a * rows[0]
-            # r is not among its negatives and the active negatives are
-            # distinct, so plain fancy indexing writes each row once per term
-            if use_kg:
-                relation[negs[act]] += lr * 2.0 * diff[1:][act]
-                relation[r] -= lr * 2.0 * a * diff[0]
-            if use_text:
-                relation[negs[act]] -= lr * m
-                relation[r] += lr * a * m
-            if use_kg and h != t:
-                entity[h] += lr * 2.0 * wc
-                entity[t] -= lr * 2.0 * wc
-                if normalize:
-                    for e in (h, t):
-                        nrm = float(np.linalg.norm(entity[e]))
-                        if nrm > 0.0:
-                            entity[e] /= nrm
-            if use_text:
-                np.subtract.at(word, ids, lr * wc)
-
-        loss_sum += loss_i
-        active_sum += a
-        bad = not np.isfinite(loss_i) or not np.isfinite(relation[r]).all()
-        if use_kg and not bad:
-            bad = not np.isfinite(entity[h]).all()
-        if bad:
-            return loss_sum, active_sum, i
-    return loss_sum, active_sum, -1
 
 
 def _check_ids(what: str, ids: np.ndarray, n: int) -> None:
@@ -213,77 +42,6 @@ def _check_packed(entity, relation, word, packed, use_text) -> None:
     if use_text:
         _check_ids("mention offset", packed.mention_off, packed.mention_flat.shape[0] + 1)
         _check_ids("word id", packed.mention_flat, word.shape[0])
-
-
-def _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_relation,
-                     use_text) -> None:
-    """IndexError unless every row an epoch reads exists: `_check_packed`,
-    each example index of `order`, and a negative table with a row per
-    relation (per example without neg_by_relation) of relation ids."""
-    n_rel = relation.shape[0]
-    rows = n_rel if neg_by_relation else order.shape[0]
-    if neg_table.shape[0] < rows:
-        raise IndexError(f"negative table has {neg_table.shape[0]} rows, needs {rows}")
-    _check_ids("example index", order, len(packed))
-    _check_ids("negative relation id", neg_table, n_rel)
-    _check_packed(entity, relation, word, packed, use_text)
-
-
-def _epoch_c(
-    entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
-    use_kg, use_text, normalize,
-):
-    """The C kernel, after the checks that keep bad input out of memory.
-
-    Raises ValueError for a wrong dtype, layout or shape and IndexError
-    for an id outside its table, before any row is written.
-    """
-    d = relation.shape[1] if relation.ndim == 2 else -1
-    for name, t in (("entity", entity), ("relation", relation), ("word", word)):
-        if t.dtype != np.float64 or t.ndim != 2 or t.shape[1] != d:
-            raise ValueError(f"{name} table must be a 2-D float64 array with {d} columns")
-        if not (t.flags.c_contiguous and t.flags.writeable):
-            raise ValueError(f"{name} table must be C-contiguous and writeable")
-    heads, rels, tails = packed.heads, packed.relations, packed.tails
-    moff, mflat = packed.mention_off, packed.mention_flat
-    index_arrays = (
-        ("heads", heads, 1), ("rels", rels, 1), ("tails", tails, 1), ("moff", moff, 1),
-        ("mflat", mflat, 1), ("order", order, 1), ("neg_table", neg_table, 2),
-    )
-    for name, a, ndim in index_arrays:
-        if a.dtype != np.int64 or a.ndim != ndim or not a.flags.c_contiguous:
-            raise ValueError(f"{name} must be a {ndim}-D C-contiguous int64 array")
-    n = heads.shape[0]
-    if rels.shape != (n,) or tails.shape != (n,) or moff.shape != (n + 1,):
-        raise ValueError("heads, rels and tails need one entry per belief, moff one more")
-    _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_relation, use_text)
-
-    loss = ctypes.c_double()
-    active = ctypes.c_int64()
-    bad = _jrme_epoch(
-        entity.ctypes.data, relation.ctypes.data, word.ctypes.data, d,
-        heads.ctypes.data, rels.ctypes.data, tails.ctypes.data,
-        moff.ctypes.data, mflat.ctypes.data,
-        order.ctypes.data, order.shape[0],
-        neg_table.ctypes.data, neg_table.shape[1], bool(neg_by_relation),
-        lr, margin, bool(use_kg), bool(use_text), bool(normalize),
-        ctypes.byref(loss), ctypes.byref(active),
-    )
-    if bad == -2:
-        raise MemoryError("C epoch kernel could not allocate its scratch rows")
-    return loss.value, active.value, bad
-
-
-def run_epoch(
-    entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
-    use_kg, use_text, normalize,
-):
-    """One epoch on the kernel `BACKEND` names; the first call chooses it."""
-    epoch = _epoch_c if _backend() == "c" else _epoch_numpy
-    return epoch(
-        entity, relation, word, packed, order, neg_table, neg_by_relation, lr, margin,
-        use_kg, use_text, normalize,
-    )
 
 
 # --- relation ranking -----------------------------------------------------

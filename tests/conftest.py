@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jrme.kernels import BACKEND
+from jrme.training import BACKEND
 
 
 def pytest_report_header(config):

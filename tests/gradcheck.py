@@ -1,7 +1,7 @@
 """Finite-difference machinery shared by the gradient tests."""
 
 from jrme.config import variant_flags
-from jrme.kernels import enum_negative_table
+from jrme.training import enum_negative_table
 from reference import Belief, _hinge_terms, example_gradients, example_loss
 from synth_data import make_vocab, random_table
 

@@ -28,7 +28,7 @@ from jrme.data import PackedBeliefs
 from jrme.embeddings import EmbeddingTable
 from jrme.errors import ConfigError
 from jrme.evaluation import candidate_scores
-from jrme.kernels import BACKEND
+from jrme.training import BACKEND
 
 needs_c = pytest.mark.skipif(BACKEND != "c", reason="the C kernel did not build here")
 

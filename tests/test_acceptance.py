@@ -13,8 +13,7 @@ import pytest
 from jrme.config import VARIANTS, ModelConfig
 from jrme.embeddings import load_model, save_model
 from jrme.evaluation import evaluate, summarize_ranks
-from jrme.kernels import enum_negative_table
-from jrme.training import train
+from jrme.training import enum_negative_table, train
 
 from gradcheck import check_gradients
 from reference import Belief, example_loss, pack

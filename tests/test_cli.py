@@ -168,6 +168,17 @@ class TestTrainCommand:
             assert (tmp / blocked / "keep").exists()
             assert sorted(tmp.rglob("*")) == files
 
+    def test_directory_out_is_2_with_the_error_line_alone(self, corpus, capsys, train_calls):
+        """A directory at --out is refused before any other word about it,
+        such as that no manifest goes beside what is not a regular file."""
+        tmp, train, _ = corpus
+        out = tmp / "model.bin"
+        out.mkdir()
+        code, stdout, err = run(capsys, "train", "--train", train, "--out", out,
+                                "--dim", 4, "--epochs", 1)
+        assert (code, stdout, train_calls) == (2, "", [])
+        assert err.splitlines() == [f"error: cannot write {str(out)!r}: it is a directory"]
+
     def test_empty_out_is_2_before_any_epoch(self, corpus, capsys, train_calls):
         tmp, train, _ = corpus
         files = sorted(tmp.rglob("*"))
@@ -918,10 +929,10 @@ def test_benchmark_tracer_still_finds_every_entry_point(corpus, monkeypatch):
 
 class TestStartup:
     """A command pays only for what it runs: `stats` loads no numeric
-    engine, the reading commands never build, hash or load the epoch
-    kernel, and leave out the modules only training needs; `train` builds
-    the kernel on first use; `stats`, `eval`, `predict` and `train` load no
-    `dataclasses`."""
+    engine, the reading commands never import `training`, so never build,
+    hash or load the epoch kernel, and leave out the modules only training
+    needs; `train` builds the kernel once its inputs are read and checked;
+    `stats`, `eval`, `predict` and `train` load no `dataclasses`."""
 
     TRAINING_ONLY = ("_hashlib", "tempfile", "concurrent.futures")
     ENGINE = ("numpy", "jrme.embeddings", "jrme.kernels", "jrme.training", "jrme.evaluation")
@@ -938,13 +949,12 @@ class TestStartup:
 
     def _child(self, tmp_path, commands, modules=TRAINING_ONLY):
         """Run each argv through `jrme.cli.main` in one fresh interpreter.
-        Returns the exit codes, the `BACKEND` the kernels module has bound
-        (None before the first read or without the module) and which of
-        `modules` are imported."""
+        Returns the exit codes, the `BACKEND` the training module chose
+        (None without the module) and which of `modules` are imported."""
         return self._run_script(tmp_path, (
             "import sys, jrme.cli\n"
             f"codes = [jrme.cli.main(argv) for argv in {commands!r}]\n"
-            "backend = vars(sys.modules.get('jrme.kernels', sys)).get('BACKEND')\n"
+            "backend = vars(sys.modules.get('jrme.training', sys)).get('BACKEND')\n"
             f"print(codes, backend, [m for m in {modules!r} if m in sys.modules])\n"
         ))
 
@@ -1014,20 +1024,73 @@ class TestStartup:
         assert self._child(tmp_path, [argv], ("jrme.training", "dataclasses")) == "[0] None []"
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_the_engine_loads_with_the_collector_paused(self, tmp_path, enabled):
-        """No collection runs while the engine loads; what it loaded is
-        frozen, and the collector is left as the caller had it."""
+    def test_the_engine_loads_with_the_collector_paused(self, corpus, tmp_path, enabled):
+        """`run()`, the process entry point, collects nothing while a
+        `train` runs: a `gc.callbacks` hook that writes to fd 2 sees only
+        the one collection made before it.  `main()` in-process leaves
+        the caller's collector as it was."""
+        tmp, train, _ = corpus
+        argv = ["train", "--train", str(train), "--out", str(tmp / "model.bin"),
+                "--dim", "4", "--epochs", "2"]
+        gc_state = "gc.enable()" if enabled else "gc.disable()"
+        child = subprocess.run([sys.executable, "-c", (
+            "import gc, os, sys, jrme.cli\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start'"
+            " and os.write(2, b'gc: collection\\n'))\n"
+            f"{gc_state}\n"
+            "gc.collect()\n"  # the hook sees a collection
+            f"sys.argv[1:] = {argv!r}\n"
+            "jrme.cli.run()\n"
+        )], capture_output=True, text=True, env=child_env(XDG_CACHE_HOME=str(tmp_path / "c")))
+        assert child.returncode == 0, child.stderr
+        assert child.stderr.count("gc: collection") == 1
+        assert child.stderr.startswith("gc: collection\n")
         script = (
             "import gc, jrme.cli\n"
-            "seen = []\n"
-            "gc.callbacks.append(lambda phase, info: phase == 'start' and seen.append(info))\n"
-            f"{'gc.enable()' if enabled else 'gc.disable()'}\n"
-            "jrme.cli._bind_engine(*jrme.cli._ENGINE)\n"
-            "during, enabled, frozen = len(seen), gc.isenabled(), gc.get_freeze_count() > 0\n"
-            "gc.collect()\n"  # the hook sees a collection
-            "print(during, len(seen) > during, enabled, frozen)\n"
+            f"{gc_state}\n"
+            f"code = jrme.cli.main({argv!r})\n"
+            "print(code, gc.isenabled())\n"
         )
-        assert self._run_script(tmp_path, script) == f"0 True {enabled} True"
+        assert self._run_script(tmp_path, script) == f"0 {enabled}"
+
+    def test_refused_train_loads_no_training_code(self, corpus, tmp_path):
+        """A `train` refused for its --out, or for --threads 2 without
+        --nondeterministic-ok, neither imports `training` nor builds the
+        kernel."""
+        tmp, train, _ = corpus
+        (tmp / "model.bin").mkdir()
+        commands = [
+            ["train", "--train", str(train), "--out", str(tmp / "model.bin")],
+            ["train", "--train", str(train), "--out", str(tmp / "m.bin"), "--threads", "2"],
+        ]
+        assert self._child(tmp_path, commands, ("jrme.training",)) == "[2, 1] None []"
+        assert not list((tmp_path / "cache" / "jrme").glob("epoch-*.so"))
+
+    def test_numpy_twin_line_follows_the_input_warnings(self, tmp_path):
+        """On the numpy twin (a cache other users can write), the line that
+        says so comes once the inputs are read and checked: after the
+        rejection and step-bound warnings, before the first epoch."""
+        cache = tmp_path / "cache"
+        (cache / "jrme").mkdir(parents=True)
+        os.chmod(cache / "jrme", 0o777)
+        # --neg all at lr 0.01 scores 119 negatives per example: 1.19 > 1
+        train = tmp_path / "train.tsv"
+        train.write_text("".join(f"e{i % 7}\tr{i}\te{i % 5}\tw{i % 3}\n" for i in range(120)))
+        valid = tmp_path / "valid.tsv"
+        valid.write_text("e1\tr1\te2\tw0\nghost\tr1\te2\tw0\n")
+        child = subprocess.run(
+            [sys.executable, "-m", "jrme.cli", "train", "--train", str(train),
+             "--valid", str(valid), "--out", str(tmp_path / "m.bin"), "--dim", "4",
+             "--epochs", "2"],
+            capture_output=True, text=True, env=child_env(XDG_CACHE_HOME=str(cache)),
+        )
+        assert child.returncode == 0, child.stderr
+        lines = child.stderr.splitlines()
+        assert lines[0] == "warning: valid: 1 line(s) rejected (unknown symbols)"
+        assert lines[1].startswith("warning: lr * negatives per example = 1.19 > 1")
+        assert lines[2].startswith("jrme: C epoch kernel unavailable (")
+        assert lines[2].endswith("; using the numpy twin")
+        assert [line.split()[0] for line in lines[3:]] == ["epoch=0", "epoch=1"]
 
     def test_train_loads_no_dataclasses(self, corpus, tmp_path):
         tmp, train, _ = corpus

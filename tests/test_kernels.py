@@ -1,9 +1,8 @@
 import copy
 import os
+import shutil
 import subprocess
 import sys
-import threading
-import time
 from itertools import product
 
 import numpy as np
@@ -14,19 +13,21 @@ import jrme.kernels
 from jrme.config import VARIANTS, variant_flags
 from jrme.evaluation import candidate_scores
 from jrme.kernels import (
-    BACKEND,
     RANK_BLOCK,
     PackedBeliefs,
-    _epoch_c,
-    _epoch_numpy,
     _exact_scores,
-    enum_negative_table,
     rank_all,
     relation_scores,
-    run_epoch,
     top_relations,
 )
-from jrme.training import _sample_negative_rows
+from jrme.training import (
+    BACKEND,
+    _epoch_c,
+    _epoch_numpy,
+    _sample_negative_rows,
+    enum_negative_table,
+    run_epoch,
+)
 from reference import (
     Belief, child_env, mention_distance, needs_c, oracle_ranks, pack, random_beliefs,
     tables_equal, triple_distance,
@@ -401,18 +402,9 @@ def _child(code, env):
 
 
 class TestDispatch:
-    def test_backend_constant_is_consistent(self, rng, monkeypatch):
-        import jrme.kernels as kernels
-
-        assert BACKEND == ("numpy" if kernels._jrme_epoch is None else "c")
+    def test_backend_constant_is_consistent(self):
+        assert run_epoch is (_epoch_c if BACKEND == "c" else _epoch_numpy)
         assert jrme.BACKEND == BACKEND
-        ran = []
-        for name in ("_epoch_c", "_epoch_numpy"):
-            monkeypatch.setattr(kernels, name, lambda *args, name=name: ran.append(name))
-        table, packed, order, negs = _epoch_args(rng, n=5)
-        run_epoch(table.entity_vecs, table.relation_vecs, table.word_vecs,
-                  packed, order, negs, True, 0.01, 1.0, True, True, True)
-        assert ran == ["_epoch_c" if BACKEND == "c" else "_epoch_numpy"]
 
     def test_run_epoch_and_rank_all_wrappers(self, rng):
         table, packed, order, negs = _epoch_args(rng, n=10)
@@ -431,7 +423,7 @@ class TestDispatch:
         no_cc = tmp_path / "bin"
         no_cc.mkdir()
         env = child_env(PATH=str(no_cc), XDG_CACHE_HOME=str(tmp_path / "cache"))
-        out = _child("import jrme.kernels as k; print(k.BACKEND)", env)
+        out = _child("import jrme.training as t; print(t.BACKEND)", env)
         assert out.stdout.split() == ["numpy"]
         assert len(out.stderr.splitlines()) == 1 and "numpy twin" in out.stderr
 
@@ -445,47 +437,44 @@ class TestDispatch:
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "model.bin").exists()
 
-    def test_concurrent_first_use_builds_once(self, monkeypatch):
-        # more threads than cores reach an unresolved backend at once; the
-        # lock must let exactly one of them build the kernel
-        import jrme.kernels as kernels
-
-        monkeypatch.delattr(kernels, "BACKEND")
-        monkeypatch.setattr(kernels, "_jrme_epoch", None)
-        builds = []
-
-        def slow_build():
-            builds.append(1)
-            time.sleep(0.02)
-            return object()
-
-        monkeypatch.setattr(kernels, "_load_epoch_kernel", slow_build)
-        n = 4 * (os.cpu_count() or 1)
-        start = threading.Barrier(n)
-        seen = []
-
-        def first_use():
-            start.wait(timeout=10)
-            seen.append(kernels.BACKEND)
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=first_use) for _ in range(n)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        assert len(builds) == 1
-        assert seen == ["c"] * n
+    # a fresh cache of its own, so the child builds the kernel on either backend
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler here")
+    def test_concurrent_first_use_builds_once(self, tmp_path):
+        """Threads that import `jrme.training` at once, with a fresh cache,
+        wait on the import lock while the first builds the kernel: `cc`
+        runs once, through a shim first on PATH that logs each call."""
+        shim_dir = tmp_path / "bin"
+        shim_dir.mkdir()
+        log = tmp_path / "cc.log"
+        shim = shim_dir / "cc"
+        shim.write_text(f'#!/bin/sh\necho cc >> "{log}"\nexec "{shutil.which("cc")}" "$@"\n')
+        shim.chmod(0o755)
+        env = child_env(PATH=f"{shim_dir}{os.pathsep}{os.environ['PATH']}",
+                        XDG_CACHE_HOME=str(tmp_path / "cache"))
+        code = (
+            "import sys, threading\n"
+            "n = 8\n"
+            "start = threading.Barrier(n)\n"
+            "seen = []\n"
+            "def first_use():\n"
+            "    start.wait(timeout=30)\n"
+            "    import jrme.training\n"
+            "    seen.append(jrme.training.BACKEND)\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "threads = [threading.Thread(target=first_use) for _ in range(n)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(timeout=60)\n"
+            "print(*seen)\n"
+        )
+        assert _child(code, env).stdout.split() == ["c"] * 8
+        assert log.read_text().splitlines() == ["cc"]
 
     @needs_c
     def test_second_import_reuses_the_cached_library(self, tmp_path):
         env = child_env(XDG_CACHE_HOME=str(tmp_path))
-        code = "import jrme.kernels as k; print(k.BACKEND)"
+        code = "import jrme.training as t; print(t.BACKEND)"
         assert _child(code, env).stdout.split() == ["c"]
         cache = tmp_path / "jrme"
         assert cache.stat().st_mode & 0o777 == 0o700

@@ -7,13 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from jrme.config import VARIANTS, ModelConfig, variant_flags, variant_margin
+from jrme.config import (
+    VARIANTS, ModelConfig, grid_configs, step_bound, variant_flags, variant_margin,
+)
 from jrme.data import Dataset, PackedBeliefs
 from jrme.embeddings import EmbeddingTable, init_embeddings
 from jrme.errors import ConfigError, DataError, TrainingDivergedError
-from jrme.kernels import enum_negative_table, run_epoch
 from jrme.training import (
-    _sample_negative_rows, grid_configs, grid_search, max_row_norm, step_bound, train,
+    _sample_negative_rows, enum_negative_table, grid_search, max_row_norm, run_epoch, train,
 )
 from gradcheck import check_gradients
 from reference import (
