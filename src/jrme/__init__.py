@@ -10,22 +10,23 @@ its `writes_in_place` rule), which writes every file jrme makes; callers
 import everything else from its submodules (`jrme.cli`, `jrme.training`,
 ...).  Importing the package loads none of them.
 
-It does install one import finder, for the submodules.  A submodule with
-no `__pycache__` entry beside its source, as in a checkout, is compiled
+It does register one import finder, for its own directory alone (in
+`sys.path_importer_cache`, not `sys.meta_path`).  A submodule with no
+`__pycache__` entry beside its source, as in a checkout, is compiled
 once into jrme's per-user cache (`_cache_dir`, which also holds the
 compiled epoch kernel) and later imports load that bytecode.  An entry
 is named by the source's path and bytes, so an edited source gets a new
 one; a missing, corrupt or unwritable entry, or a refused cache, means
 the source is compiled as it would be without the finder, silently.  An
-installed copy, with pip's `__pycache__`, imports as usual.
+installed copy, with pip's `__pycache__`, or a zipped one imports as usual.
 """
 
 import marshal
 import os
 import sys
 from contextlib import contextmanager, suppress
-from importlib.machinery import SourceFileLoader
-from importlib.util import cache_from_source, source_hash, spec_from_file_location
+from importlib.machinery import FileFinder, SourceFileLoader
+from importlib.util import cache_from_source, source_hash
 from types import CodeType
 
 __version__ = "0.1.0"
@@ -103,19 +104,18 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
-# the interpreter's own tag for a bytecode file, optimization level included
-_TAG = sys.implementation.cache_tag
-if _TAG and sys.flags.optimize:
-    _TAG += f".opt-{sys.flags.optimize}"
-
-
 class _CachedLoader(SourceFileLoader):
     def get_code(self, fullname):
         path = self.get_filename(fullname)
+        pyc = cache_from_source(path)
+        # an installed copy keeps pip's bytecode
+        if os.path.exists(pyc):
+            return super().get_code(fullname)
         source = self.get_data(path)
         key = source_hash(os.fsencode(path) + source).hex()
+        stem = os.path.basename(pyc).removesuffix(".pyc")  # <module>.<cache tag>[.opt-N]
         try:
-            entry = os.path.join(_cache_dir(), f"{fullname}.{_TAG}.{key}.pyc")
+            entry = os.path.join(_cache_dir(), f"{__name__}.{stem}.{key}.pyc")
         except OSError:
             return self.source_to_code(source, path)
         try:
@@ -131,19 +131,6 @@ class _CachedLoader(SourceFileLoader):
         return code
 
 
-class _Finder:
-    @staticmethod
-    def find_spec(fullname, path=None, target=None):
-        package, _, name = fullname.rpartition(".")
-        if package != __name__:
-            return None
-        origin = os.path.join(os.path.dirname(__file__), f"{name}.py")
-        # an installed copy keeps pip's bytecode, and a name with no source here
-        # is left to the usual finders
-        if not os.path.isfile(origin) or os.path.exists(cache_from_source(origin)):
-            return None
-        return spec_from_file_location(fullname, origin, loader=_CachedLoader(fullname, origin))
-
-
-if _TAG:
-    sys.meta_path.insert(0, _Finder())
+# a zipped package is left to zipimport
+if sys.implementation.cache_tag and os.path.isdir(__path__[0]):
+    sys.path_importer_cache[__path__[0]] = FileFinder(__path__[0], (_CachedLoader, [".py"]))

@@ -1,6 +1,6 @@
 /* One epoch of margin-ranking SGD over the three variants, in C.
  *
- * A line-for-line port of the reference loop that jrme.kernels keeps as
+ * A line-for-line port of the reference loop that jrme.training keeps as
  * the numpy twin (_epoch_numpy): same update rule, same order of row
  * writes, same per-example non-finite check.  score() scores the true
  * relation r and each negative r' alike; an example's hinge terms are

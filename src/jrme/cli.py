@@ -9,9 +9,10 @@ Importing this module loads only the standard library and the numpy-free
 `config`, `data` and `errors`, none of which defines a dataclass; `json`
 loads only where a command writes it.  Only `stats` runs without the
 numeric engine: every other command calls `_bind_engine` with the engine
-modules it runs once it has read and checked its inputs, which imports
-them and binds their entry points as this module's globals; `eval` and
-`predict` never import `training`, whose import chooses the epoch kernel.
+modules it runs once every check that needs none of them has passed (so
+a refused command loads no numpy), which imports them and binds their
+entry points as this module's globals; `eval` and `predict` never import
+`training`, whose import chooses the epoch kernel.
 
 `run()` is the process entry point (`python -m jrme.cli` and the `jrme`
 script).  It turns the cyclic collector off, since nothing a command
@@ -121,7 +122,7 @@ def _write_json(path, obj) -> None:
         f.write("\n")
 
 
-def _write_manifest(path, config, variant, inputs, outputs) -> None:
+def _write_manifest(path, config, variant, inputs, outputs, hashed: bool) -> None:
     import datetime
 
     from .training import BACKEND
@@ -130,7 +131,7 @@ def _write_manifest(path, config, variant, inputs, outputs) -> None:
         "config": config._asdict(),
         "variant": variant,
         "inputs": {k: v for k, v in inputs.items() if v is not None},
-        "dataset_sha256": _file_sha256(inputs.values()),
+        "dataset_sha256": _file_sha256(inputs.values()) if hashed else None,
         "outputs": outputs,
         "backend": BACKEND,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -175,12 +176,18 @@ def _warn_step_bound(config, n_relations: int) -> None:
 def cmd_train(args) -> int:
     config = _config_from_args(args)
     threads = _resolve_threads(args)
+    inputs = {"train": args.train, "valid": args.valid}
     # beside a FIFO or a device, a manifest would be a new file no one asked for
     manifest = None if writes_in_place(args.out) else f"{args.out}.manifest.json"
-    _check_out((args.train, args.valid), args.out, manifest)
+    _check_out(inputs.values(), args.out, manifest)
+    # and an input that is one is read once, by load_dataset: it cannot be hashed
+    streamed = [p for p in inputs.values() if p is not None and writes_in_place(p)]
     if manifest is None:
         print(f"warning: {args.out} is not a regular file; no manifest is written",
               file=sys.stderr)
+    elif streamed:
+        print(f"warning: {streamed[0]} is not a regular file; the manifest's dataset_sha256 "
+              f"is null", file=sys.stderr)
     dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(config, len(vocab.relations))
@@ -188,8 +195,8 @@ def cmd_train(args) -> int:
     table, _ = train(dataset, vocab, config, args.variant, n_threads=threads, log=sys.stderr)
     save_model(table, vocab, config, args.out, args.variant)
     if manifest:
-        _write_manifest(manifest, config, args.variant,
-                        {"train": args.train, "valid": args.valid}, {"model": args.out})
+        _write_manifest(manifest, config, args.variant, inputs, {"model": args.out},
+                        hashed=not streamed)
     if dataset.valid:
         report = evaluate(table, dataset.valid, args.variant)
         print(format_report(report, args.variant.upper()))
@@ -197,8 +204,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _bind_engine("embeddings", "evaluation")
     _check_out((args.model, args.test), args.ranks_out)
+    _bind_engine("embeddings", "evaluation")
     table, vocab, _, stored_variant = load_model(args.model)
     variant = args.variant or stored_variant
     if variant != stored_variant:
@@ -244,9 +251,9 @@ def cmd_predict(args) -> int:
     single-line call, and its output is one write, so ERROR lines keep
     their places and memory is bounded by the block.
     """
-    _bind_engine("embeddings", "kernels")
     if args.topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
+    _bind_engine("embeddings", "kernels")
     table, vocab, _, variant = load_model(args.model)
     flags = variant_flags(variant)
     names = list(vocab.relations)

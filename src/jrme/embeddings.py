@@ -108,6 +108,9 @@ def save_model(
 
 def load_model(path) -> tuple[EmbeddingTable, Vocabulary, ModelConfig, str]:
     """Exact inverse of save_model: (table, vocab, config, variant)."""
+    # a FIFO or a device cannot be read by its size, and one with no writer blocks open
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise DataError(f"{path}: not a regular file")
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 

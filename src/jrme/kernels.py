@@ -165,12 +165,11 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
     (`_gemm_scores`).  A row's rank is read from s~ when no candidate but
     the true one lies within the row's band of it: s~ then orders every
     candidate as the exact score does and no exact score ties the true
-    one's, so the rank is 1 + #(s~ < s~_t).  A `tme` row with q = 0 (an
-    empty mention) and a finite band, which needs finite relation rows,
-    scores every candidate +-0 exactly: all tie, so its rank is 1 + the
-    true id, with no rescoring.  Every other row, one with an inf band or
-    with a candidate besides the true one within the band, is ranked
-    whole (`_whole_rows`).
+    one's, so the rank is 1 + #(s~ < s~_t).  Every other row, one with an
+    inf band or with a candidate besides the true one within the band, is
+    ranked whole (`_whole_rows`).  A `tme` row with an empty mention is one
+    of them: every candidate scores +-0 and ties, so its rank is 1 + the
+    true id.
     """
     _check_packed(entity, relation, word, packed, use_text)
     n = len(packed)
@@ -186,10 +185,8 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
             s_true = s[np.arange(hi - lo), true]
             below = np.count_nonzero(s < (s_true - band)[:, None], axis=1)
             in_band = np.count_nonzero(s <= (s_true + band)[:, None], axis=1) - below
-        finite = ~np.isinf(band)
-        tied = finite & ~q.any(axis=1) & (c is None)
-        ranks[lo:hi] = np.where(tied, 1 + true, 1 + below)
-        rows = np.flatnonzero(((in_band > 1) | ~finite) & ~tied)
+        ranks[lo:hi] = 1 + below
+        rows = np.flatnonzero((in_band > 1) | np.isinf(band))
         if rows.size:
             _, order = _whole_rows(q, c, relation, rel_sq, rows)
             ranks[lo + rows] = 1 + (order == true[rows, None]).argmax(axis=1)

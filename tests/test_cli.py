@@ -138,6 +138,29 @@ class TestTrainCommand:
         assert f"warning: {fifo} is not a regular file; no manifest is written" in err.splitlines()
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
+    def test_a_fifo_input_is_trained_on_and_left_unhashed(self, corpus):
+        """A FIFO input is read once, to train on: the manifest records a
+        null dataset_sha256, as reading the FIFO again to hash it would
+        wait for a second writer forever."""
+        tmp, train, _ = corpus
+        fifo = tmp / "train.fifo"
+        os.mkfifo(fifo)
+        model = tmp / "model.bin"
+        writer = subprocess.Popen(["sh", "-c", 'exec cat "$1" > "$2"', "sh", train, fifo])
+        try:
+            proc = run_process("train", "--train", fifo, "--out", model, "--dim", 4,
+                               "--epochs", 1, capture_output=True, text=True, timeout=60)
+        finally:
+            writer.kill()
+            writer.wait()
+        assert proc.returncode == 0, proc.stderr
+        assert load_model(model)[2].dim == 4
+        manifest = json.loads(Path(f"{model}.manifest.json").read_text())
+        assert manifest["dataset_sha256"] is None
+        assert manifest["inputs"] == {"train": str(fifo)}
+        assert [line for line in proc.stderr.splitlines() if line.startswith("warning:")] == [
+            f"warning: {fifo} is not a regular file; the manifest's dataset_sha256 is null"]
+
     @pytest.mark.parametrize("blocked", ["model.bin", "model.bin.manifest.json",
                                          "model.bin.tmp", "model.bin.manifest.json.tmp"])
     def test_failed_rename_leaves_no_temp_file(self, corpus, capsys, train_calls, blocked):
@@ -409,6 +432,23 @@ class TestExitCodes:
         code, out, err = run(capsys, "predict", "--model", model, "--input", queries)
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: {model}: header 'relations' is empty"]
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_a_model_that_is_not_a_regular_file_is_2_before_it_is_opened(self, corpus,
+                                                                          command, kind):
+        # opening a FIFO with no writer would wait forever
+        tmp, _, test = corpus
+        model = tmp / "model"
+        if kind == "fifo":
+            os.mkfifo(model)
+        else:
+            model.mkdir()
+        data = {"eval": "--test", "predict": "--input"}[command]
+        proc = run_process(command, "--model", model, data, test, capture_output=True,
+                           text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [f"error: {model}: not a regular file"]
 
     def test_closed_stdout_is_141_and_silent(self, corpus, capsys):
         tmp, train, _ = corpus
@@ -1065,6 +1105,17 @@ class TestStartup:
         ]
         assert self._child(tmp_path, commands, ("jrme.training",)) == "[2, 1] None []"
         assert not list((tmp_path / "cache" / "jrme").glob("epoch-*.so"))
+
+    def test_refused_reading_commands_load_no_engine(self, corpus, tmp_path):
+        """`predict --topk 0` and `eval --ranks-out <directory>` are refused
+        before numpy or any engine module is imported."""
+        tmp, _, test = corpus
+        model = str(tmp / "model.bin")
+        commands = [
+            ["predict", "--model", model, "--input", str(test), "--topk", "0"],
+            ["eval", "--model", model, "--test", str(test), "--ranks-out", str(tmp)],
+        ]
+        assert self._child(tmp_path, commands, self.ENGINE) == "[1, 2] None []"
 
     def test_numpy_twin_line_follows_the_input_warnings(self, tmp_path):
         """On the numpy twin (a cache other users can write), the line that

@@ -1,0 +1,52 @@
+"""What `import jrme` registers: one path-entry finder for the package's
+own directory, which serves its submodules from the per-user cache, and
+nothing in `sys.meta_path`, which every other import in the process
+would pass through."""
+
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
+
+import jrme
+from reference import child_env
+
+
+def run_child(script, tmp_path, pythonpath=None):
+    """The stdout of `script` in a fresh interpreter with its own cache;
+    jrme is imported from `pythonpath`, or as the suite imports it."""
+    env = child_env(XDG_CACHE_HOME=str(tmp_path / "cache"))
+    if pythonpath:
+        env["PYTHONPATH"] = pythonpath
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_leaves_meta_path_alone_and_the_finder_serves_the_package(tmp_path):
+    script = (
+        "import sys\n"
+        "before = list(sys.meta_path)\n"
+        "import jrme, jrme.cli\n"
+        "print(sys.meta_path == before, type(jrme.cli.__loader__) is jrme._CachedLoader)\n"
+    )
+    assert run_child(script, tmp_path) == "True True\n"
+
+
+def test_a_package_imported_from_a_zip_archive_imports_its_submodules(tmp_path):
+    # no directory holds jrme's sources, so zipimport serves them all
+    archive = tmp_path / "jrme.zip"
+    package = Path(jrme.__file__).resolve().parent
+    with zipfile.ZipFile(archive, "w") as z:
+        for source in sorted(package.glob("*.py")):
+            z.write(source, f"jrme/{source.name}")
+    (tmp_path / "train.tsv").write_text("a\tr1\tb\tx y\nb\tr2\tc\tz\n")
+    script = (
+        "import jrme.cli, zipimport\n"
+        "code = jrme.cli.main(['stats', '--train', 'train.tsv'])\n"
+        "print(code, isinstance(jrme.cli.__loader__, zipimport.zipimporter))\n"
+    )
+    assert run_child(script, tmp_path, str(archive)).endswith("\n0 True\n")
+    assert not os.path.exists(tmp_path / "cache" / "jrme")

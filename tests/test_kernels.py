@@ -252,7 +252,7 @@ class TestBandedRanking:
         assert packed.mention_flat.size == 0
         ranks, rescored = self._tme_rows_rescored(table, packed, monkeypatch)
         np.testing.assert_array_equal(ranks, packed.relations + 1)
-        assert rescored == 0
+        assert rescored == len(packed)
         self._assert_exact(table, packed, beliefs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
