@@ -6,28 +6,16 @@ joint combination (jrme), all trained with margin-ranking SGD over
 corrupt relations and evaluated by ranking the true relation.
 
 The package root names the epoch kernel backend and `atomic_write` (with
-its `writes_in_place` rule), which writes every file jrme makes; callers
-import everything else from its submodules (`jrme.cli`, `jrme.training`,
-...).  Importing the package loads none of them.
-
-It does register one import finder, for its own directory alone (in
-`sys.path_importer_cache`, not `sys.meta_path`).  A submodule with no
-`__pycache__` entry beside its source, as in a checkout, is compiled
-once into jrme's per-user cache (`_cache_dir`, which also holds the
-compiled epoch kernel) and later imports load that bytecode.  An entry
-is named by the source's path and bytes, so an edited source gets a new
-one; a missing, corrupt or unwritable entry, or a refused cache, means
-the source is compiled as it would be without the finder, silently.  An
-installed copy, with pip's `__pycache__`, or a zipped one imports as usual.
+its `writes_in_place` rule), which writes every output and the kernel;
+callers import everything else from its submodules (`jrme.cli`,
+`jrme.training`, ...).  Importing the package loads none of them and
+registers nothing: Python's own import system serves every module, with
+its bytecode in `__pycache__` beside the sources (which `jrme.cli.run`
+keeps written).
 """
 
-import marshal
 import os
-import sys
 from contextlib import contextmanager, suppress
-from importlib.machinery import FileFinder, SourceFileLoader
-from importlib.util import cache_from_source, source_hash
-from types import CodeType
 
 __version__ = "0.1.0"
 
@@ -45,13 +33,14 @@ def __getattr__(name):
 
 
 def _cache_dir() -> str:
-    """jrme's per-user cache directory, created mode 0700 on first use:
-    `$XDG_CACHE_HOME/jrme`, or `~/.cache/jrme` when that variable is unset
-    or relative (the XDG rule).
+    """jrme's per-user cache directory, which holds the compiled epoch
+    kernel alone, created mode 0700 on first use: `$XDG_CACHE_HOME/jrme`,
+    or `~/.cache/jrme` when that variable is unset or relative (the XDG
+    rule).
 
     Raises OSError when the home directory is not an absolute path, or
-    when the cache is not this user's or other users can write it: both
-    caches hold code this process runs.
+    when the cache is not this user's or other users can write it: the
+    kernel is code this process runs.
     """
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
@@ -102,35 +91,3 @@ def atomic_write(path, mode: str = "w"):
         with suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-class _CachedLoader(SourceFileLoader):
-    def get_code(self, fullname):
-        path = self.get_filename(fullname)
-        pyc = cache_from_source(path)
-        # an installed copy keeps pip's bytecode
-        if os.path.exists(pyc):
-            return super().get_code(fullname)
-        source = self.get_data(path)
-        key = source_hash(os.fsencode(path) + source).hex()
-        stem = os.path.basename(pyc).removesuffix(".pyc")  # <module>.<cache tag>[.opt-N]
-        try:
-            entry = os.path.join(_cache_dir(), f"{__name__}.{stem}.{key}.pyc")
-        except OSError:
-            return self.source_to_code(source, path)
-        try:
-            with open(entry, "rb") as f:
-                code = marshal.loads(f.read())
-            if type(code) is CodeType:
-                return code
-        except (OSError, EOFError, ValueError, TypeError):
-            pass
-        code = self.source_to_code(source, path)
-        with suppress(OSError), atomic_write(entry, "wb") as f:
-            f.write(marshal.dumps(code))
-        return code
-
-
-# a zipped package is left to zipimport
-if sys.implementation.cache_tag and os.path.isdir(__path__[0]):
-    sys.path_importer_cache[__path__[0]] = FileFinder(__path__[0], (_CachedLoader, [".py"]))

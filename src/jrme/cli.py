@@ -17,9 +17,10 @@ entry points as this module's globals; `eval` and `predict` never import
 `run()` is the process entry point (`python -m jrme.cli` and the `jrme`
 script).  It turns the cyclic collector off, since nothing a command
 makes can be freed before it ends, and after `main()` it flushes the
-streams and ends the process with `os._exit`, skipping the interpreter's
-teardown, so atexit handlers do not run.  A program that calls `main()`
-itself keeps its own collector and exit.
+streams, keeps jrme's bytecode (`_keep_bytecode`) and ends the process
+with `os._exit`, skipping the interpreter's teardown, so atexit handlers
+do not run.  A program that calls `main()` itself keeps its own
+collector, bytecode and exit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import gc
 import os
 import sys
+from contextlib import suppress
 from importlib import import_module
 from itertools import islice
 
@@ -104,8 +106,6 @@ def _file_sha256(paths) -> str:
 
     h = hashlib.sha256()
     for p in paths:
-        if p is None:
-            continue
         h.update(os.path.basename(p).encode("utf-8") + b"\0")
         with open(p, "rb") as f:
             for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -122,7 +122,10 @@ def _write_json(path, obj) -> None:
         f.write("\n")
 
 
-def _write_manifest(path, config, variant, inputs, outputs, hashed: bool) -> None:
+def _write_manifest(path, config, variant, inputs, outputs) -> None:
+    """`inputs` names each split given by its path, or by None where that
+    is not a regular file (a FIFO, /dev/fd/63): such a name dies with the
+    command, and the data it held cannot be hashed."""
     import datetime
 
     from .training import BACKEND
@@ -130,8 +133,8 @@ def _write_manifest(path, config, variant, inputs, outputs, hashed: bool) -> Non
     _write_json(path, {
         "config": config._asdict(),
         "variant": variant,
-        "inputs": {k: v for k, v in inputs.items() if v is not None},
-        "dataset_sha256": _file_sha256(inputs.values()) if hashed else None,
+        "inputs": inputs,
+        "dataset_sha256": None if None in inputs.values() else _file_sha256(inputs.values()),
         "outputs": outputs,
         "backend": BACKEND,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -195,8 +198,8 @@ def cmd_train(args) -> int:
     table, _ = train(dataset, vocab, config, args.variant, n_threads=threads, log=sys.stderr)
     save_model(table, vocab, config, args.out, args.variant)
     if manifest:
-        _write_manifest(manifest, config, args.variant, inputs, {"model": args.out},
-                        hashed=not streamed)
+        named = {k: None if p in streamed else p for k, p in inputs.items() if p is not None}
+        _write_manifest(manifest, config, args.variant, named, {"model": args.out})
     if dataset.valid:
         report = evaluate(table, dataset.valid, args.variant)
         print(format_report(report, args.variant.upper()))
@@ -423,12 +426,47 @@ def main(argv=None) -> int:
         return 3
 
 
+def _keep_bytecode() -> None:
+    """Under `sys.dont_write_bytecode`, write the missing or stale
+    `__pycache__` file of each jrme module (`__main__` too, under `python
+    -m`): a command keeps its own bytecode even when told not to.  Stale is
+    `compileall`'s test, a header other than the magic number, flags 0 and
+    the source's mtime and size; a hash-based header (nonzero flags) is
+    Python's to check, and a tree this user cannot write is left alone.  A
+    write that fails is silent."""
+    if not sys.dont_write_bytecode:
+        return
+    from importlib.util import MAGIC_NUMBER
+
+    for spec in [getattr(m, "__spec__", None) for m in sys.modules.values()]:
+        if spec is None or spec.name.partition(".")[0] != __package__ or spec.cached is None:
+            continue  # not jrme's, or zipped
+        with suppress(OSError), open(spec.cached, "rb") as f:
+            head, st = f.read(16), os.stat(spec.origin)
+            stamp = b"".join((n & 0xFFFFFFFF).to_bytes(4, "little")
+                             for n in (int(st.st_mtime), st.st_size))
+            # nonzero flags mark hash-based bytecode, which Python checks itself
+            if len(head) == 16 and head[:4] == MAGIC_NUMBER and (head[4:8] != bytes(4)
+                                                                 or head[8:] == stamp):
+                continue
+        pycache = os.path.dirname(spec.cached)
+        if not os.access(pycache if os.path.isdir(pycache) else os.path.dirname(pycache), os.W_OK):
+            continue  # py_compile would compile the module only to fail its write
+        import py_compile
+
+        # a timestamp header, never a hash-checked one, whatever SOURCE_DATE_EPOCH says
+        with suppress(OSError, py_compile.PyCompileError):
+            py_compile.compile(spec.origin, spec.cached, doraise=True,
+                               invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+
+
 def run() -> None:
     """The process entry point: `main()`, whose exit code ends the process
-    once the streams are flushed, with no interpreter teardown.  An
-    exception that escapes `main()` exits as usual, with its traceback.
-    The collector stays off throughout: a command's objects all live
-    until it ends, so a collection would only walk them."""
+    once the streams are flushed and `_keep_bytecode` has run, with no
+    interpreter teardown.  An exception that escapes `main()` exits as
+    usual, with its traceback.  The collector stays off throughout: a
+    command's objects all live until it ends, so a collection would only
+    walk them."""
     gc.disable()
     code = main()
     for stream in (sys.stdout, sys.stderr):
@@ -437,6 +475,7 @@ def run() -> None:
                 stream.flush()
         except (OSError, ValueError):
             pass  # main() has reported a failed stdout flush as exit 2
+    _keep_bytecode()
     os._exit(code)
 
 

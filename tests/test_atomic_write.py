@@ -1,4 +1,4 @@
-"""`jrme.atomic_write`, the one routine behind every file jrme writes:
+"""`jrme.atomic_write`, the one routine behind every output and the kernel:
 each call writes its own `<path>.<pid>.tmp`, created exclusively, and
 renames it over the target."""
 

@@ -1,14 +1,15 @@
-"""The per-user cache (`jrme._cache_dir`): where it lives, when it is
-refused, and the bytecode of jrme's submodules it keeps beside the epoch
-kernel.
+"""The per-user cache (`jrme._cache_dir`), which holds the compiled epoch
+kernel: where it lives and when it is refused.  And the bytecode of
+jrme's modules, which lives in Python's own `__pycache__` beside the
+sources, where a command keeps it even under PYTHONDONTWRITEBYTECODE.
 
 Every test runs fresh interpreters on a copy of the package that has no
-`__pycache__`, as a checkout runs, so the cache serves it whether the
-suite imports jrme from `src/` or from an installed copy.  An audit hook
-in the child records each `compile()` of a file in the package.
+`__pycache__`, as a checkout runs, whether the suite imports jrme from
+`src/` or from an installed copy.  An audit hook in the child logs each
+`compile()` of a file in the package as it happens, since a command ends
+in `os._exit`, which skips any write at the end.
 """
 
-import json
 import os
 import shutil
 import subprocess
@@ -22,22 +23,16 @@ from reference import child_env
 
 TRAIN = "".join(f"e{i % 5}\tr{i % 3}\te{(i + 1) % 5}\tw{i % 3}\n" for i in range(30))
 
-# the child writes to the file named by its first argument which package
-# files it compiled and which submodules it imported, so that its stdout
-# and stderr hold only what jrme printed
-SCRIPT = """\
-import json, os, sys
-compiled = []
-sys.addaudithook(lambda event, args: event == "compile" and compiled.append(str(args[1])))
-import jrme
-{body}
-pkg = os.path.dirname(jrme.__file__)
-with open(sys.argv[1], "w") as f:
-    json.dump({{
-        "compiled": sorted(os.path.basename(p) for p in compiled if os.path.dirname(p) == pkg),
-        "imported": sorted(name for name in sys.modules if name.startswith("jrme.")),
-    }}, f)
+# the child appends each file it compiles to the log named by its first
+# argument, then runs `code`; stdout and stderr hold only what jrme printed
+HOOK = """\
+import sys
+log = open(sys.argv.pop(1), "a")
+sys.addaudithook(lambda event, args: event == "compile" and print(args[1], file=log, flush=True))
 """
+# a command run as `python -m jrme.cli` runs it: through `run()`, which
+# writes the bytecode a command keeps
+COMMAND = "import runpy\nrunpy.run_module('jrme.cli', run_name='__main__', alter_sys=True)\n"
 
 
 @pytest.fixture
@@ -49,89 +44,131 @@ def package(tmp_path):
     return root
 
 
-def run_child(root, tmp_path, body, cwd=None, **env):
-    """Run `body` after `import jrme` in a fresh interpreter that imports
-    jrme from `root`; by default its cache is `tmp_path/cache/jrme`.
-    Returns the finished process and its record."""
-    env = child_env(**{"XDG_CACHE_HOME": str(tmp_path / "cache"), **env})
+def run_child(root, tmp_path, code, *argv, cwd=None, ok=True, **env):
+    """Run `code` with `argv` in a fresh interpreter that imports jrme from
+    `root`, with PYTHONDONTWRITEBYTECODE set; by default its cache is
+    `tmp_path/cache/jrme`.  Returns the finished process, which must exit 0
+    when `ok`, and the name of each package file it compiled, sorted, once
+    per compile."""
+    env = child_env(**{"XDG_CACHE_HOME": str(tmp_path / "cache"),
+                       "PYTHONDONTWRITEBYTECODE": "1", **env})
     env["PYTHONPATH"] = os.pathsep.join([str(root), env["PYTHONPATH"]])
-    record = tmp_path / "record.json"
-    proc = subprocess.run([sys.executable, "-c", SCRIPT.format(body=body), str(record)],
+    log = tmp_path / "compiled.log"
+    log.write_text("")
+    proc = subprocess.run([sys.executable, "-c", HOOK + code, str(log), *map(str, argv)],
                           capture_output=True, text=True, env=env, cwd=cwd)
-    assert proc.returncode == 0, proc.stderr
-    return proc, json.loads(record.read_text())
+    assert proc.returncode == 0 or not ok, proc.stderr
+    pkg = str(root / "jrme")
+    return proc, sorted(os.path.basename(p) for p in log.read_text().splitlines()
+                        if os.path.dirname(p) == pkg)
 
 
-def entries(cache):
-    """The module name of each bytecode entry in `cache`, one per entry."""
+def command(root, tmp_path, *argv, **kwargs):
+    return run_child(root, tmp_path, COMMAND, *argv, **kwargs)
+
+
+def pycache(root):
+    """The source file name of each pyc in the package's `__pycache__`,
+    one per pyc, with the pyc's bytes."""
     tag = f".{sys.implementation.cache_tag}."
-    return sorted(p.name.split(tag)[0] for p in cache.glob("jrme.*.pyc"))
-
-
-def cli_body(*argvs):
-    return "import jrme.cli\n" + "".join(
-        f"assert jrme.cli.main({[str(a) for a in argv]!r}) == 0\n" for argv in argvs)
+    return {p.name.split(tag)[0] + ".py": p.read_bytes()
+            for p in sorted((root / "jrme" / "__pycache__").glob("*.pyc"))}
 
 
 class TestBytecodeCache:
     def test_each_module_compiles_once_then_loads_from_the_cache(self, package, tmp_path):
         train = tmp_path / "train.tsv"
         train.write_text(TRAIN)
-        model = tmp_path / "model.bin"
-        body = cli_body(["train", "--train", train, "--out", model, "--dim", 4, "--epochs", 1],
-                        ["eval", "--model", model, "--test", train])
-        first, record = run_child(package, tmp_path, body)
-        modules = record["imported"]
-        assert {"jrme.cli", "jrme.kernels", "jrme.training", "jrme.evaluation"} <= set(modules)
-        # the package root installs the finder, so it alone compiles every time
-        files = sorted(["__init__.py", *(m.split(".")[1] + ".py" for m in modules)])
-        assert record["compiled"] == files
-        assert entries(tmp_path / "cache" / "jrme") == modules
-
-        second, record = run_child(package, tmp_path, body)
-        assert record == {"compiled": ["__init__.py"], "imported": modules}
+        argv = ["train", "--train", train, "--valid", train, "--out", tmp_path / "model.bin",
+                "--dim", 4, "--epochs", 1]
+        first, compiled = command(package, tmp_path, *argv)
+        # the first command compiles each module it imports to run it, and
+        # py_compile compiles it again to write its __pycache__ file
+        files = sorted(set(compiled))
+        assert {"__init__.py", "cli.py", "kernels.py", "training.py", "evaluation.py"} <= set(files)
+        assert sorted(pycache(package)) == files
+        # a second command compiles none, __init__.py and __main__ included
+        second, compiled = command(package, tmp_path, *argv)
+        assert compiled == []
         assert (second.stdout, second.stderr) == (first.stdout, first.stderr)
-        assert entries(tmp_path / "cache" / "jrme") == modules
+        assert sorted(pycache(package)) == files
+        # the per-user cache holds the kernel alone
+        cache = tmp_path / "cache" / "jrme"
+        assert [p.name for p in cache.iterdir() if not p.match("epoch-*.so")] == []
 
     def test_an_edited_source_is_recompiled(self, package, tmp_path):
-        body = "import jrme.errors\nprint(hasattr(jrme.errors, 'EDITED'))"
-        assert run_child(package, tmp_path, body)[0].stdout == "False\n"
-        with open(package / "jrme" / "errors.py", "a") as f:
+        train = tmp_path / "train.tsv"
+        train.write_text(TRAIN)
+        argv = ["stats", "--train", train]
+        command(package, tmp_path, *argv)
+        before = pycache(package)
+        source = package / "jrme" / "errors.py"
+        with open(source, "a") as f:
             f.write("\nEDITED = True\n")
-        proc, record = run_child(package, tmp_path, body)
-        assert proc.stdout == "True\n"
-        assert record["compiled"] == ["__init__.py", "errors.py"]
-        # the old entry stays: nothing prunes the cache
-        assert entries(tmp_path / "cache" / "jrme") == ["jrme.errors", "jrme.errors"]
+        assert command(package, tmp_path, *argv)[1] == ["errors.py", "errors.py"]
+        # its single pyc is replaced, and no other changes
+        after = pycache(package)
+        assert sorted(after) == sorted(before)
+        assert [name for name in after if after[name] != before[name]] == ["errors.py"]
+        assert command(package, tmp_path, *argv)[1] == []
+        assert run_child(package, tmp_path, "import jrme.errors\nprint(jrme.errors.EDITED)")[
+            0].stdout == "True\n"
 
     def test_a_truncated_entry_is_recompiled_and_replaced(self, package, tmp_path):
-        body = "import jrme.config"
-        run_child(package, tmp_path, body)
-        (entry,) = (tmp_path / "cache" / "jrme").glob("jrme.config.*.pyc")
-        size = entry.stat().st_size
-        entry.write_bytes(entry.read_bytes()[: size // 2])
-        assert run_child(package, tmp_path, body)[1]["compiled"] == ["__init__.py", "config.py"]
-        assert entry.stat().st_size == size
-        assert run_child(package, tmp_path, body)[1]["compiled"] == ["__init__.py"]
+        """A pyc whose 16-byte header is wrong, or cut short, is never
+        loaded: its module is compiled from source, the output is
+        unchanged, and the command rewrites the pyc.  One cut after a valid
+        header is read by Python's own loader before any jrme code runs,
+        and it fails the import, as for any package, until the pyc is
+        deleted."""
+        train = tmp_path / "train.tsv"
+        train.write_text(TRAIN)
+        argv = ["stats", "--train", train]
+        first, _ = command(package, tmp_path, *argv)
+        (pyc,) = (package / "jrme" / "__pycache__").glob("config.*.pyc")
+        good = pyc.read_bytes()
+        wrong_mtime = good[:8] + bytes(4) + good[12:]
+        for bad in (wrong_mtime, good[:10]):
+            pyc.write_bytes(bad)
+            proc, compiled = command(package, tmp_path, *argv)
+            assert compiled == ["config.py", "config.py"]
+            assert (proc.stdout, proc.stderr) == (first.stdout, first.stderr)
+            assert pyc.read_bytes() == good
+        assert command(package, tmp_path, *argv)[1] == []
+        cut = good[: len(good) // 2]
+        pyc.write_bytes(cut)
+        proc, _ = command(package, tmp_path, *argv, ok=False)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith("EOFError: ")
+        assert (proc.stdout, pyc.read_bytes()) == ("", cut)
+        pyc.unlink()
+        proc, compiled = command(package, tmp_path, *argv)
+        assert compiled == ["config.py", "config.py"]
+        assert (proc.stdout, proc.stderr) == (first.stdout, first.stderr)
+        assert pyc.read_bytes() == good
 
     def test_a_cache_other_users_can_write_is_neither_read_nor_written(self, package, tmp_path):
         train = tmp_path / "train.tsv"
         train.write_text(TRAIN)
-        body = cli_body(["stats", "--train", train])
-        good, record = run_child(package, tmp_path, body)
-        # the refused cache holds valid entries for every module the command imports
+        argv = ["train", "--train", train, "--out", tmp_path / "model.bin", "--dim", 4,
+                "--epochs", 1]
+        command(package, tmp_path, *argv)
+        # the refused cache holds the kernel this source builds, where cc is
         refused = tmp_path / "refused" / "jrme"
         shutil.copytree(tmp_path / "cache" / "jrme", refused)
         refused.chmod(0o777)
         listing = {p.name: p.stat().st_mtime_ns for p in refused.iterdir()}
-        proc, refused_record = run_child(package, tmp_path, body,
-                                         XDG_CACHE_HOME=str(refused.parent))
-        assert refused_record["compiled"] == record["compiled"]
+        proc, _ = command(package, tmp_path, *argv, XDG_CACHE_HOME=str(refused.parent))
         assert {p.name: p.stat().st_mtime_ns for p in refused.iterdir()} == listing
-        assert (proc.stdout, proc.stderr) == (good.stdout, good.stderr)
+        assert proc.stderr.splitlines()[0] == (
+            f"jrme: C epoch kernel unavailable ({refused} is writable by other users: "
+            "mode 777); using the numpy twin")
 
     def test_a_traceback_from_cached_code_names_the_source_line(self, package, tmp_path):
-        body = (
+        train = tmp_path / "train.tsv"
+        train.write_text(TRAIN)
+        command(package, tmp_path, "stats", "--train", train)
+        code = (
             "import traceback\n"
             "from jrme.config import ModelConfig\n"
             "try:\n"
@@ -140,10 +177,8 @@ class TestBytecodeCache:
             "    frame = traceback.extract_tb(e.__traceback__)[-1]\n"
             "    print(frame.filename, frame.lineno, frame.line, sep='\\n')\n"
         )
-        first = run_child(package, tmp_path, body)[0].stdout
-        proc, record = run_child(package, tmp_path, body)
-        assert record["compiled"] == ["__init__.py"]
-        assert proc.stdout == first
+        proc, compiled = run_child(package, tmp_path, code)
+        assert compiled == []
         filename, lineno, line = proc.stdout.splitlines()
         source = package / "jrme" / "config.py"
         assert filename == str(source)
@@ -151,10 +186,63 @@ class TestBytecodeCache:
         assert source.read_text().splitlines()[int(lineno) - 1].strip() == line
 
     def test_a_module_with_pycache_bytecode_is_left_to_it(self, package, tmp_path):
-        # as pip installs a copy: the finder steps aside and the cache is never made
+        # as pip installs a copy: Python loads its bytecode, and a command
+        # that builds no kernel makes no cache and rewrites no pyc
         subprocess.run([sys.executable, "-m", "compileall", "-q", str(package)], check=True)
-        assert run_child(package, tmp_path, "import jrme.cli")[1]["compiled"] == []
+        installed = pycache(package)
+        train = tmp_path / "train.tsv"
+        train.write_text(TRAIN)
+        assert command(package, tmp_path, "stats", "--train", train)[1] == []
+        assert pycache(package) == installed
         assert not (tmp_path / "cache").exists()
+
+    def test_hash_based_bytecode_is_left_to_python(self, package, tmp_path):
+        # as a build with SOURCE_DATE_EPOCH set installs a copy: Python checks
+        # each pyc against its source's hash, and a command rewrites none
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "--invalidation-mode",
+                        "checked-hash", str(package)], check=True)
+        installed = pycache(package)
+        train = tmp_path / "train.tsv"
+        train.write_text(TRAIN)
+        assert command(package, tmp_path, "stats", "--train", train)[1] == []
+        with open(package / "jrme" / "errors.py", "a") as f:
+            f.write("\nEDITED = True\n")
+        assert command(package, tmp_path, "stats", "--train", train)[1] == ["errors.py"]
+        assert pycache(package) == installed
+
+    @pytest.mark.parametrize("where", ["package", "__pycache__"])
+    def test_a_tree_this_user_cannot_write_compiles_each_module_once(self, package, tmp_path,
+                                                                       where):
+        """As Python leaves it: each command compiles the modules it
+        imports, once each, and writes nothing, whether the package has no
+        `__pycache__` or one that is stale and read-only."""
+        train = tmp_path / "train.tsv"
+        train.write_text(TRAIN)
+        argv = ["stats", "--train", train]
+        readonly = package / "jrme"
+        if where == "__pycache__":
+            command(package, tmp_path, *argv)
+            with open(readonly / "errors.py", "a") as f:
+                f.write("\nEDITED = True\n")
+            readonly = readonly / "__pycache__"
+        before = pycache(package)
+        readonly.chmod(0o555)
+        try:
+            if os.access(readonly, os.W_OK):
+                pytest.skip("this user can write a mode-0555 directory")
+            compiled = command(package, tmp_path, *argv)[1]
+        finally:
+            readonly.chmod(0o755)
+        assert compiled == sorted(set(compiled))
+        assert ("errors.py" in compiled) and (("config.py" in compiled) == (where == "package"))
+        assert pycache(package) == before
+
+    def test_main_called_in_process_writes_no_bytecode(self, package, tmp_path):
+        train = tmp_path / "train.tsv"
+        train.write_text(TRAIN)
+        code = f"import jrme.cli\nassert jrme.cli.main(['stats', '--train', {str(train)!r}]) == 0\n"
+        assert "config.py" in run_child(package, tmp_path, code)[1]
+        assert not (package / "jrme" / "__pycache__").exists()
 
 
 @pytest.mark.parametrize("home", ["absolute", "relative"])
@@ -166,14 +254,16 @@ def test_a_relative_xdg_cache_home_is_ignored(package, tmp_path, home):
     cwd.mkdir()
     train = tmp_path / "train.tsv"
     train.write_text(TRAIN)
-    body = cli_body(["train", "--train", train, "--out", tmp_path / "model.bin",
-                     "--dim", 4, "--epochs", 1])
     home_dir = tmp_path / "home" if home == "absolute" else "home"
-    proc, _ = run_child(package, tmp_path, body, cwd=cwd, XDG_CACHE_HOME="cachedir",
-                        HOME=str(home_dir))
+    proc, _ = command(package, tmp_path, "train", "--train", train, "--out",
+                      tmp_path / "model.bin", "--dim", 4, "--epochs", 1, cwd=cwd,
+                      XDG_CACHE_HOME="cachedir", HOME=str(home_dir))
     assert list(cwd.iterdir()) == []
     if home == "absolute":
-        assert entries(tmp_path / "home" / ".cache" / "jrme")
+        cache = tmp_path / "home" / ".cache" / "jrme"
+        assert cache.is_dir()
+        if shutil.which("cc"):
+            assert list(cache.glob("epoch-*.so"))
     else:
         assert proc.stderr.splitlines()[0] == (
             "jrme: C epoch kernel unavailable (no cache directory: "

@@ -1,7 +1,7 @@
-"""What `import jrme` registers: one path-entry finder for the package's
-own directory, which serves its submodules from the per-user cache, and
-nothing in `sys.meta_path`, which every other import in the process
-would pass through."""
+"""What `import jrme` registers: nothing.  It changes neither
+`sys.meta_path`, which every other import in the process would pass
+through, nor `sys.path_importer_cache`, and Python's own import system
+serves the package and its submodules."""
 
 import os
 import subprocess
@@ -25,14 +25,17 @@ def run_child(script, tmp_path, pythonpath=None):
     return proc.stdout
 
 
-def test_import_leaves_meta_path_alone_and_the_finder_serves_the_package(tmp_path):
+def test_import_registers_nothing_and_python_serves_the_package(tmp_path):
     script = (
-        "import sys\n"
-        "before = list(sys.meta_path)\n"
-        "import jrme, jrme.cli\n"
-        "print(sys.meta_path == before, type(jrme.cli.__loader__) is jrme._CachedLoader)\n"
+        "import json, sys\n"  # json's import caches a finder for each path entry
+        "meta_path, finders = list(sys.meta_path), dict(sys.path_importer_cache)\n"
+        "import jrme\n"
+        "same = sys.meta_path == meta_path and sys.path_importer_cache == finders\n"
+        "import jrme.cli\n"
+        "from importlib.machinery import SourceFileLoader\n"
+        "print(same, sys.meta_path == meta_path, type(jrme.cli.__loader__) is SourceFileLoader)\n"
     )
-    assert run_child(script, tmp_path) == "True True\n"
+    assert run_child(script, tmp_path) == "True True True\n"
 
 
 def test_a_package_imported_from_a_zip_archive_imports_its_submodules(tmp_path):

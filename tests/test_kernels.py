@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import os
+import random
 import shutil
 import subprocess
 import sys
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -135,6 +137,157 @@ class TestBackendAgreement:
         )
         assert (la, aa) == (lb, ab)
         assert tables_equal(ta, tb)
+
+
+def _pinned_case(d, k, variant, neg_by_relation, normalize):
+    """One epoch of the C kernel on a small case drawn from Python's
+    `random.Random`, whose streams, unlike numpy's generators, are fixed
+    across versions: the first 16 hex digits of the SHA-256 of its loss,
+    active count, bad index and the three tables it wrote."""
+    rng = random.Random(f"{d}-{k}")
+    n, n_entities, n_relations, n_words = 12, 6, k + 2, 5
+
+    def draw(rows):
+        return np.array([[rng.uniform(-0.5, 0.5) for _ in range(d)] for _ in range(rows)])
+
+    entity, relation, word = draw(n_entities), draw(n_relations), draw(n_words)
+    heads = [rng.randrange(n_entities) for _ in range(n)]
+    rels = [rng.randrange(n_relations) for _ in range(n)]
+    tails = [rng.randrange(n_entities) for _ in range(n)]
+    mentions = [[rng.randrange(n_words) for _ in range(rng.randrange(4))] for _ in range(n)]
+    packed = PackedBeliefs(heads, rels, tails, [0, *accumulate(map(len, mentions))],
+                           [w for m in mentions for w in m])
+    order = rng.sample(range(n), n)
+    # distinct negatives per row, as the sampler and the enumerated table give
+    rows = range(n_relations) if neg_by_relation else [rels[i] for i in order]
+    negs = [rng.sample([x for x in range(n_relations) if x != r], k) for r in rows]
+    loss, active, bad = _epoch_c(
+        entity, relation, word, packed, np.array(order, dtype=np.int64),
+        np.array(negs, dtype=np.int64), neg_by_relation, 0.05, 1.0, *variant_flags(variant),
+        normalize,
+    )
+    digest = hashlib.sha256(f"{loss!r} {active} {bad}".encode())
+    for table in (entity, relation, word):
+        digest.update(table.astype("<f8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+# _pinned_case for d in (1, 3, 4, 5, 8) and, within each d, k in (1, 2, 3,
+# 4, 5, 9), as the C kernel gave them when recorded
+_PINNED = {
+    ("kre", True, True): (
+        "ac00a0aa9ca5fb76 fe491a26b40f2ed5 20f3c43e3c66542a 0e9cf592e80db187 2772fd2fe6bc5ee7 "
+        "67fffbdfae27bd73 1f9239a44bd14b41 4e6ec4b1f4957963 bf820eed7ee26733 cc8bf10a65124e8c "
+        "764861ebf79f9fb8 36d049a0c872c772 15fe109a192db5de 08486c5a090192b3 8626e585f0dc54da "
+        "b0ac74b07e7cbbf5 c9cdab29b8aba8e1 8a0c49c39e1a2eb1 3e0eb0af3655e99e a87a4eb03e8d40fe "
+        "c92c00399301086d d6786a5a2cdf6728 8bccc6444e78fc03 fc31eeb94b6994d8 ac2d4c1de415af43 "
+        "d631977bd2ac6740 70314d8f09a4e45c 7ce33457075c7b45 e7fb4541d2273ade 7066a4293856d4d7"
+    ),
+    ("kre", True, False): (
+        "8b1e3934e7394267 f28a9ca4c277bd0d 4c36511a178d9f5d 2c4e238063ca27bf 669ff999562491c7 "
+        "80ef3b0bc921a65b 1104d6e1c8184b9b 364c5827a1c0c566 7295a0a1287ffbcc 6a4b9fbc99700c29 "
+        "f65baa3a5f2d91a7 5ad703e5968c9a95 7f49c6ebacce70ce 673221c6dcec5853 9f3eb5b45af7d597 "
+        "f5a6429d1f375ce2 a32455e2815a054d 6c3e57de6718ce94 b3b6abd78e40790e 87fbb61e4638e2c9 "
+        "45074e28f03fc1f2 b55650c5f183a429 1fe38af484a84760 fe6f933ccd19b523 d8aeea4e07034443 "
+        "f742b9dfa694134e 07afe765c3c12b07 d63c9c782b2d38ba fe0ac7868fc5f146 6c1898f3b2a587f3"
+    ),
+    ("kre", False, True): (
+        "c676cc99dc851bae b8cf42d4ea038537 1cfbf0102402ff42 abb9740257c3a0aa 99a2cf136c6ae96d "
+        "0b7df312656921ab ac069f966195c1e1 cba003c252618804 cf6b3e5206da49b6 bc627919299ec63a "
+        "9087463a10a4b560 1068c4b4f3d87ce3 a7026f95ead386f8 bdc4145e298b09ae 81f17540afe18dbe "
+        "8ce354dcf9b0fa44 0de17a4a9941a2a3 fe2871a0eaaabef4 a7a4cb0a4e8e979a af7f865675204a9f "
+        "2316f21c4fd43281 f543e1da579098a9 e6ef849ed70d073b 7b129f1115f7b517 d7bec979508881e5 "
+        "ea0183dff9075f1b 6f3094db7adecdb2 e0931b9ff9b6f527 66e72e03b1828b35 455102898e579ce6"
+    ),
+    ("kre", False, False): (
+        "14de3a181595b7a4 210c5a5c6175ecac ac559964eb1b091a e0d75ad283d688ea 15fe1cccf466ad54 "
+        "0fd96ba723725491 0b568e9d398e35a1 08a1b4e028622bb3 d6cb9b2e18fb87d4 61a6408e55a7b802 "
+        "635d44ab62c22ab9 0f89038304568a4d 500a7a914bc040cf 01a77c7b64fd743a 20f031a5aab0629e "
+        "002e11e486f41d7d 11ea3b84dfb50f1e 1187988201a154a8 9ee6fec6d50988e9 10e5829c61da0a10 "
+        "1c905be5e49d5d5f 1a6079d410223d2f d21a0be1af43d59c 72eafff7ce6dc01d e2d41c58f175c608 "
+        "79404a5a8684193d 30b37c1d50209d1c d3d6c053fb0922d9 371b51120e8c1ed6 15e0dc3f80991a14"
+    ),
+    ("tme", True, True): (
+        "05fe2a90062ab0c0 f87197f5b0e4d0f1 8ce55efd744eaccc 8fa027d28f27c4c1 9d3fd1bfee1beb91 "
+        "14d8a41e70a10773 fc2ff01e2e64a69b 7e17d25a60c99781 f9d2e2b089c9d900 76a5cae5c86cfdf5 "
+        "08a97c5370f492c3 753b01d6fe38999e c95530575afc7ef1 ab95f5af1a466a0a 04251592dc938b9e "
+        "caa2e89234e5c621 87f7b18a73206bd3 bfd5117d3e517a1e b25098ff51dd6969 883e05d594432e12 "
+        "ded1b647dd707c4b 3e408196d5d709d3 bda28ce0ec9b397c 5c19ee0b06baaa9d f4a5b59b4493d783 "
+        "f349c8767136393f 9830eb7f90be8a1a 2115c228dd4f679d e0a8b32352d14fbd 7f76b77a12f02911"
+    ),
+    ("tme", True, False): (
+        "05fe2a90062ab0c0 f87197f5b0e4d0f1 8ce55efd744eaccc 8fa027d28f27c4c1 9d3fd1bfee1beb91 "
+        "14d8a41e70a10773 fc2ff01e2e64a69b 7e17d25a60c99781 f9d2e2b089c9d900 76a5cae5c86cfdf5 "
+        "08a97c5370f492c3 753b01d6fe38999e c95530575afc7ef1 ab95f5af1a466a0a 04251592dc938b9e "
+        "caa2e89234e5c621 87f7b18a73206bd3 bfd5117d3e517a1e b25098ff51dd6969 883e05d594432e12 "
+        "ded1b647dd707c4b 3e408196d5d709d3 bda28ce0ec9b397c 5c19ee0b06baaa9d f4a5b59b4493d783 "
+        "f349c8767136393f 9830eb7f90be8a1a 2115c228dd4f679d e0a8b32352d14fbd 7f76b77a12f02911"
+    ),
+    ("tme", False, True): (
+        "d5a91f77dd00ccec 52e3c8ad695b483c 06ddcabcfaf8c1ff 741f9b45bedc9cb9 96f1fcb0226f4605 "
+        "03bcf60ab53fdf79 2bb829a45e66c35a e7858e671db4989b a86b57d9b61e9826 7bca9043549d281b "
+        "e86234e0ee5b960e 19f3b6826c9a82b4 be9f3c2375cfc608 03e587c966e68748 dacc2a44856b5ee5 "
+        "ae5b0696b5512133 7db0deb0c37d9d76 65fa0545a14af3c2 ca9e281bed94faee 7388dddc80d3f56f "
+        "e453ec1f1cb90f68 2f3db0b7a8ae7714 58a17172c2d992c4 7253af2c67f8b4ec 9fc17d5fac60fd79 "
+        "1dd88ff303bca885 ee21c80c37b04838 162aa350d0413b14 2f43a14c6f69af53 922d7259c98b2126"
+    ),
+    ("tme", False, False): (
+        "d5a91f77dd00ccec 52e3c8ad695b483c 06ddcabcfaf8c1ff 741f9b45bedc9cb9 96f1fcb0226f4605 "
+        "03bcf60ab53fdf79 2bb829a45e66c35a e7858e671db4989b a86b57d9b61e9826 7bca9043549d281b "
+        "e86234e0ee5b960e 19f3b6826c9a82b4 be9f3c2375cfc608 03e587c966e68748 dacc2a44856b5ee5 "
+        "ae5b0696b5512133 7db0deb0c37d9d76 65fa0545a14af3c2 ca9e281bed94faee 7388dddc80d3f56f "
+        "e453ec1f1cb90f68 2f3db0b7a8ae7714 58a17172c2d992c4 7253af2c67f8b4ec 9fc17d5fac60fd79 "
+        "1dd88ff303bca885 ee21c80c37b04838 162aa350d0413b14 2f43a14c6f69af53 922d7259c98b2126"
+    ),
+    ("jrme", True, True): (
+        "e8e73c51e0a054c1 7c37f500eec318f6 ec0678d714184ead 94ce5bfbc142b5ae 82c64bb3ccc24ade "
+        "d54721e5cf9bbb83 6927d652378c646f b037ca1e26b016bc 00b235286b94cfb4 e53be531262a2e4c "
+        "79ebf640bc10ba78 84e859aa72b4d533 069289ad29130338 56826ac15f52fde8 7f5870e3a66ac73d "
+        "84961a3a7979323e f6d286752c47af9e ce5355c256b948a2 6724782bed4fe145 ad9f4feee0ce3251 "
+        "1f7e4cc6ff3e144f 8aaab1ffd0a4156c 04107da12ab6c38a cc371a0babd778e7 81ba2da083b976ba "
+        "e6cf4600f7fd0966 079a61527a2443ca 6f1a0a9705cf49ab dbdafbf1dd1575e7 1c822eea269b5842"
+    ),
+    ("jrme", True, False): (
+        "363aec69ffb9ec6e 425627e1e787a6dd 073d679543749b70 349da436b121c982 783f817afba5857c "
+        "c31b251e99afbfbd 17012fb17b1e0fc6 841ce6b1e5b848d9 a56e301d15a27af9 9ee049e3ac364de0 "
+        "80913a422b5b51e4 f6b55eb901941561 b63f9d7f31b5e2d7 c7ca5bb5e431566a d68c2fef5e1285a3 "
+        "976a1f2262ef80ee 33db493b7554b55d a4132bd9923963da 95f9dd4a659c3e79 5134fd9b5e546ce3 "
+        "ad208bbd01b241bd 55122320f4973065 2e73776c404e1ea3 a1e8ac46fb6cb74c c9232d874e14da3b "
+        "9c24f7cd47766929 901dcd2ede784894 402440e79012f4cf 2aa7d3fd6627b807 c7455083e913a3ae"
+    ),
+    ("jrme", False, True): (
+        "a0b0bf393d503ca7 b6526d2990997fed a79189a0831c765b b165afc9d009b336 3b743dbd4f87e419 "
+        "40fe8a8846f48a7f 543226e6bdc707cf 546ffcfd89921159 3c6dbc7d5a841193 b5bd0c577370f0a5 "
+        "bcd5b88b989de828 e82be42081c31319 b364a816c7e5f76a 2c8d1cba00530d45 023040172f25f4ab "
+        "8fbef5145c5fa6d7 4a787f347242e853 b87e0c9d999e7b1d 5db13e4094cba998 4671bd5ae9124105 "
+        "9ec7b367fae48ec8 c6285452c9632832 896665fab28b0c5e 4d5f851cb3f1232d 997222fc79278009 "
+        "570e2a64b98665d7 991241c0883ce652 a72912b1231a855d c6c2aed3ce75bca0 536b4253ae77af43"
+    ),
+    ("jrme", False, False): (
+        "a104464c011f7e0d fd3b1971bfd3b5f8 5a2a0661dc687bff 8f6dcfd8591fbd03 9d920f7d68d209a0 "
+        "22b86d5353c315ff 5a2b87de10d097c3 0c51a46424406df9 2740c4e011a27dff c150d7092363725a "
+        "bcfc96508ccc724c 64bf115e365c8fb0 47724204d18ad3bc 181d13551487739c dceefdb65d9f87aa "
+        "8414927c5a42956f 40073168c38ab325 99aeb1782e25c5ab c0decdd693fa0b20 93ec3e9fe4fd05ec "
+        "c4756b63de15e432 eced3771b538d9fc 2f3745a12f91a120 09d41e950f09b78a d34928f4b522014e "
+        "8c3640d16554bc27 08912a592202c9e4 f270f5a0e2faf669 53e08ee35e9fc896 ffb63e5008c14224"
+    ),
+}
+
+
+class TestPinnedBits:
+    """The C kernel's exact bits on fixed cases.  TestBackendAgreement
+    allows float-reassociation noise, so it cannot tell a reordered sum
+    from the recorded kernel; a change that must keep every result, such
+    as a reordering of the kernel's loops, must keep these digests."""
+
+    @needs_c
+    @pytest.mark.parametrize("variant,neg_by_relation,normalize",
+                             list(product(VARIANTS, (True, False), (True, False))))
+    def test_c_epoch_bits_match_the_recorded_digests(self, variant, neg_by_relation,
+                                                      normalize):
+        digests = [_pinned_case(d, k, variant, neg_by_relation, normalize)
+                   for d in (1, 3, 4, 5, 8) for k in (1, 2, 3, 4, 5, 9)]
+        assert digests == _PINNED[variant, neg_by_relation, normalize].split()
 
 
 def _rank_case(rng, n):
@@ -479,7 +632,7 @@ class TestDispatch:
         cache = tmp_path / "jrme"
         assert cache.stat().st_mode & 0o777 == 0o700
         (lib,) = cache.glob("epoch-*.so")
-        # the kernel beside the modules' bytecode: the second run rewrites neither
+        # the second run rewrites nothing in the cache
         built = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
         assert _child(code, env).stdout.split() == ["c"]
         assert list(cache.glob("epoch-*.so")) == [lib]
