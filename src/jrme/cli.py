@@ -191,7 +191,7 @@ def cmd_train(args) -> int:
     elif streamed:
         print(f"warning: {streamed[0]} is not a regular file; the manifest's dataset_sha256 "
               f"is null", file=sys.stderr)
-    dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
+    dataset, vocab, rejected = load_dataset(args.train, args.valid)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(config, len(vocab.relations))
     _bind_engine(*_ENGINE)
@@ -231,7 +231,7 @@ def cmd_grid(args) -> int:
     threads = _resolve_threads(args)
     configs = grid_configs(base, args.dims, args.alphas, args.betas, args.gammas)
     _check_out((args.train, args.valid), args.out)
-    dataset, vocab, rejected = load_dataset(args.train, args.valid, None)
+    dataset, vocab, rejected = load_dataset(args.train, args.valid)
     _report_rejections(rejected, sys.stderr)
     _warn_step_bound(base, len(vocab.relations))
     _bind_engine(*_ENGINE)

@@ -87,14 +87,13 @@ class PackedBeliefs:
 
 
 class Dataset:
-    """The train, valid and test splits; a split not given is empty."""
+    """The train and valid splits; a valid split not given is empty."""
 
-    __slots__ = ("train", "valid", "test")
+    __slots__ = ("train", "valid")
 
-    def __init__(self, train: PackedBeliefs, valid=None, test=None):
+    def __init__(self, train: PackedBeliefs, valid=None):
         self.train = train
         self.valid = PackedBeliefs() if valid is None else valid
-        self.test = PackedBeliefs() if test is None else test
 
 
 class ParseResult(NamedTuple):
@@ -184,7 +183,7 @@ def parse_belief_file(path, vocab: Vocabulary, mode: str = "build") -> ParseResu
     return ParseResult(PackedBeliefs(*ids), rejected)
 
 
-def _read_splits(parse, train_path, valid_path, test_path):
+def _read_splits(parse, train_path, valid_path, test_path=None):
     """({split: parse's result}, vocabulary) for the splits given.
 
     The vocabulary is built from the training file; validation and test
@@ -199,20 +198,20 @@ def _read_splits(parse, train_path, valid_path, test_path):
     return parsed, vocab
 
 
-def load_dataset(train_path, valid_path=None, test_path=None):
-    """Load train/valid/test belief files (see `_read_splits`).
+def load_dataset(train_path, valid_path=None):
+    """Load train/valid belief files (see `_read_splits`).
 
     Returns (Dataset, Vocabulary, rejected) where rejected maps split
     name to the number of rejected lines; a split with no file is empty.
     """
-    parsed, vocab = _read_splits(parse_belief_file, train_path, valid_path, test_path)
+    parsed, vocab = _read_splits(parse_belief_file, train_path, valid_path)
     dataset = Dataset(**{split: beliefs for split, (beliefs, _) in parsed.items()})
     return dataset, vocab, {split: rejected for split, (_, rejected) in parsed.items()}
 
 
 def count_beliefs(train_path, valid_path=None, test_path=None):
-    """`load_dataset` without the arrays: (beliefs per split, Vocabulary,
-    rejected), each dict keyed by the splits given."""
+    """`load_dataset` without the arrays, and with a test split: (beliefs
+    per split, Vocabulary, rejected), each dict keyed by the splits given."""
     parsed, vocab = _read_splits(_parse_ids, train_path, valid_path, test_path)
     counts = {split: len(ids[0]) for split, (ids, _) in parsed.items()}
     return counts, vocab, {split: rejected for split, (_, rejected) in parsed.items()}

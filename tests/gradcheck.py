@@ -1,9 +1,18 @@
-"""Finite-difference machinery shared by the gradient tests."""
+"""The gradient check: each epoch kernel's step on one example, held to
+central differences of `reference.example_loss`."""
+
+import copy
+
+import numpy as np
 
 from jrme.config import variant_flags
-from jrme.training import enum_negative_table
-from reference import Belief, _hinge_terms, example_gradients, example_loss
+from jrme.training import BACKEND, _epoch_c, _epoch_numpy, enum_negative_table
+from reference import Belief, _hinge_terms, example_loss, pack
 from synth_data import make_vocab, random_table
+
+# the numpy twin always, the C kernel where it built
+KERNELS = {"numpy": _epoch_numpy, **({"c": _epoch_c} if BACKEND == "c" else {})}
+LR = 1e-3
 
 
 def finite_difference(loss_fn, arr, idx, coord, eps=1e-6):
@@ -37,26 +46,52 @@ def sample_smooth_example(rng, table, n_rel, n_words, margin, variant, kink_gap=
 
 
 def check_gradients(rng, variant, dim):
-    """Assert that `example_gradients` matches central differences of
-    `example_loss` in every coordinate of every row it touches, to 1e-5
-    relative or 1e-8 absolute, on one smooth example over a random
-    6-entity, 5-relation, 7-word table of width dim.  Returns the worst
+    """Check every kernel of `KERNELS` on one smooth example over a random
+    6-entity, 5-relation, 7-word table of width dim.  One step with
+    normalisation off must move each row the example reads (h and t under
+    the graph term, r and its negatives, the mention's words under the
+    text term) by -LR times central differences of `example_loss`, to
+    1e-5 relative or 1e-8 absolute, leave every other row bit-identical,
+    and report `example_loss`'s loss to 1e-12 relative.  Returns the worst
     error over its tolerance."""
     table = random_table(make_vocab(6, 5, 7), dim, rng, scale=0.8)
     margin = float(rng.choice([0.5, 1.0, 2.0]))
     b, negs = sample_smooth_example(rng, table, 5, 7, margin, variant)
-    _, grads = example_gradients(table, b, negs, variant, margin)
-    arrays = {kind: getattr(table, f"{kind}_vecs") for kind in ("entity", "relation", "word")}
+    use_kg, use_text = variant_flags(variant)
+    read = {
+        "entity": {b.head, b.tail} if use_kg else set(),
+        "relation": {b.relation, *map(int, negs)},
+        "word": set(b.mention) if use_text else set(),
+    }
+    arrays = {kind: getattr(table, f"{kind}_vecs") for kind in read}
 
     def loss_fn():
         return example_loss(table, b, negs, variant, margin)[0]
 
+    loss_ref = loss_fn()
+    fd = {
+        (kind, idx): np.array([finite_difference(loss_fn, arr, idx, c) for c in range(dim)])
+        for kind, arr in arrays.items() for idx in read[kind]
+    }
+
     worst = 0.0
-    for (kind, idx), grad in grads.items():
-        for coord in range(dim):
-            fd = finite_difference(loss_fn, arrays[kind], idx, coord)
-            a = grad[coord]
-            err, tol = abs(a - fd), max(1e-5 * max(abs(a), abs(fd)), 1e-8)
-            assert err <= tol, (variant, dim, kind, idx, coord, a, fd)
-            worst = max(worst, err / tol)
+    for name, epoch in KERNELS.items():
+        after = copy.deepcopy(table)
+        loss, _, bad = epoch(
+            after.entity_vecs, after.relation_vecs, after.word_vecs, pack([b]),
+            np.zeros(1, dtype=np.int64), negs.reshape(1, -1), False, LR, margin,
+            use_kg, use_text, False,
+        )
+        assert bad == -1, name
+        assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref), (name, variant, loss, loss_ref)
+        for kind, ids in read.items():
+            new = getattr(after, f"{kind}_vecs")
+            others = [i for i in range(len(new)) if i not in ids]
+            assert np.array_equal(new[others], arrays[kind][others]), (name, variant, kind)
+            for idx in ids:
+                step = (arrays[kind][idx] - new[idx]) / LR
+                err = np.abs(step - fd[kind, idx])
+                tol = np.maximum(1e-5 * np.maximum(np.abs(step), np.abs(fd[kind, idx])), 1e-8)
+                assert (err <= tol).all(), (name, variant, dim, kind, idx, step, fd[kind, idx])
+                worst = max(worst, float((err / tol).max()))
     return worst

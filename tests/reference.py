@@ -2,10 +2,11 @@
 modules share.
 
 The model one example at a time, in plain numpy: the triple distance
-||h + r - t||^2, the mention distance -r.m, and the per-negative hinge of
-`jrme.training` with its analytic subgradient.  No command runs them; the
-kernels must agree with them on every input.  A `Belief` is one example
-as a frozen tuple of ids; `pack` turns a list of them into the kernels'
+||h + r - t||^2, the mention distance -r.m, and the per-negative hinge loss
+of `jrme.training`.  No command runs them; the kernels must agree with
+them on every input, and each epoch kernel's step must be the gradient of
+`example_loss` (`gradcheck`).  A `Belief` is one example as a frozen
+tuple of ids; `pack` turns a list of them into the kernels'
 `PackedBeliefs`, and `belief_at` reads one back.
 """
 
@@ -166,44 +167,6 @@ def example_loss(table, belief, negatives, variant, margin):
             active.append(rp)
             terms.append(term)
     return math.fsum(terms), active
-
-
-def example_gradients(table, belief, negatives, variant, margin):
-    """Analytic subgradient of the example loss per touched table row.
-
-    Returns (loss, grads) with grads keyed by (kind, id), kind in
-    entity/relation/word, each value the accumulated gradient over all
-    active terms.  A self-loop's head and tail contributions land on
-    one entity row and cancel; repeated mention words accumulate once
-    per occurrence.
-    """
-    use_kg, use_text = variant_flags(variant)
-    h, r, t = belief.head, belief.relation, belief.tail
-    m = mention_vector(table, belief.mention)
-    diff_pos = table.entity_vecs[h] + table.relation_vecs[r] - table.entity_vecs[t]
-    grads: dict[tuple[str, int], np.ndarray] = {}
-
-    def bump(kind, idx, vec):
-        key = (kind, idx)
-        if key in grads:
-            grads[key] = grads[key] + vec
-        else:
-            grads[key] = np.array(vec, dtype=np.float64)
-
-    loss, active = example_loss(table, belief, negatives, variant, margin)
-    for rp in active:
-        if use_kg:
-            diff_neg = table.entity_vecs[h] + table.relation_vecs[rp] - table.entity_vecs[t]
-            bump("relation", r, 2.0 * diff_pos)
-            bump("relation", rp, -2.0 * diff_neg)
-            bump("entity", h, 2.0 * (table.relation_vecs[r] - table.relation_vecs[rp]))
-            bump("entity", t, -2.0 * (table.relation_vecs[r] - table.relation_vecs[rp]))
-        if use_text:
-            bump("relation", r, -m)
-            bump("relation", rp, m)
-            for w in belief.mention:
-                bump("word", w, table.relation_vecs[rp] - table.relation_vecs[r])
-    return loss, grads
 
 
 # --- ranking --------------------------------------------------------------

@@ -15,7 +15,7 @@ from jrme.embeddings import load_model, save_model
 from jrme.evaluation import evaluate, summarize_ranks
 from jrme.training import enum_negative_table, train
 
-from gradcheck import check_gradients
+from gradcheck import KERNELS, check_gradients
 from reference import Belief, example_loss, pack
 from synth_data import (
     graph_signal_dataset,
@@ -54,7 +54,7 @@ def test_gradients_match_finite_differences(accept):
                 checked += 1
     elapsed = time.perf_counter() - t0
     accept(
-        "analytic gradients match central differences",
+        f"epoch kernel steps ({', '.join(KERNELS)}) match central differences of example_loss",
         elapsed < 10.0,
         f"{checked} examples, worst err/tol {worst:.3g}, {elapsed:.2f}s < 10s",
     )

@@ -233,16 +233,15 @@ class TestLoadDataset:
         (tmp_path / "train.tsv").write_text("a\tr1\tb\tx\nb\tr2\tc\ty\n")
         (tmp_path / "valid.tsv").write_text("a\tr1\tc\tx\n")
         (tmp_path / "test.tsv").write_text("a\tr1\tb\t\nnew\tr1\tb\t\n")
-        ds, vocab, rejected = load_dataset(
-            tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv"
-        )
-        assert (len(ds.train), len(ds.valid), len(ds.test)) == (2, 1, 1)
-        assert rejected == {"train": 0, "valid": 0, "test": 1}
+        ds, vocab, rejected = load_dataset(tmp_path / "train.tsv", tmp_path / "valid.tsv")
+        assert (len(ds.train), len(ds.valid)) == (2, 1)
+        assert rejected == {"train": 0, "valid": 0}
+        # only stats reads a test split
         counts, stats_vocab, stats_rejected = count_beliefs(
             tmp_path / "train.tsv", tmp_path / "valid.tsv", tmp_path / "test.tsv"
         )
-        assert counts == {"train": len(ds.train), "valid": len(ds.valid), "test": len(ds.test)}
-        assert stats_rejected == rejected
+        assert counts == {"train": len(ds.train), "valid": len(ds.valid), "test": 1}
+        assert stats_rejected == {**rejected, "test": 1}
         for kind in ("entities", "relations", "words"):
             assert list(getattr(stats_vocab, kind)) == list(getattr(vocab, kind))
         column = [line.split()[-1] for line in format_stats(vocab, counts).splitlines()]
