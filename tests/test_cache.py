@@ -147,23 +147,6 @@ class TestBytecodeCache:
         assert (proc.stdout, proc.stderr) == (first.stdout, first.stderr)
         assert pyc.read_bytes() == good
 
-    def test_a_cache_other_users_can_write_is_neither_read_nor_written(self, package, tmp_path):
-        train = tmp_path / "train.tsv"
-        train.write_text(TRAIN)
-        argv = ["train", "--train", train, "--out", tmp_path / "model.bin", "--dim", 4,
-                "--epochs", 1]
-        command(package, tmp_path, *argv)
-        # the refused cache holds the kernel this source builds, where cc is
-        refused = tmp_path / "refused" / "jrme"
-        shutil.copytree(tmp_path / "cache" / "jrme", refused)
-        refused.chmod(0o777)
-        listing = {p.name: p.stat().st_mtime_ns for p in refused.iterdir()}
-        proc, _ = command(package, tmp_path, *argv, XDG_CACHE_HOME=str(refused.parent))
-        assert {p.name: p.stat().st_mtime_ns for p in refused.iterdir()} == listing
-        assert proc.stderr.splitlines()[0] == (
-            f"jrme: C epoch kernel unavailable ({refused} is writable by other users: "
-            "mode 777); using the numpy twin")
-
     def test_a_traceback_from_cached_code_names_the_source_line(self, package, tmp_path):
         train = tmp_path / "train.tsv"
         train.write_text(TRAIN)
@@ -272,7 +255,9 @@ def test_a_relative_xdg_cache_home_is_ignored(package, tmp_path, home):
 
 class TestRefusal:
     """A cache that is not this user's, or that other users can write, is
-    refused, and the error says which of the two it is."""
+    refused, and the error says which of the two it is.  What a `train`
+    prints for a refused cache, and that it writes nothing there, is
+    `test_cli.py`'s `test_numpy_twin_line_follows_the_input_warnings`."""
 
     def test_a_cache_another_user_owns_is_refused_as_theirs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))

@@ -126,15 +126,18 @@ class TestParse:
         assert unpack(frozen.beliefs) == unpack(built.beliefs)
 
     def test_byte_order_mark_is_not_part_of_the_first_entity(self, tmp_path):
-        text = "caroline\tcitylocatedinstate\tmaryland\tCounty and State of\n"
-        plain, marked = Vocabulary(), Vocabulary()
+        # nor is a CRLF line ending part of the last column
+        text = ("caroline\tcitylocatedinstate\tmaryland\tCounty and State of\n"
+                "maryland\tstatehascapital\tannapolis\t\n")
+        plain = Vocabulary()
         want = parse_belief_file(self._write(tmp_path, text), plain).beliefs
-        got = parse_belief_file(self._write(tmp_path, "\ufeff" + text), marked).beliefs
-        for name in PackedBeliefs.__slots__:
-            assert getattr(got, name).tolist() == getattr(want, name).tolist()
-        for kind in ("entities", "relations", "words"):
-            assert list(getattr(marked, kind)) == list(getattr(plain, kind))
-        assert list(marked.entities)[0] == "caroline"
+        for variant in ("\ufeff" + text, text.replace("\n", "\r\n")):
+            vocab = Vocabulary()
+            got = parse_belief_file(self._write(tmp_path, variant), vocab).beliefs
+            for name in PackedBeliefs.__slots__:
+                assert getattr(got, name).tolist() == getattr(want, name).tolist()
+            for kind in ("entities", "relations", "words"):
+                assert list(getattr(vocab, kind)) == list(getattr(plain, kind))
 
     def test_unknown_mode_rejected(self, tmp_path):
         p = self._write(tmp_path, "")

@@ -559,7 +559,7 @@ class TestDispatch:
         assert run_epoch is (_epoch_c if BACKEND == "c" else _epoch_numpy)
         assert jrme.BACKEND == BACKEND
 
-    def test_run_epoch_and_rank_all_wrappers(self, rng):
+    def test_run_epoch_returns_python_scalars_and_rank_all_ranks_in_range(self, rng):
         table, packed, order, negs = _epoch_args(rng, n=10)
         loss, active, bad = run_epoch(
             table.entity_vecs, table.relation_vecs, table.word_vecs,
