@@ -1,14 +1,15 @@
 /* One epoch of margin-ranking SGD over the three variants, in C.
  *
- * A line-for-line port of the reference loop that jrme.training keeps as
- * the numpy twin (_epoch_numpy): same update rule, same order of row
- * writes, same per-example non-finite check.  score() scores the true
- * relation r and each negative r' alike; an example's hinge terms are
- * margin + score(r) - score(r').  Per example, all active
+ * A port of the reference loop that jrme.training keeps as the numpy twin
+ * (_epoch_numpy): same update rule, same per-example non-finite check, and
+ * each element gets the twin's operations in the twin's order.  score()
+ * scores the true relation r and each negative r' alike; an example's
+ * hinge terms are margin + score(r) - score(r').  Per example, all active
  * hinge terms are accumulated against the pre-step table and applied as
- * one update.  Negative-relation rows are written during the scan (each
- * appears at most once per example, and nothing later reads them);
- * everything else is written afterwards from stashed pre-step values.
+ * one update, in one pass per row: the rows one example touches are
+ * distinct (r is never among its negatives, the negatives are distinct,
+ * and the entity step runs only when h != t), so no pass reads an element
+ * that another row's update wrote.
  *
  * Per active term the descent directions are:
  *   relation r:   -lr * (2*(h+r-t))        and  -lr * (-m)
@@ -38,17 +39,16 @@
 static double score(const double *eh, const double *v, const double *et, const double *m,
                     double *diff, int64_t d, int use_kg, int use_text)
 {
-    double kg = 0.0;
-    double text = 0.0;
-    if (use_kg)
-        for (int64_t q = 0; q < d; q++) {
+    double kg = 0.0, text = 0.0;
+    for (int64_t q = 0; q < d; q++) {
+        if (use_kg) {
             double x = eh[q] + v[q] - et[q];
             diff[q] = x;
             kg += x * x;
         }
-    if (use_text)
-        for (int64_t q = 0; q < d; q++)
+        if (use_text)
             text -= v[q] * m[q];
+    }
     return kg + text;
 }
 
@@ -86,66 +86,64 @@ int64_t jrme_epoch(
         double *eh = entity + h * d;
         double *et = entity + t * d;
         double *rr = relation + r * d;
-        if (use_text) {
-            for (int64_t q = 0; q < d; q++)
-                m[q] = 0.0;
+        for (int64_t q = 0; q < d; q++) {
+            m[q] = 0.0;
+            sum_rneg[q] = 0.0;
+        }
+        if (use_text)
             for (int64_t j = moff[i]; j < moff[i + 1]; j++) {
                 const double *wv = word + mflat[j] * d;
                 for (int64_t q = 0; q < d; q++)
                     m[q] += wv[q];
             }
-        }
         double s_pos = score(eh, rr, et, m, diff_pos, d, use_kg, use_text);
 
         const int64_t *negs = neg_table + (neg_by_relation ? r : pos) * k;
         int64_t a = 0;
         double loss_i = 0.0;
-        for (int64_t q = 0; q < d; q++)
-            sum_rneg[q] = 0.0;
         for (int64_t j = 0; j < k; j++) {
             double *rn = relation + negs[j] * d;
             double term = margin + s_pos - score(eh, rn, et, m, diff_neg, d, use_kg, use_text);
             if (term > 0.0) {
                 a += 1;
                 loss_i += term;
-                for (int64_t q = 0; q < d; q++)
+                for (int64_t q = 0; q < d; q++) {
                     sum_rneg[q] += rn[q];
-                if (use_kg)
-                    for (int64_t q = 0; q < d; q++)
+                    if (use_kg)
                         rn[q] += lr * 2.0 * diff_neg[q];
-                if (use_text)
-                    for (int64_t q = 0; q < d; q++)
+                    if (use_text)
                         rn[q] -= lr * m[q];
+                }
             }
         }
 
         if (a > 0) {
             double af = (double)a;
-            for (int64_t q = 0; q < d; q++)
+            for (int64_t q = 0; q < d; q++) {
                 wc[q] = sum_rneg[q] - af * rr[q];
-            if (use_kg)
-                for (int64_t q = 0; q < d; q++)
+                if (use_kg)
                     rr[q] -= lr * 2.0 * af * diff_pos[q];
-            if (use_text)
-                for (int64_t q = 0; q < d; q++)
+                if (use_text)
                     rr[q] += lr * af * m[q];
+            }
             if (use_kg && h != t) {
+                double acc_h = 0.0, acc_t = 0.0;
                 for (int64_t q = 0; q < d; q++) {
                     eh[q] += lr * 2.0 * wc[q];
                     et[q] -= lr * 2.0 * wc[q];
-                }
-                if (normalize) {
-                    double *rows[2] = {eh, et};
-                    for (int e = 0; e < 2; e++) {
-                        double acc = 0.0;
-                        for (int64_t q = 0; q < d; q++)
-                            acc += rows[e][q] * rows[e][q];
-                        double nrm = sqrt(acc);
-                        if (nrm > 0.0)
-                            for (int64_t q = 0; q < d; q++)
-                                rows[e][q] /= nrm;
+                    if (normalize) {
+                        acc_h += eh[q] * eh[q];
+                        acc_t += et[q] * et[q];
                     }
                 }
+                /* a row of norm 0 is left as it is: x / 1.0 == x */
+                double nrm_h = acc_h > 0.0 ? sqrt(acc_h) : 1.0;
+                double nrm_t = acc_t > 0.0 ? sqrt(acc_t) : 1.0;
+                if (normalize)
+                    for (int64_t q = 0; q < d; q++) {
+                        eh[q] /= nrm_h;
+                        et[q] /= nrm_t;
+                    }
             }
             if (use_text)
                 for (int64_t j = moff[i]; j < moff[i + 1]; j++) {
@@ -159,12 +157,8 @@ int64_t jrme_epoch(
         active_sum += a;
         int ok = isfinite(loss_i);
         for (int64_t q = 0; q < d; q++)
-            if (!isfinite(rr[q]))
+            if (!isfinite(rr[q]) || (use_kg && !isfinite(eh[q])))
                 ok = 0;
-        if (use_kg)
-            for (int64_t q = 0; q < d; q++)
-                if (!isfinite(eh[q]))
-                    ok = 0;
         if (!ok) {
             bad = i;
             break;
