@@ -2,14 +2,13 @@
  *
  * A port of the reference loop that jrme.training keeps as the numpy twin
  * (_epoch_numpy): same update rule, same per-example non-finite check, and
- * each element gets the twin's operations in the twin's order.  score()
+ * each element is updated by the twin's expressions, in order.  score()
  * scores the true relation r and each negative r' alike; an example's
  * hinge terms are margin + score(r) - score(r').  Per example, all active
  * hinge terms are accumulated against the pre-step table and applied as
- * one update, in one pass per row: the rows one example touches are
- * distinct (r is never among its negatives, the negatives are distinct,
- * and the entity step runs only when h != t), so no pass reads an element
- * that another row's update wrote.
+ * one update, one pass per row.  Fused passes keep every bit: each writes
+ * element q from elements q and earlier scalars, sums in index order, and
+ * writes two rows only in the entity step, which needs h != t.
  *
  * Per active term the descent directions are:
  *   relation r:   -lr * (2*(h+r-t))        and  -lr * (-m)
@@ -39,7 +38,8 @@
 static double score(const double *eh, const double *v, const double *et, const double *m,
                     double *diff, int64_t d, int use_kg, int use_text)
 {
-    double kg = 0.0, text = 0.0;
+    double kg = 0.0;
+    double text = 0.0;
     for (int64_t q = 0; q < d; q++) {
         if (use_kg) {
             double x = eh[q] + v[q] - et[q];
@@ -136,7 +136,7 @@ int64_t jrme_epoch(
                         acc_t += et[q] * et[q];
                     }
                 }
-                /* a row of norm 0 is left as it is: x / 1.0 == x */
+                /* a row of zero or nan norm is left as it is: x / 1.0 == x */
                 double nrm_h = acc_h > 0.0 ? sqrt(acc_h) : 1.0;
                 double nrm_t = acc_t > 0.0 ? sqrt(acc_t) : 1.0;
                 if (normalize)
