@@ -19,7 +19,12 @@ vectorized numpy twin runs instead and one stderr line says so.
 `BACKEND` names the one in use, "c" or "numpy", and `run_epoch` is that
 kernel; concurrent first imports build it once, under the import lock.
 The twin is also the reference the tests hold the C kernel to: the two
-may differ in the last float bits (summation order), never in semantics.
+may differ in the last float bits (summation order), never in semantics,
+on a negative table whose every row holds distinct ids other than its
+example's relation, as `train` builds.  On any other table they may
+differ: for a repeated id the twin scores both copies against the pre-step
+row and applies one update, the C kernel scores the second copy after the
+first one's update.
 """
 
 from __future__ import annotations
@@ -102,7 +107,10 @@ def enum_negative_table(n_relations: int) -> np.ndarray:
 # negatives from row r of `neg_table` (its relation) when neg_by_relation,
 # else from row pos.  It returns (loss_sum: float, active_term_count: int,
 # bad_index: int); bad_index is the first example whose step produced a
-# non-finite value, -1 when clean.  The update rule is documented in
+# non-finite value, -1 when clean.  Each negative row must hold distinct
+# ids, none of them its example's relation r; nothing checks it (that
+# would sort every table on every epoch), and on a row that breaks it the
+# two kernels may differ in semantics.  The update rule is documented in
 # _epoch.c, whose score() gives the true relation and each negative
 # ||h + r - t||^2 - r.m.  _epoch_numpy is its vectorized twin: one
 # expression scores the rows [r, *negatives] the same way.  _epoch_c
@@ -172,7 +180,11 @@ def _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_re
                      use_text) -> None:
     """IndexError unless every row an epoch reads exists: `_check_packed`,
     each example index of `order`, and a negative table with a row per
-    relation (per example without neg_by_relation) of relation ids."""
+    relation (per example without neg_by_relation) of relation ids.
+
+    It checks ranges only: a row that repeats an id or holds its example's
+    relation passes, though on it the two kernels may differ in semantics.
+    """
     n_rel = relation.shape[0]
     rows = n_rel if neg_by_relation else order.shape[0]
     if neg_table.shape[0] < rows:

@@ -122,22 +122,6 @@ class TestBackendAgreement:
         np.testing.assert_allclose(ta.relation_vecs, tb.relation_vecs, rtol=1e-9, atol=1e-12)
         assert ta.word_vecs.shape == tb.word_vecs.shape == (0, 6)
 
-    @needs_c
-    def test_run_epoch_runs_the_c_kernel(self, rng):
-        table, packed, order, negs = _epoch_args(rng, n=15)
-        ta = copy.deepcopy(table)
-        tb = copy.deepcopy(table)
-        la, aa, _ = run_epoch(
-            ta.entity_vecs, ta.relation_vecs, ta.word_vecs,
-            packed, order, negs, True, 0.01, 1.5, True, True, True,
-        )
-        lb, ab, _ = _epoch_c(
-            tb.entity_vecs, tb.relation_vecs, tb.word_vecs,
-            packed, order, negs, True, 0.01, 1.5, True, True, True,
-        )
-        assert (la, aa) == (lb, ab)
-        assert tables_equal(ta, tb)
-
 
 def _pinned_case(d, k, variant, neg_by_relation, normalize):
     """One epoch of the C kernel on a small case drawn from Python's

@@ -461,6 +461,32 @@ class TestTrain:
         for a, b in zip(threaded, single):
             assert a.loss == pytest.approx(b.loss, rel=1e-12)
 
+    @pytest.mark.parametrize("neg_mode,n_threads", [("sample:2", 1), ("sample:2", 3), ("all", 1)])
+    def test_each_example_gets_distinct_negatives_other_than_its_relation(
+            self, rng, monkeypatch, neg_mode, n_threads):
+        """Every epoch call hands each example of its order a negative row of
+        distinct ids without the example's own relation, the tables on
+        which the two kernels agree in semantics."""
+        import jrme.training as training
+
+        ds, vocab = tiny_dataset(rng, n=120)
+        real_epoch = training.run_epoch
+        calls = []
+
+        def recording_epoch(*args):
+            calls.append(args[4:7])  # order, neg_table, neg_by_relation
+            return real_epoch(*args)
+
+        monkeypatch.setattr(training, "run_epoch", recording_epoch)
+        cfg = ModelConfig(dim=4, epochs=2, seed=3, neg_mode=neg_mode)
+        train(ds, vocab, cfg, "jrme", n_threads=n_threads)
+        assert len(calls) == cfg.epochs * n_threads
+        rels = ds.train.relations
+        for order, neg_table, by_relation in calls:
+            for pos, i in enumerate(order):
+                row = neg_table[rels[i]] if by_relation else neg_table[pos]
+                assert len(set(row)) == len(row) and rels[i] not in row, (pos, i, row)
+
     def test_separable_text_dataset_reaches_perfect_hit_at_1(self):
         from jrme.evaluation import evaluate
 
