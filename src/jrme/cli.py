@@ -47,7 +47,7 @@ from .errors import ConfigError, DataError, TrainingDivergedError
 _ENGINE = {
     "embeddings": ("load_model", "save_model"),
     "evaluation": ("candidate_scores", "evaluate", "format_report", "write_ranks_tsv"),
-    "kernels": ("RANK_BLOCK", "top_relations"),
+    "kernels": ("RANK_BLOCK", "queries", "top_relations"),
     "training": ("grid_search", "train"),
 }
 
@@ -250,9 +250,10 @@ def cmd_grid(args) -> int:
 def cmd_predict(args) -> int:
     """Top-k relations per query line, scored one block of lines at a time.
 
-    Each block is one `top_relations` call, whose rows have the bits of a
-    single-line call, and its output is one write, so ERROR lines keep
-    their places and memory is bounded by the block.
+    Each block is one `queries` block, which checks its ids, ranked by one
+    `top_relations` call, whose rows have the bits of a single-line call;
+    its output is one write, so ERROR lines keep their places and memory
+    is bounded by the block.
     """
     if args.topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
@@ -284,12 +285,10 @@ def cmd_predict(args) -> int:
             slots.append((len(out), str(line_no)))
             out.append(None)
         if slots:
-            # top_relations reads no relations, so the block carries none
-            queries = PackedBeliefs(heads, (), tails, offsets, words)
-            top_ids, top_scores = top_relations(
-                table.entity_vecs, table.relation_vecs, table.word_vecs, queries, *flags,
-                args.topk,
-            )
+            # a query line carries no relation
+            blocks = queries(table.entity_vecs, table.word_vecs,
+                             PackedBeliefs(heads, (), tails, offsets, words), *flags)
+            top_ids, top_scores = top_relations(blocks, table.relation_vecs, args.topk)
             k = top_ids.shape[1]
             # one "line, place, relation, score" row per (line, place), in output order
             rows = list(map("\t".join, zip(

@@ -9,9 +9,10 @@ every rank the true id's place in its stable argsort, so a belief gets
 the same score and rank alone as inside `evaluate`, whose
 `kernels.rank_all` sorts by BLAS scores and rescores exactly every belief
 whose order they cannot settle.
-`evaluate` hands a split to `rank_all` as the parser packed it
-(`data.PackedBeliefs`).  No command calls `candidate_scores`, which
-scores one query for the tests' rank oracle and the benchmark's tracer.
+`evaluate` and `candidate_scores` build queries from packed lines with
+`kernels.queries`, which checks heads, tails and words; `rank_all` checks
+the true relations.  No command calls `candidate_scores`, which scores
+one query for the tests' rank oracle and the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .config import variant_flags
 from .data import PackedBeliefs
 from .embeddings import EmbeddingTable
 from .errors import DataError
-from .kernels import rank_all, relation_scores
+from .kernels import queries, rank_all, relation_scores
 
 
 class EvalReport(NamedTuple):
@@ -58,18 +59,16 @@ def summarize_ranks(ranks) -> tuple[float, float, float]:
 def candidate_scores(table: EmbeddingTable, head: int, tail: int, mention, variant: str):
     """Score of every relation id substituted into (head, ?, tail, mention)."""
     query = PackedBeliefs([head], (), [tail], [0, len(mention)], mention)
-    return relation_scores(
-        table.entity_vecs, table.relation_vecs, table.word_vecs, query, *variant_flags(variant),
-    )[0]
+    blocks = queries(table.entity_vecs, table.word_vecs, query, *variant_flags(variant))
+    return relation_scores(blocks, table.relation_vecs)[0]
 
 
 def evaluate(table: EmbeddingTable, beliefs: PackedBeliefs, variant: str) -> EvalReport:
     """Rank every belief's true relation and aggregate the metrics."""
     if not beliefs:
         raise DataError("evaluation split is empty")
-    ranks = tuple(rank_all(
-        table.entity_vecs, table.relation_vecs, table.word_vecs, beliefs, *variant_flags(variant),
-    ).tolist())
+    blocks = queries(table.entity_vecs, table.word_vecs, beliefs, *variant_flags(variant))
+    ranks = tuple(rank_all(blocks, table.relation_vecs, beliefs.relations).tolist())
     return EvalReport(*summarize_ranks(ranks), ranks)
 
 

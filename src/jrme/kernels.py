@@ -1,22 +1,21 @@
-"""Relation ranking, numpy on both epoch backends, and the id checks
-every kernel runs.  The SGD epoch kernels live in `training`, the only
-module that runs them, so a command that only ranks never builds, hashes
-or loads the C one.
+"""Relation ranking, numpy on both epoch backends.  The SGD epoch kernels
+live in `training`, the only module that runs them, so a command that only
+ranks never builds, hashes or loads the C one.
 
-Ranking has one exact scorer (`relation_scores`) and one order, numpy's
+Ranking scores queries.  `queries` turns packed lines (`data.PackedBeliefs`,
+importable from here too) into blocks of one (q, c) per line; it alone
+reads entity and word rows and the variant flags.  `relation_scores`,
+`rank_all` and `top_relations` take those blocks and the relation table.
+`queries` checks every id it reads and `rank_all` the true relation ids,
+so an id outside its table, negative ones included, raises IndexError.
+
+There is one exact scorer (`relation_scores`) and one order, numpy's
 stable argsort (ties by id, nan last), behind every score and rank.
 `rank_all` and `top_relations` score each block by BLAS GEMM; a row its
 error band (`_gemm_scores`) settles is ranked from GEMM, or for a top k
 rescored on its k ids, and every other row is rescored whole, so their
 ranks and top k are the exact scorer's whatever the BLAS, its threads or
 the block.
-
-Every kernel takes the three tables as arrays and the beliefs as one
-`data.PackedBeliefs`, the form the parser writes, so no caller unpacks
-its id arrays; the class is importable from here too.
-`relation_scores`, `rank_all`, `top_relations` and both epoch kernels
-check every id against its table (`_check_packed`) before they read a
-row, so an id outside it, negative ones included, raises IndexError.
 """
 
 from __future__ import annotations
@@ -31,51 +30,51 @@ def _check_ids(what: str, ids: np.ndarray, n: int) -> None:
         raise IndexError(f"{what} out of range [0, {n})")
 
 
-def _check_packed(entity, relation, word, packed, use_text) -> None:
-    """IndexError unless every id of `packed` names a row of its table:
-    heads and tails entity rows, relations relation rows, and, when the
-    text term reads them, mention offsets and words.  A negative id would
-    otherwise index from the end of a table."""
-    _check_ids("entity id", packed.heads, entity.shape[0])
-    _check_ids("entity id", packed.tails, entity.shape[0])
-    _check_ids("relation id", packed.relations, relation.shape[0])
-    if use_text:
-        _check_ids("mention offset", packed.mention_off, packed.mention_flat.shape[0] + 1)
-        _check_ids("word id", packed.mention_flat, word.shape[0])
-
-
 # --- relation ranking -----------------------------------------------------
 
-# beliefs per block, in rank_all and predict: a (block x R) score array
-# stays below one (R x d) table in size for d >= 128, and larger blocks
-# were no faster at R = 500, d = 100 but raised peak memory
+# lines per block of `queries`: a (block x R) score array stays below one
+# (R x d) table in size for d >= 128.  At 512, on the rank_heavy test split
+# (4000 lines, R = 500, d = 100, 2 vCPU), rank_all alone ran 15-25% faster
+# in-process (27.1 / 20.8 -> 20.5 / 17.3 ms, two passes), but as commands
+# eval went 166.5 -> 159.2 ms and predict 154.8 -> 158.5 ms while each one's
+# peak RSS rose by 4.7 MB: 512 costs memory and gains nothing end to end
 RANK_BLOCK = 128
 
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = np.finfo(np.float64).smallest_subnormal
 
 
-def _queries(entity, word, packed, lo, hi, d, use_kg, use_text):
-    """(q, c) per belief lo..hi-1 of `packed`: q = 2(h - t) - m and
-    c = ||h - t||^2 (None without the kg part), m the sum of the belief's
-    word rows.  Mention offsets are absolute, so a block reads them as is."""
-    heads, tails = packed.heads[lo:hi], packed.tails[lo:hi]
-    moff, mflat = packed.mention_off[lo : hi + 1], packed.mention_flat
-    n = heads.shape[0]
-    q = np.zeros((n, d))
-    c = None
-    if use_kg:
-        diff = entity[heads] - entity[tails]
-        q += 2.0 * diff
-        c = np.einsum("bd,bd->b", diff, diff)
-    if use_text and n:
-        # word by word, left to right in each row, so a row's bits do not
-        # depend on the other rows
-        lengths = np.diff(moff)
-        for j in range(int(lengths.max())):
-            rows = np.flatnonzero(lengths > j)
-            q[rows] -= word[mflat[moff[rows] + j]]
-    return q, c
+def queries(entity, word, packed, use_kg, use_text):
+    """Yield (lo, hi, q, c) per block of `RANK_BLOCK` lines lo..hi-1 of
+    `packed` (one empty block if it has none): q = 2(h - t) - m and
+    c = ||h - t||^2 (None without the kg part), m the sum of the line's
+    word rows.  IndexError, before the first block, for a head, tail or
+    (with the text part) mention offset or word outside its table.  The
+    lines' relations are never read; their mention offsets are absolute.
+    """
+    n, d = len(packed), entity.shape[1]
+    _check_ids("entity id", packed.heads, entity.shape[0])
+    _check_ids("entity id", packed.tails, entity.shape[0])
+    if use_text:
+        _check_ids("mention offset", packed.mention_off, packed.mention_flat.shape[0] + 1)
+        _check_ids("word id", packed.mention_flat, word.shape[0])
+    for lo in range(0, max(n, 1), RANK_BLOCK):
+        hi = min(lo + RANK_BLOCK, n)
+        moff = packed.mention_off[lo : hi + 1]
+        q, c = np.zeros((hi - lo, d)), None
+        if use_kg:
+            diff = entity[packed.heads[lo:hi]] - entity[packed.tails[lo:hi]]
+            q += 2.0 * diff
+            c = np.einsum("bd,bd->b", diff, diff)
+            del diff  # else the suspended generator holds it past the yield
+        if use_text and hi > lo:
+            # word by word, left to right in each row, so a row's bits do
+            # not depend on the other rows
+            lengths = np.diff(moff)
+            for j in range(int(lengths.max())):
+                rows = np.flatnonzero(lengths > j)
+                q[rows] -= word[packed.mention_flat[moff[rows] + j]]
+        yield lo, hi, q, c
 
 
 def _exact_scores(q, c, relation, rel_sq, ids=None):
@@ -91,21 +90,17 @@ def _exact_scores(q, c, relation, rel_sq, ids=None):
     return scores
 
 
-def relation_scores(entity, relation, word, packed, use_kg, use_text):
-    """(n, R) score of every relation as the candidate for each belief.
+def relation_scores(blocks, relation):
+    """(n, R) exact score c + q.r' + ||r'||^2 of every relation r' for
+    each query of `blocks` (from `queries`).
 
-    ||h - t||^2 + q.r' + ||r'||^2 with q = 2(h - t) - m, m the sum of the
-    belief's word rows; `tme` drops the kg part, `kre` the text part.  The
-    beliefs' relations are never read, so queries may leave them empty.
     q.r' is an unoptimized einsum, not BLAS `@`: it sums each element in a
     fixed order, so a row has the same bits alone or anywhere in a block
     and equal relations tie exactly.  GEMM keeps neither, which breaks the
     tie rule.
     """
-    _check_packed(entity, relation, word, packed, use_text)
-    q, c = _queries(entity, word, packed, 0, len(packed), relation.shape[1], use_kg, use_text)
-    rel_sq = None if c is None else np.einsum("rd,rd->r", relation, relation)
-    return _exact_scores(q, c, relation, rel_sq)
+    rel_sq = np.einsum("rd,rd->r", relation, relation)
+    return np.concatenate([_exact_scores(q, c, relation, rel_sq) for _, _, q, c in blocks])
 
 
 def _gemm_scores(q, c, relation, rel_sq):
@@ -157,8 +152,9 @@ def _whole_rows(q, c, relation, rel_sq, rows, ids=None):
     return scores, np.argsort(scores, axis=1, kind="stable")
 
 
-def rank_all(entity, relation, word, packed, use_kg, use_text):
-    """Raw rank of the true relation for each belief, as an int64 array.
+def rank_all(blocks, relation, true):
+    """Raw rank of relation `true[i]` for query i of `blocks` (from
+    `queries`), as an int64 array; IndexError for a true id out of range.
 
     Equal, rank for rank, to the true id's place in the stable argsort of
     `relation_scores(...)`, but each block is scored with BLAS
@@ -171,34 +167,30 @@ def rank_all(entity, relation, word, packed, use_kg, use_text):
     of them: every candidate scores +-0 and ties, so its rank is 1 + the
     true id.
     """
-    _check_packed(entity, relation, word, packed, use_text)
-    n = len(packed)
-    d = relation.shape[1]
-    ranks = np.empty(n, dtype=np.int64)
+    _check_ids("relation id", true, relation.shape[0])
+    ranks = np.empty(len(true), dtype=np.int64)
     rel_sq = np.einsum("rd,rd->r", relation, relation)
-    for lo in range(0, n, RANK_BLOCK):
-        hi = min(lo + RANK_BLOCK, n)
-        q, c = _queries(entity, word, packed, lo, hi, d, use_kg, use_text)
-        true = packed.relations[lo:hi]
+    for lo, hi, q, c in blocks:
         s, band = _gemm_scores(q, c, relation, rel_sq)
         with np.errstate(invalid="ignore"):
-            s_true = s[np.arange(hi - lo), true]
+            s_true = s[np.arange(hi - lo), true[lo:hi]]
             below = np.count_nonzero(s < (s_true - band)[:, None], axis=1)
             in_band = np.count_nonzero(s <= (s_true + band)[:, None], axis=1) - below
         ranks[lo:hi] = 1 + below
         rows = np.flatnonzero((in_band > 1) | np.isinf(band))
         if rows.size:
             _, order = _whole_rows(q, c, relation, rel_sq, rows)
-            ranks[lo + rows] = 1 + (order == true[rows, None]).argmax(axis=1)
+            ranks[lo + rows] = 1 + (order == true[lo + rows, None]).argmax(axis=1)
     return ranks
 
 
-def top_relations(entity, relation, word, packed, use_kg, use_text, k):
-    """(ids, scores) of the k best relations for each belief, two (n, k)
-    arrays for 1 <= k <= R: the first k columns of the stable argsort of
-    `scores = relation_scores(...)` and the entries they name, bit for bit.
+def top_relations(blocks, relation, k):
+    """(ids, scores) of the k best relations for each query of `blocks`
+    (from `queries`), two (n, k) arrays for 1 <= k <= R: the first k
+    columns of the stable argsort of `scores = relation_scores(...)` and
+    the entries they name, bit for bit.
 
-    The block is scored with BLAS (`_gemm_scores`).  A candidate with
+    Each block is scored with BLAS (`_gemm_scores`).  A candidate with
     s~ > (the row's k-th smallest s~) + band has k candidates strictly
     better in exact score, so it is not among the k first by (score, id).
     A row is settled when its band is finite, exactly k candidates pass
@@ -208,32 +200,33 @@ def top_relations(entity, relation, word, packed, use_kg, use_text, k):
     an empty mention ties throughout), is ranked whole.  Both go through
     `_whole_rows`.
     """
-    _check_packed(entity, relation, word, packed, use_text)
-    n, (n_rel, d) = len(packed), relation.shape
+    n_rel = relation.shape[0]
     k = min(k, n_rel)
-    ids = np.empty((n, k), dtype=np.int64)
-    scores = np.empty((n, k))
     rel_sq = np.einsum("rd,rd->r", relation, relation)
-    q, c = _queries(entity, word, packed, 0, n, d, use_kg, use_text)
-    s, band = _gemm_scores(q, c, relation, rel_sq)
-    with np.errstate(invalid="ignore"):
-        kth = np.partition(s, k - 1, axis=1)[:, k - 1]
-        keep = s <= (kth + band)[:, None]
-    settled = ~np.isinf(band) & (np.count_nonzero(keep, axis=1) == k) & (2 * k <= n_rel)
+    step = n_rel // k  # settled rows gathered at a time: about one relation table
+    all_ids, all_scores = [], []
+    for lo, hi, q, c in blocks:
+        ids = np.empty((hi - lo, k), dtype=np.int64)
+        scores = np.empty((hi - lo, k))
+        s, band = _gemm_scores(q, c, relation, rel_sq)
+        with np.errstate(invalid="ignore"):
+            kth = np.partition(s, k - 1, axis=1)[:, k - 1]
+            keep = s <= (kth + band)[:, None]
+        settled = ~np.isinf(band) & (np.count_nonzero(keep, axis=1) == k) & (2 * k <= n_rel)
 
-    rows = np.flatnonzero(~settled)
-    if rows.size:
-        whole, order = _whole_rows(q, c, relation, rel_sq, rows)
-        ids[rows] = order[:, :k]
-        scores[rows] = np.take_along_axis(whole, ids[rows], axis=1)
+        rows = np.flatnonzero(~settled)
+        if rows.size:
+            whole, order = _whole_rows(q, c, relation, rel_sq, rows)
+            ids[rows] = order[:, :k]
+            scores[rows] = np.take_along_axis(whole, ids[rows], axis=1)
 
-    rows = np.flatnonzero(settled)
-    # gather about one relation table's worth of rows at a time
-    step = n_rel // k
-    for lo in range(0, rows.size, step):
-        sub = rows[lo : lo + step]
-        kept = np.nonzero(keep[sub])[1].reshape(-1, k)  # ascending ids
-        part, top = _whole_rows(q, c, relation, rel_sq, sub, kept)
-        ids[sub] = np.take_along_axis(kept, top, axis=1)
-        scores[sub] = np.take_along_axis(part, top, axis=1)
-    return ids, scores
+        rows = np.flatnonzero(settled)
+        for start in range(0, rows.size, step):
+            sub = rows[start : start + step]
+            kept = np.nonzero(keep[sub])[1].reshape(-1, k)  # ascending ids
+            part, top = _whole_rows(q, c, relation, rel_sq, sub, kept)
+            ids[sub] = np.take_along_axis(kept, top, axis=1)
+            scores[sub] = np.take_along_axis(part, top, axis=1)
+        all_ids.append(ids)
+        all_scores.append(scores)
+    return np.concatenate(all_ids), np.concatenate(all_scores)

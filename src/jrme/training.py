@@ -18,6 +18,8 @@ there is no cache, it cannot be written or other users can write it, the
 vectorized numpy twin runs instead and one stderr line says so.
 `BACKEND` names the one in use, "c" or "numpy", and `run_epoch` is that
 kernel; concurrent first imports build it once, under the import lock.
+Either kernel checks every id it reads (the beliefs', the example order's
+and the negative table's) before it writes a row (`_check_epoch_ids`).
 The twin is also the reference the tests hold the C kernel to: the two
 may differ in the last float bits (summation order), never in semantics,
 on a negative table whose every row holds distinct ids other than its
@@ -45,7 +47,7 @@ from .config import _SEED_MASK, ModelConfig, parse_neg_mode, variant_flags, vari
 from .data import Dataset, Vocabulary
 from .embeddings import EmbeddingTable, init_embeddings
 from .errors import ConfigError, DataError, TrainingDivergedError
-from .kernels import _check_ids, _check_packed
+from .kernels import _check_ids
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "_epoch.c")
 # IEEE semantics on every host: no -march=native, no -ffast-math (which
@@ -114,8 +116,7 @@ def enum_negative_table(n_relations: int) -> np.ndarray:
 # _epoch.c, whose score() gives the true relation and each negative
 # ||h + r - t||^2 - r.m.  _epoch_numpy is its vectorized twin: one
 # expression scores the rows [r, *negatives] the same way.  _epoch_c
-# guards the pointers handed to the C kernel; both check every id first
-# (_check_epoch_ids), and run_epoch is the one that BACKEND names.
+# guards the pointers handed to the C kernel.
 
 
 def _epoch_numpy(
@@ -178,9 +179,9 @@ def _epoch_numpy(
 
 def _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_relation,
                      use_text) -> None:
-    """IndexError unless every row an epoch reads exists: `_check_packed`,
-    each example index of `order`, and a negative table with a row per
-    relation (per example without neg_by_relation) of relation ids.
+    """IndexError unless every row an epoch reads exists: each id of
+    `packed` (mentions only with use_text) and `order`, and a negative table
+    of relation ids, a row per relation (per example without neg_by_relation).
 
     It checks ranges only: a row that repeats an id or holds its example's
     relation passes, though on it the two kernels may differ in semantics.
@@ -191,7 +192,12 @@ def _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_re
         raise IndexError(f"negative table has {neg_table.shape[0]} rows, needs {rows}")
     _check_ids("example index", order, len(packed))
     _check_ids("negative relation id", neg_table, n_rel)
-    _check_packed(entity, relation, word, packed, use_text)
+    _check_ids("entity id", packed.heads, entity.shape[0])
+    _check_ids("entity id", packed.tails, entity.shape[0])
+    _check_ids("relation id", packed.relations, n_rel)
+    if use_text:
+        _check_ids("mention offset", packed.mention_off, packed.mention_flat.shape[0] + 1)
+        _check_ids("word id", packed.mention_flat, word.shape[0])
 
 
 def _epoch_c(

@@ -704,9 +704,10 @@ class TestPredictBlocks:
         tied = {list(vocab.relations)[i] for i in (1, 2, 4, 5)}
         block_rows = []
 
-        def counting_scorer(entity, relation, word, packed, *rest):
-            block_rows.append(len(packed))
-            return top_relations(entity, relation, word, packed, *rest)
+        def counting_scorer(blocks, relation, k):
+            ids, scores = top_relations(blocks, relation, k)
+            block_rows.append(len(ids))
+            return ids, scores
 
         monkeypatch.setattr(jrme.cli, "top_relations", counting_scorer)
         for topk in (3, len(table.relation_vecs) + 3):

@@ -13,7 +13,8 @@ from jrme.evaluation import (
     summarize_ranks,
     write_ranks_tsv,
 )
-from jrme.kernels import RANK_BLOCK
+from jrme.config import variant_flags
+from jrme.kernels import RANK_BLOCK, queries, rank_all, relation_scores, top_relations
 from reference import Belief, oracle_rank, oracle_ranks, pack, random_beliefs
 from synth_data import make_vocab, random_table
 
@@ -102,14 +103,26 @@ class TestRankTrueRelation:
     def test_id_bounds_checked(self, rng):
         vocab = make_vocab(3, 2, 2)
         t = random_table(vocab, 3, rng)
-        # a negative id would index from the end of its table
+        bits = [a.tobytes() for a in (t.entity_vecs, t.relation_vecs, t.word_vecs)]
+        # a negative id would index from the end of its table; each ranker
+        # refuses it before reading a row and writes no table
         for belief, variant in [
             (Belief(3, 0, 0, ()), "kre"), (Belief(-1, 0, 0, ()), "kre"),
+            (Belief(0, 0, 3, ()), "jrme"), (Belief(0, 0, -1, ()), "jrme"),
             (Belief(0, 2, 0, ()), "kre"), (Belief(0, -1, 0, ()), "kre"),
             (Belief(0, 0, 0, (-1,)), "tme"),
         ]:
-            with pytest.raises(IndexError):
-                evaluate(t, pack([belief]), variant)
+            packed = pack([belief])
+            blocks = lambda: queries(t.entity_vecs, t.word_vecs, packed, *variant_flags(variant))
+            calls = [lambda: evaluate(t, packed, variant),
+                     lambda: rank_all(blocks(), t.relation_vecs, packed.relations)]
+            if 0 <= belief.relation < 2:  # only rank_all reads a line's relation
+                calls += [lambda: top_relations(blocks(), t.relation_vecs, 1),
+                          lambda: relation_scores(blocks(), t.relation_vecs)]
+            for call in calls:
+                with pytest.raises(IndexError):
+                    call()
+                assert [a.tobytes() for a in (t.entity_vecs, t.relation_vecs, t.word_vecs)] == bits
         with pytest.raises(IndexError):
             candidate_scores(t, 3, 0, (), "kre")
         with pytest.raises(IndexError):

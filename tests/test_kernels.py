@@ -18,6 +18,7 @@ from jrme.kernels import (
     RANK_BLOCK,
     PackedBeliefs,
     _exact_scores,
+    queries,
     rank_all,
     relation_scores,
     top_relations,
@@ -288,6 +289,10 @@ class TestPinnedBits:
         assert digests == _PINNED[variant, neg_by_relation, normalize].split()
 
 
+def _blocks(table, packed, variant):
+    return queries(table.entity_vecs, table.word_vecs, packed, *variant_flags(variant))
+
+
 def _rank_case(rng, n):
     table = random_table(make_vocab(12, 7, 9), 6, rng, scale=0.5)
     beliefs = random_beliefs(rng, n, 12, 7, 9, max_mention=4)
@@ -301,9 +306,8 @@ class TestRanking:
         for trial in range(10):
             table, packed, beliefs = _rank_case(rng, 30)
             for variant in ("kre", "tme", "jrme"):
-                use_kg, use_text = variant_flags(variant)
-                ranks = rank_all(table.entity_vecs, table.relation_vecs, table.word_vecs,
-                                 packed, use_kg, use_text)
+                ranks = rank_all(_blocks(table, packed, variant), table.relation_vecs,
+                                 packed.relations)
                 np.testing.assert_array_equal(ranks, oracle_ranks(table, beliefs, variant))
 
     def test_rank_all_matches_oracle_on_forced_ties(self, rng):
@@ -311,8 +315,8 @@ class TestRanking:
         for n in (20, 2 * RANK_BLOCK + 7):
             table, packed, beliefs = _rank_case(rng, n)
             table.relation_vecs[:] = table.relation_vecs[0]
-            ranks = rank_all(
-                table.entity_vecs, table.relation_vecs, table.word_vecs, packed, True, True)
+            ranks = rank_all(_blocks(table, packed, "jrme"), table.relation_vecs,
+                             packed.relations)
             np.testing.assert_array_equal(ranks, oracle_ranks(table, beliefs, "jrme"))
             # with every score tied, rank is the id-order position
             np.testing.assert_array_equal(ranks, packed.relations + 1)
@@ -328,9 +332,7 @@ class TestRanking:
         rows = PackedBeliefs(packed.heads[lo:hi], packed.relations[lo:hi], packed.tails[lo:hi],
                              packed.mention_off[lo : hi + 1], packed.mention_flat)
         for variant in ("kre", "tme", "jrme"):
-            use_kg, use_text = variant_flags(variant)
-            block = relation_scores(
-                table.entity_vecs, table.relation_vecs, table.word_vecs, rows, use_kg, use_text)
+            block = relation_scores(_blocks(table, rows, variant), table.relation_vecs)
             for i in range(lo + 1, hi):
                 b = beliefs[i]
                 alone = candidate_scores(table, b.head, b.tail, b.mention, variant)
@@ -338,8 +340,7 @@ class TestRanking:
 
     def test_relation_scores_match_reference_scoring(self, rng):
         table, packed, beliefs = _rank_case(rng, 25)
-        scores = relation_scores(
-            table.entity_vecs, table.relation_vecs, table.word_vecs, packed, True, True)
+        scores = relation_scores(_blocks(table, packed, "jrme"), table.relation_vecs)
         expected = [
             [triple_distance(table, b.head, r, b.tail) + mention_distance(table, r, b.mention)
              for r in range(7)]
@@ -362,8 +363,8 @@ class TestBandedRanking:
 
     def _assert_exact(self, table, packed, beliefs):
         for variant in VARIANTS:
-            ranks = rank_all(table.entity_vecs, table.relation_vecs, table.word_vecs,
-                             packed, *variant_flags(variant))
+            ranks = rank_all(_blocks(table, packed, variant), table.relation_vecs,
+                             packed.relations)
             expected = oracle_ranks(table, beliefs, variant)
             np.testing.assert_array_equal(ranks, expected, err_msg=variant)
 
@@ -394,8 +395,8 @@ class TestBandedRanking:
 
         with monkeypatch.context() as m:
             m.setattr(jrme.kernels, "_exact_scores", counting)
-            ranks = rank_all(
-                table.entity_vecs, table.relation_vecs, table.word_vecs, packed, False, True)
+            ranks = rank_all(_blocks(table, packed, "tme"), table.relation_vecs,
+                             packed.relations)
         return ranks, sum(rescored)
 
     def test_tme_empty_mentions_rank_by_id(self, rng, monkeypatch):
@@ -451,15 +452,14 @@ class TestBandedTopK:
         return table, pack(random_beliefs(rng, n, 30, n_rel, 20, max_mention=4 if mention else 0))
 
     def _assert_exact(self, table, packed):
-        tables = (table.entity_vecs, table.relation_vecs, table.word_vecs)
         n_rel = table.relation_vecs.shape[0]
         for variant in VARIANTS:
-            flags = variant_flags(variant)
-            scores = relation_scores(*tables, packed, *flags)
+            scores = relation_scores(_blocks(table, packed, variant), table.relation_vecs)
             # from k = n_rel // 2 + 1 on, 2k > R: no row is settled on its
             # k kept ids, so every row takes the exact path whole
             for k in (1, 3, 10, n_rel // 2, n_rel // 2 + 1, n_rel, n_rel + 5):
-                ids, values = top_relations(*tables, packed, *flags, k)
+                ids, values = top_relations(_blocks(table, packed, variant),
+                                            table.relation_vecs, k)
                 expected = np.argsort(scores, axis=1, kind="stable")[:, :k]
                 np.testing.assert_array_equal(ids, expected, err_msg=f"{variant} k={k}")
                 want = np.take_along_axis(scores, expected, axis=1)
@@ -485,7 +485,6 @@ class TestBandedTopK:
         table, packed = self._case(rng, RANK_BLOCK, 60, 100)
         rel = table.relation_vecs
         rel[1::2] = rel[0::2]
-        tables = (table.entity_vecs, rel, table.word_vecs)
         widths = []
         exact_scores = jrme.kernels._exact_scores
 
@@ -497,7 +496,7 @@ class TestBandedTopK:
             widths.clear()
             with monkeypatch.context() as m:
                 m.setattr(jrme.kernels, "_exact_scores", counting)
-                top_relations(*tables, packed, *variant_flags(variant), k)
+                top_relations(_blocks(table, packed, variant), rel, k)
             assert len(widths) == len(packed), variant
             assert set(widths) <= {k, 60}, variant
             assert (k in widths) == (k == 10), variant
@@ -507,6 +506,22 @@ class TestBandedTopK:
     def test_random_tables(self, rng, d):
         table, packed = self._case(rng, RANK_BLOCK + 9, 60, d)
         self._assert_exact(table, packed)
+
+    def test_forced_equal_rows_across_block_edges(self, rng, monkeypatch):
+        # more than two blocks, the last one partial; no GEMM sees more
+        # rows than a block, so a caller's memory is bounded by the block
+        table, packed = self._case(rng, 2 * RANK_BLOCK + 7, 120, 100)
+        table.relation_vecs[3::3] = table.relation_vecs[0]  # 40 equal rows
+        gemm_rows = []
+        gemm_scores = jrme.kernels._gemm_scores
+
+        def counting(q, *args):
+            gemm_rows.append(len(q))
+            return gemm_scores(q, *args)
+
+        monkeypatch.setattr(jrme.kernels, "_gemm_scores", counting)
+        self._assert_exact(table, packed)
+        assert max(gemm_rows) == RANK_BLOCK
 
     @pytest.mark.parametrize("d", [1, 7, 100, 101])
     def test_duplicate_and_one_ulp_apart_rows(self, rng, d):
@@ -521,8 +536,7 @@ class TestBandedTopK:
     def test_tme_empty_mentions(self, rng):
         table, packed = self._case(rng, 50, 40, 100, mention=False)
         assert packed.mention_flat.size == 0
-        ids, _ = top_relations(table.entity_vecs, table.relation_vecs, table.word_vecs,
-                               packed, False, True, 5)
+        ids, _ = top_relations(_blocks(table, packed, "tme"), table.relation_vecs, 5)
         np.testing.assert_array_equal(ids, np.broadcast_to(np.arange(5), (50, 5)))
         self._assert_exact(table, packed)
 
@@ -565,8 +579,7 @@ class TestDispatch:
         )
         assert isinstance(loss, float) and isinstance(active, int)
         assert bad == -1
-        ranks = rank_all(
-            table.entity_vecs, table.relation_vecs, table.word_vecs, packed, True, True)
+        ranks = rank_all(_blocks(table, packed, "jrme"), table.relation_vecs, packed.relations)
         assert ranks.shape == (10,)
         assert (ranks >= 1).all() and (ranks <= table.relation_vecs.shape[0]).all()
 

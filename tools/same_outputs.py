@@ -1,6 +1,6 @@
 """Check that two checkouts of jrme give byte-identical CLI outputs.
 
-    python3 tools/same_outputs.py PARENT CHANGE [--seed N]
+    python3 tools/same_outputs.py PARENT CHANGE [--seed N ...]
 
 PARENT and CHANGE are checkouts of the repository.  The three benchmark
 corpora are written with `jrmebench/corpus.py` of the checkout this
@@ -21,9 +21,11 @@ script lives in, each with its workload's settings from
 
 It compares the exit codes, stdout, stderr and every output file byte
 for byte; a model's manifest is compared without its `created`, `inputs`
-and `outputs` keys.  It prints each difference and exits 1 if there is
-any, else 0.  Scratch files go to a temporary directory that is removed
-at the end.
+and `outputs` keys.  `--seed` may repeat (`--seed 1 --seed 2`): each seed
+is one comparison, on corpora and training runs of that seed (1 when
+none is given).  It prints each difference and one summary line per
+seed, and exits 1 if there is any difference, else 0.  Scratch files go
+to a temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
@@ -134,21 +136,14 @@ def output_files(workdir: Path) -> dict:
     return files
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
-    for checkout in (args.parent, args.change):
-        if not (checkout / "src" / "jrme" / "cli.py").is_file():
-            ap.error(f"{checkout} is not a checkout of jrme (no src/jrme/cli.py)")
-
+def compare(parent: Path, change: Path, seed: int) -> tuple[list, int, int]:
+    """(differences, commands, output files per checkout) of one run of
+    every command at `seed` against each checkout."""
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         tmp = Path(tmp)
-        corpora = write_corpora(args.seed, tmp / "corpus")
-        ran = {label: run_all(checkout.resolve(), corpora, args.seed, tmp / label)
-               for label, checkout in (("parent", args.parent), ("change", args.change))}
+        corpora = write_corpora(seed, tmp / "corpus")
+        ran = {label: run_all(checkout.resolve(), corpora, seed, tmp / label)
+               for label, checkout in (("parent", parent), ("change", change))}
         diffs = []
         for key, (code, out, err) in ran["parent"].items():
             code2, out2, err2 = ran["change"][key]
@@ -165,13 +160,30 @@ def main(argv=None) -> int:
                 diffs.append(f"{path}: written only by {'change' if a is None else 'parent'}")
             elif a != b:
                 diffs.append(f"{path}: differs at {first_difference(a, b)}")
+    return diffs, len(ran["parent"]), len(files["parent"])
 
-    for d in diffs:
-        print(d)
-    n_commands = len(ran["parent"])
-    print(f"seed {args.seed}: {n_commands} commands and {len(files['parent'])} output files "
-          f"per checkout, {len(diffs)} difference(s)")
-    return 1 if diffs else 0
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--seed", type=int, action="append",
+                    help="corpus and training seed; repeat for one comparison per seed "
+                         "(default 1)")
+    args = ap.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        if not (checkout / "src" / "jrme" / "cli.py").is_file():
+            ap.error(f"{checkout} is not a checkout of jrme (no src/jrme/cli.py)")
+
+    failed = False
+    for seed in args.seed or [1]:
+        diffs, n_commands, n_files = compare(args.parent, args.change, seed)
+        for d in diffs:
+            print(f"seed {seed}: {d}")
+        print(f"seed {seed}: {n_commands} commands and {n_files} output files "
+              f"per checkout, {len(diffs)} difference(s)", flush=True)
+        failed = failed or bool(diffs)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
