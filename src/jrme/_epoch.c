@@ -16,7 +16,9 @@
  *   entity h:     -lr * 2*(r - r')         (tail gets the opposite)
  *   each word:    -lr * (r' - r)           (per occurrence)
  * summed over active negatives; wc = sum(r') - a*r collects the shared
- * vector for the entity and word updates.
+ * vector for the entity and word updates.  score() writes nothing: an
+ * update recomputes h + v - t bit for bit, from rows unchanged since
+ * scoring under the negative-row precondition of jrme.training.
  *
  * The caller validates every index and shape before passing pointers:
  * this file trusts its inputs.  It touches no Python object, so ctypes
@@ -33,17 +35,16 @@
 #include <stdlib.h>
 
 /* ||h + v - t||^2 - v.m for relation row v, head row eh, tail row et and
- * mention vector m, leaving h + v - t in diff; kre drops the text part and
- * tme the graph part.  Each part is summed from 0 in index order. */
+ * mention vector m; kre drops the text part and tme the graph part.  Each
+ * part is summed from 0 in index order. */
 static double score(const double *eh, const double *v, const double *et, const double *m,
-                    double *diff, int64_t d, int use_kg, int use_text)
+                    int64_t d, int use_kg, int use_text)
 {
     double kg = 0.0;
     double text = 0.0;
     for (int64_t q = 0; q < d; q++) {
         if (use_kg) {
             double x = eh[q] + v[q] - et[q];
-            diff[q] = x;
             kg += x * x;
         }
         if (use_text)
@@ -66,14 +67,11 @@ int64_t jrme_epoch(
     double lr, double margin, int use_kg, int use_text, int normalize,
     double *loss_out, int64_t *active_out)
 {
-    double *scratch = calloc((size_t)(5 * (d > 0 ? d : 1)), sizeof(double));
+    double *scratch = calloc((size_t)(2 * (d > 0 ? d : 1)), sizeof(double));
     if (scratch == NULL)
         return -2;
     double *m = scratch;
-    double *diff_pos = m + d;
-    double *diff_neg = diff_pos + d;
-    double *sum_rneg = diff_neg + d;
-    double *wc = sum_rneg + d;
+    double *wc = m + d;
     double loss_sum = 0.0;
     int64_t active_sum = 0;
     int64_t bad = -1;
@@ -88,7 +86,7 @@ int64_t jrme_epoch(
         double *rr = relation + r * d;
         for (int64_t q = 0; q < d; q++) {
             m[q] = 0.0;
-            sum_rneg[q] = 0.0;
+            wc[q] = 0.0;
         }
         if (use_text)
             for (int64_t j = moff[i]; j < moff[i + 1]; j++) {
@@ -96,21 +94,21 @@ int64_t jrme_epoch(
                 for (int64_t q = 0; q < d; q++)
                     m[q] += wv[q];
             }
-        double s_pos = score(eh, rr, et, m, diff_pos, d, use_kg, use_text);
+        double s_pos = score(eh, rr, et, m, d, use_kg, use_text);
 
         const int64_t *negs = neg_table + (neg_by_relation ? r : pos) * k;
         int64_t a = 0;
         double loss_i = 0.0;
         for (int64_t j = 0; j < k; j++) {
             double *rn = relation + negs[j] * d;
-            double term = margin + s_pos - score(eh, rn, et, m, diff_neg, d, use_kg, use_text);
+            double term = margin + s_pos - score(eh, rn, et, m, d, use_kg, use_text);
             if (term > 0.0) {
                 a += 1;
                 loss_i += term;
                 for (int64_t q = 0; q < d; q++) {
-                    sum_rneg[q] += rn[q];
+                    wc[q] += rn[q];
                     if (use_kg)
-                        rn[q] += lr * 2.0 * diff_neg[q];
+                        rn[q] += lr * 2.0 * (eh[q] + rn[q] - et[q]);
                     if (use_text)
                         rn[q] -= lr * m[q];
                 }
@@ -120,9 +118,9 @@ int64_t jrme_epoch(
         if (a > 0) {
             double af = (double)a;
             for (int64_t q = 0; q < d; q++) {
-                wc[q] = sum_rneg[q] - af * rr[q];
+                wc[q] -= af * rr[q];
                 if (use_kg)
-                    rr[q] -= lr * 2.0 * af * diff_pos[q];
+                    rr[q] -= lr * 2.0 * af * (eh[q] + rr[q] - et[q]);
                 if (use_text)
                     rr[q] += lr * af * m[q];
             }

@@ -20,13 +20,15 @@ vectorized numpy twin runs instead and one stderr line says so.
 kernel; concurrent first imports build it once, under the import lock.
 Either kernel checks every id it reads (the beliefs', the example order's
 and the negative table's) before it writes a row (`_check_epoch_ids`).
-The twin is also the reference the tests hold the C kernel to: the two
-may differ in the last float bits (summation order), never in semantics,
-on a negative table whose every row holds distinct ids other than its
-example's relation, as `train` builds.  On any other table they may
-differ: for a repeated id the twin scores both copies against the pre-step
-row and applies one update, the C kernel scores the second copy after the
-first one's update.
+
+Precondition on every negative table: each row holds distinct ids, none
+of them its example's relation, as `train` builds.  Nothing checks it
+(that would sort every table on every epoch).  The twin is also the
+reference the tests hold the C kernel to: on such a table the two may
+differ in the last float bits (summation order), never in semantics.  On
+any other table they may differ: for a repeated id the twin scores both
+copies against the pre-step row and applies one update, the C kernel
+scores the second copy after the first one's update.
 """
 
 from __future__ import annotations
@@ -93,11 +95,10 @@ def _load_epoch_kernel():
 
 
 def enum_negative_table(n_relations: int) -> np.ndarray:
-    """Row r lists every relation id except r, ascending."""
-    r = np.arange(n_relations, dtype=np.int64)
-    grid = np.broadcast_to(r, (n_relations, n_relations))
-    keep = grid != r[:, None]
-    return grid[keep].reshape(n_relations, n_relations - 1)
+    """Row r lists every relation id except r, ascending: the ids below
+    n_relations - 1, shifted up by one from r on, as sampled rows are."""
+    ids = np.arange(n_relations - 1, dtype=np.int64)
+    return ids + (ids >= np.arange(n_relations)[:, None])
 
 
 # --- training epoch -------------------------------------------------------
@@ -109,10 +110,8 @@ def enum_negative_table(n_relations: int) -> np.ndarray:
 # negatives from row r of `neg_table` (its relation) when neg_by_relation,
 # else from row pos.  It returns (loss_sum: float, active_term_count: int,
 # bad_index: int); bad_index is the first example whose step produced a
-# non-finite value, -1 when clean.  Each negative row must hold distinct
-# ids, none of them its example's relation r; nothing checks it (that
-# would sort every table on every epoch), and on a row that breaks it the
-# two kernels may differ in semantics.  The update rule is documented in
+# non-finite value, -1 when clean.  The negative rows must meet the
+# precondition in the module docstring.  The update rule is documented in
 # _epoch.c, whose score() gives the true relation and each negative
 # ||h + r - t||^2 - r.m.  _epoch_numpy is its vectorized twin: one
 # expression scores the rows [r, *negatives] the same way.  _epoch_c
@@ -182,9 +181,8 @@ def _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_re
     """IndexError unless every row an epoch reads exists: each id of
     `packed` (mentions only with use_text) and `order`, and a negative table
     of relation ids, a row per relation (per example without neg_by_relation).
-
-    It checks ranges only: a row that repeats an id or holds its example's
-    relation passes, though on it the two kernels may differ in semantics.
+    It checks ranges only, not the module docstring's negative-row
+    precondition.
     """
     n_rel = relation.shape[0]
     rows = n_rel if neg_by_relation else order.shape[0]

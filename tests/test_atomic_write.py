@@ -9,7 +9,12 @@ import sys
 import pytest
 
 from jrme import atomic_write
+from jrme.cli import _write_json
+from jrme.config import ModelConfig
+from jrme.embeddings import init_embeddings, save_model
+from jrme.evaluation import EvalReport, write_ranks_tsv
 from reference import child_env
+from synth_data import make_vocab
 
 # writes half of its file, says so, and writes the rest once a line comes in
 WRITER = """\
@@ -67,11 +72,52 @@ def test_a_file_at_the_temp_name_is_neither_opened_changed_nor_deleted(tmp_path,
     assert sorted(tmp_path.iterdir()) == [target, squatter]
 
 
+def _writers():
+    """(file name, exception, write(path, fail)) for `atomic_write` and each
+    writer of an output through it.  With fail, a write has other bytes to
+    write and stops part way, as each can: its block raises, its rename
+    fails, its ranks or its JSON value cannot be read."""
+    vocab = make_vocab(8, 3, 5)
+    config = ModelConfig(dim=6)
+    table = init_embeddings(vocab, config)
+
+    def text(path, fail):
+        with atomic_write(path) as f:
+            f.write("half" if fail else "whole")
+            if fail:
+                raise RuntimeError
+
+    def rename_fails(src, dst):
+        raise OSError("rename failed")
+
+    def model(path, fail):
+        with pytest.MonkeyPatch.context() as m:
+            if fail:
+                m.setattr(os, "replace", rename_fails)
+            save_model(table, vocab, config, path, "kre" if fail else "jrme")
+
+    def ranks(path, fail):
+        def ranks():
+            yield from [1, 4] if fail else [2]
+            if fail:
+                raise OSError("disk full")
+
+        write_ranks_tsv(EvalReport(2.5, 1.0, 0.5, ranks()), path)
+
+    def json(path, fail):
+        _write_json(path, {"dim": object() if fail else 6})
+
+    return [("out.txt", RuntimeError, text), ("model.bin", OSError, model),
+            ("ranks.tsv", OSError, ranks), ("best.json", TypeError, json)]
+
+
 def test_a_failed_write_leaves_the_target_and_no_temp_file(tmp_path):
-    target = tmp_path / "out.txt"
-    target.write_text("old\n")
-    with pytest.raises(RuntimeError), atomic_write(target) as f:
-        f.write("half")
-        raise RuntimeError
-    assert target.read_text() == "old\n"
-    assert list(tmp_path.iterdir()) == [target]
+    writers = _writers()
+    for name, error, write in writers:
+        target = tmp_path / name
+        write(target, fail=False)
+        whole = target.read_bytes()
+        with pytest.raises(error):
+            write(target, fail=True)
+        assert target.read_bytes() == whole, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(n for n, _, _ in writers)

@@ -190,7 +190,6 @@ class TestTrainCommand:
             )
             assert code == 2 and err.splitlines()[-1].startswith("error: ")
             assert "epoch=" not in err and train_calls == []
-            assert not (tmp / f"{blocked}.tmp").exists()
             assert (tmp / blocked / "keep").exists()
             assert sorted(tmp.rglob("*")) == files
 
@@ -765,7 +764,6 @@ class TestGridCommand:
             )
             assert code == 2 and err.splitlines()[-1].startswith("error: ")
             assert (stdout, train_calls) == ("", [])
-            assert not (tmp / "best.tmp").exists()
             assert (best_out / "keep").exists()
             assert sorted(tmp.rglob("*")) == files
             assert (train.read_bytes(), test.read_bytes()) == data

@@ -86,37 +86,6 @@ class TestParse:
         assert list(vocab.words) == ["plays", "linebacker", "for", "against"]
         assert all(type(d) is dict for d in (vocab.entities, vocab.relations, vocab.words))
 
-    def test_comment_lines_skipped(self, tmp_path):
-        p = self._write(tmp_path, "# header\na\tr\tb\tx\n")
-        result = parse_belief_file(p, Vocabulary(), mode="build")
-        assert len(result.beliefs) == 1
-
-    def test_wrong_column_count_names_the_line(self, tmp_path):
-        p = self._write(tmp_path, "a\tr\tb\tx\na\tr\tb\n")
-        with pytest.raises(ParseError) as err:
-            parse_belief_file(p, Vocabulary(), mode="build")
-        assert ":2:" in str(err.value)
-        assert "4" in str(err.value)
-
-    def test_frozen_mode_rejects_unknown_symbols(self, tmp_path):
-        train = self._write(tmp_path, "a\tr\tb\thello world\n")
-        vocab = Vocabulary()
-        parse_belief_file(train, vocab, mode="build")
-        test = tmp_path / "test.tsv"
-        test.write_text(
-            "a\tr\tb\thello novel\n"  # unknown word dropped, belief kept
-            "a\tUNKNOWN\tb\thello\n"  # unknown relation: rejected
-            "ghost\tr\tb\t\n"  # unknown entity: rejected
-            "b\tr\ta\tworld novel hello\n",  # the known words keep their order
-            encoding="utf-8",
-        )
-        result = parse_belief_file(test, vocab, mode="frozen")
-        assert result.rejected == 2
-        assert len(result.beliefs) == 2
-        assert belief_at(result.beliefs, 0).mention == (0,)
-        assert belief_at(result.beliefs, 1).mention == (1, 0)
-        assert list(vocab.words) == ["hello", "world"]
-
     def test_frozen_reparse_of_training_file_rejects_nothing(self, tmp_path):
         p = self._write(tmp_path, "a\tr1\tb\tx y\nb\tr2\tc\tz\n")
         vocab = Vocabulary()
@@ -187,12 +156,16 @@ class TestPackedParse:
             "a\tr\tb\tz x z y\n"  # kept, z dropped twice
             "a\tnope\tb\tx\n"  # unknown relation
             "ghost\tr\tb\t\n"  # unknown head
+            "b\tr\tghost\tx\n"  # unknown tail
+            "b\tr\ta\ty z x\n"  # kept, the known words in their order
             "b\tr\ta\tz\n",  # kept, mention empties out
         )
         result = parse_belief_file(test, vocab, mode="frozen")
-        assert result.rejected == 2
-        assert_packed(result.beliefs, [0, 1], [0, 0], [1, 0], [0, 2, 2], [0, 1])
-        assert (len(vocab.entities), len(vocab.relations), len(vocab.words)) == (2, 1, 2)
+        assert result.rejected == 3
+        assert_packed(result.beliefs, [0, 1, 1], [0, 0, 0], [1, 0, 0], [0, 2, 4, 4], [0, 1, 1, 0])
+        assert (list(vocab.entities), list(vocab.relations), list(vocab.words)) == (
+            ["a", "b"], ["r"], ["x", "y"]
+        )
 
     def test_empty_file_packs_no_beliefs(self, tmp_path):
         result = parse_belief_file(self._write(tmp_path, "e.tsv", "# nothing\n"), Vocabulary())
@@ -200,26 +173,20 @@ class TestPackedParse:
         assert_packed(result.beliefs, [], [], [], [0], [])
 
     def test_column_error_names_its_line_after_comments(self, tmp_path):
-        p = self._write(tmp_path, "bad.tsv", "# c\na\tr\tb\tx\na\tr\tb\tx\textra\n")
-        with pytest.raises(ParseError) as err:
-            parse_belief_file(p, Vocabulary(), mode="build")
-        assert ":3:" in str(err.value)
-        assert "got 5" in str(err.value)
-
-    def test_parser_and_from_beliefs_agree(self, tmp_path):
-        p = self._write(tmp_path, "t.tsv", "a\tr\tb\tx x y\nb\tq\ta\t\nc\tr\ta\ty\n")
-        parsed = parse_belief_file(p, Vocabulary()).beliefs
-        beliefs = [Belief(0, 0, 1, (0, 0, 1)), Belief(1, 1, 0, ()), Belief(2, 0, 0, (1,))]
-        assert unpack(parsed) == beliefs
-        packed = PackedBeliefs.from_beliefs(beliefs)
-        for name in PackedBeliefs.__slots__:
-            assert getattr(packed, name).tolist() == getattr(parsed, name).tolist()
+        # a long line after a comment, and a short one
+        for text, line, got in (("# c\na\tr\tb\tx\na\tr\tb\tx\textra\n", 3, 5),
+                                ("a\tr\tb\tx\na\tr\tb\n", 2, 3)):
+            p = self._write(tmp_path, "bad.tsv", text)
+            with pytest.raises(ParseError) as err:
+                parse_belief_file(p, Vocabulary(), mode="build")
+            assert str(err.value) == f"{p}:{line}: expected 4 tab-separated columns, got {got}"
 
 
 class TestPackedBeliefs:
     def test_indexing_returns_beliefs_and_bounds_checks(self):
         beliefs = [Belief(0, 1, 2, (3, 3)), Belief(1, 0, 0, ()), Belief(2, 1, 1, (0,))]
         p = PackedBeliefs.from_beliefs(beliefs)
+        assert_packed(p, [0, 1, 2], [1, 0, 1], [2, 0, 1], [0, 2, 2, 3], [3, 3, 0])
         assert [belief_at(p, i) for i in range(3)] == beliefs
         assert belief_at(p, -1) == beliefs[-1]
         with pytest.raises(IndexError):
@@ -229,6 +196,9 @@ class TestPackedBeliefs:
         assert len(PackedBeliefs()) == 0
         assert not PackedBeliefs()
         assert_packed(PackedBeliefs.from_beliefs([]), [], [], [], [0], [])
+        # and beliefs whose mentions are all empty hold no word
+        empty = [Belief(0, 0, 1, ()), Belief(1, 0, 0, ())]
+        assert_packed(PackedBeliefs.from_beliefs(empty), [0, 1], [0, 0], [1, 0], [0, 0, 0], [])
 
 
 class TestLoadDataset:

@@ -1,5 +1,4 @@
 import json
-import os
 import struct
 
 import numpy as np
@@ -118,25 +117,6 @@ class TestPersistence:
         assert list(vocab2.relations.items()) == list(vocab.relations.items())
         assert list(vocab2.words.items()) == list(vocab.words.items())
         assert tables_equal(table2, table)
-
-    def test_no_temp_file_left_behind(self, tmp_path):
-        table, vocab, cfg = self._fixture()
-        save_model(table, vocab, cfg, tmp_path / "model.bin", "jrme")
-        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
-
-    def test_failed_rename_keeps_the_old_model_and_no_temp_file(self, tmp_path, monkeypatch):
-        table, vocab, cfg = self._fixture()
-        path = tmp_path / "model.bin"
-        path.write_bytes(b"old")
-
-        def fail(src, dst):
-            raise OSError("rename failed")
-
-        monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="rename failed"):
-            save_model(table, vocab, cfg, path, "jrme")
-        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
-        assert path.read_bytes() == b"old"
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "model.bin"

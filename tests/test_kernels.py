@@ -32,41 +32,10 @@ from jrme.training import (
     run_epoch,
 )
 from reference import (
-    Belief, child_env, mention_distance, needs_c, oracle_ranks, pack, random_beliefs,
+    child_env, mention_distance, needs_c, oracle_ranks, pack, random_beliefs,
     tables_equal, triple_distance,
 )
 from synth_data import make_vocab, random_table
-
-
-class TestPacking:
-    def test_offsets_and_flat_words(self):
-        beliefs = [Belief(0, 1, 2, (3, 3)), Belief(1, 0, 0, ()), Belief(2, 1, 1, (0,))]
-        p = PackedBeliefs.from_beliefs(beliefs)
-        assert len(p) == 3
-        np.testing.assert_array_equal(p.heads, [0, 1, 2])
-        np.testing.assert_array_equal(p.mention_off, [0, 2, 2, 3])
-        np.testing.assert_array_equal(p.mention_flat, [3, 3, 0])
-        assert p.mention_flat.dtype == np.int64
-
-    def test_all_empty_mentions(self):
-        p = PackedBeliefs.from_beliefs([Belief(0, 0, 1, ()), Belief(1, 0, 0, ())])
-        assert p.mention_flat.shape == (0,)
-        np.testing.assert_array_equal(p.mention_off, [0, 0, 0])
-
-
-class TestEnumTable:
-    def test_rows_exclude_self_and_ascend(self):
-        for n in (5, 233):
-            t = enum_negative_table(n)
-            assert t.shape == (n, n - 1)
-            for r in range(n):
-                row = list(t[r])
-                assert r not in row
-                assert row == sorted(row)
-                assert set(row) == set(range(n)) - {r}
-
-    def test_degenerate_single_relation(self):
-        assert enum_negative_table(1).shape == (1, 0)
 
 
 def _epoch_args(rng, n=40, d=6, n_entities=12, n_relations=7, n_words=9):

@@ -57,30 +57,18 @@ class TestVariants:
             variant_margin("kme", cfg)
 
 
-class TestNegatives:
-    """The rows training takes its negatives from, one example at a time."""
-
-    def test_forced_single_choice(self, rng):
-        np.testing.assert_array_equal(_sample_negative_rows(np.array([0]), 2, 1, rng), [[1]])
-
-    def test_sample_is_distinct_and_excludes_truth(self, rng):
-        seen = set()
-        for _ in range(200):
-            negs = _sample_negative_rows(np.array([3]), 10, 4, rng)[0]
-            assert len(negs) == 4
-            assert len(set(negs.tolist())) == 4
-            assert 3 not in negs
-            seen.update(negs.tolist())
-        assert seen == set(range(10)) - {3}
-
-    def test_single_relation_vocab_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            _sample_negative_rows(np.array([0]), 1, 1, rng)
+class TestEnumTable:
+    def test_rows_exclude_self_and_ascend(self):
+        for n in (1, 2, 5, 30, 233, 500):
+            t = enum_negative_table(n)
+            assert t.dtype == np.int64 and t.flags.c_contiguous
+            assert t.tolist() == [[x for x in range(n) if x != r] for r in range(n)]
 
 
-# (relations, k): rejection of whole rows, and the first-k-of-a-shuffle
-# path taken when a row of k draws rarely comes out distinct
-SAMPLER_CASES = [(20, 3), (8, 5), (8, 7)]
+# (relations, k): rejection of whole rows, the first-k-of-a-shuffle path
+# taken when a row of k draws rarely comes out distinct, and a row with a
+# single other id to take
+SAMPLER_CASES = [(20, 3), (8, 5), (8, 7), (2, 1)]
 
 
 class TestSampleNegativeRows:
@@ -102,7 +90,8 @@ class TestSampleNegativeRows:
             return _sample_negative_rows(rels, n_relations, k, np.random.default_rng(seed))
 
         np.testing.assert_array_equal(draw(7), draw(7))
-        assert not np.array_equal(draw(7), draw(8))
+        # only a row with a single other id is the same for every seed
+        assert np.array_equal(draw(7), draw(8)) == (n_relations == 2)
 
     @pytest.mark.parametrize("n_relations,k", SAMPLER_CASES[:2])
     def test_other_ids_drawn_uniformly(self, rng, n_relations, k):
@@ -115,8 +104,9 @@ class TestSampleNegativeRows:
         np.testing.assert_allclose(np.delete(counts, own), expected, rtol=0.1)
 
     def test_oversized_sample_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            _sample_negative_rows(np.zeros(3, dtype=np.int64), 4, 4, rng)
+        for n_relations, k in ((4, 4), (1, 1)):
+            with pytest.raises(ConfigError, match=f"cannot sample {k} distinct negatives"):
+                _sample_negative_rows(np.zeros(3, dtype=np.int64), n_relations, k, rng)
 
 
 class TestStepBound:
