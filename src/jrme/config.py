@@ -1,5 +1,5 @@
 """Model variants and hyperparameters, and the arithmetic over them that
-the CLI checks before training: the step bound and the search grid.
+the CLI checks before training: negatives per example, step bound, grid.
 
 Plain Python with no numpy, so the CLI can build its parser and validate
 flags before, or without, loading the numeric engine, and with no
@@ -101,15 +101,26 @@ def parse_neg_mode(value: str) -> tuple[str, int]:
     raise ConfigError(f"neg_mode must be 'all' or 'sample:K', got {value!r}")
 
 
+def negatives_per_example(config: ModelConfig, n_relations: int) -> int:
+    """The corrupt relations each example scores, n_relations - 1 under "all"
+    and K under "sample:K"; a ConfigError for fewer than 2 or K others."""
+    mode, k = parse_neg_mode(config.neg_mode)
+    others = n_relations - 1
+    if others < 1:
+        raise ConfigError("need at least 2 relations to build corrupt triples")
+    if k > others:
+        raise ConfigError(f"cannot sample {k} distinct negatives from {others} other relations")
+    return k if mode == "sample" else others
+
+
 def step_bound(config: ModelConfig, n_relations: int) -> float:
-    """Learning rate times the corrupt relations each example scores.
+    """Learning rate times `negatives_per_example`, which it checks.
 
     The positive relation's step is 2*lr*a*(h+r-t) for a active
     negatives, so once this product exceeds 1 that step can overshoot
     and the row can grow geometrically instead of converging.
     """
-    mode, k = parse_neg_mode(config.neg_mode)
-    return config.learning_rate * (n_relations - 1 if mode == "all" else k)
+    return config.learning_rate * negatives_per_example(config, n_relations)
 
 
 def grid_configs(base: ModelConfig, dims, alphas, betas, gammas) -> list[ModelConfig]:

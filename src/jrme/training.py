@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _cache_dir, atomic_write
-from .config import _SEED_MASK, ModelConfig, parse_neg_mode, variant_flags, variant_margin
+from .config import _SEED_MASK, ModelConfig, negatives_per_example, variant_flags, variant_margin
 from .data import Dataset, Vocabulary
 from .embeddings import EmbeddingTable, init_embeddings
 from .errors import ConfigError, DataError, TrainingDivergedError
@@ -125,13 +125,10 @@ def _epoch_numpy(
     _check_epoch_ids(entity, relation, word, packed, order, neg_table, neg_by_relation, use_text)
     heads, rels, tails = packed.heads, packed.relations, packed.tails
     moff, mflat = packed.mention_off, packed.mention_flat
-    loss_sum = 0.0
-    active_sum = 0
+    loss_sum, active_sum = 0.0, 0
     for pos in range(order.shape[0]):
         i = int(order[pos])
-        h = int(heads[i])
-        r = int(rels[i])
-        t = int(tails[i])
+        h, r, t = int(heads[i]), int(rels[i]), int(tails[i])
         negs = neg_table[r] if neg_by_relation else neg_table[pos]
         rows = relation[np.concatenate(([r], negs))]  # a copy: the pre-step rows
         diff = entity[h] + rows - entity[t]
@@ -287,12 +284,8 @@ def _sample_negative_rows(rels, n_relations, k, rng):
     distinct, so that rejection would draw more numbers per row than a
     shuffle of all the ids, each row instead takes the first k ids of a
     random order.  Ids at or above the row's own relation then shift up
-    by one.
+    by one.  k is at most n_relations - 1 (`negatives_per_example`).
     """
-    if k > n_relations - 1:
-        raise ConfigError(
-            f"cannot sample {k} distinct negatives from {n_relations - 1} other relations"
-        )
     n, m = rels.shape[0], n_relations - 1
     p_distinct = np.prod(1.0 - np.arange(k) / m)
     if k <= m * p_distinct:
@@ -332,16 +325,14 @@ def train(
     packed = dataset.train
     if not packed:
         raise DataError("training split is empty")
-    if len(vocab.relations) < 2:
-        raise ConfigError("need at least 2 relations to build corrupt triples")
+    k = negatives_per_example(config, len(vocab.relations))
     if n_threads < 1:
         raise ConfigError(f"n_threads must be >= 1, got {n_threads}")
 
     table = init_embeddings(vocab, config)
     n = len(packed)
     n_rel = len(vocab.relations)
-    mode, k = parse_neg_mode(config.neg_mode)
-    by_relation = mode == "all"
+    by_relation = config.neg_mode == "all"
     if by_relation:
         neg_table = enum_negative_table(n_rel)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed & _SEED_MASK, spawn_key=(1,)))

@@ -16,6 +16,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -202,10 +204,27 @@ def edit_header(path, edit):
     path.write_bytes(blob[:6] + struct.pack("<Q", len(new)) + new + blob[14 + n :])
 
 
-def child_env(**extra):
+def child_env(PYTHONPATH=None, **extra):
     """os.environ plus `extra` for a child interpreter that must import the
     same jrme the suite imported, installed or run from src/: its package
-    directory goes first on the path."""
+    directory goes first on the path, after a PYTHONPATH given here.
+    PYTHONUNBUFFERED is unset, so the child's stdout is block-buffered, as
+    outside a terminal."""
     pkg_root = str(Path(jrme.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+    path = [PYTHONPATH, pkg_root, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_python(*args, ok=True, cwd=None, stdout=subprocess.PIPE, **env):
+    """`[sys.executable, *args]` run to its end with `child_env(**env)`,
+    its output captured as text unless `stdout` is given; returns the
+    finished process, which must exit 0 when `ok`.  A child still running
+    after two minutes, say one opening a FIFO no one writes, is killed and
+    fails the test."""
+    proc = subprocess.run([sys.executable, *map(str, args)], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=child_env(**env), cwd=cwd,
+                          timeout=120)
+    assert proc.returncode == 0 or not ok, proc.stderr
+    return proc

@@ -1,5 +1,6 @@
 """The per-user cache (`jrme._cache_dir`), which holds the compiled epoch
-kernel: where it lives and when it is refused.  And the bytecode of
+kernel alone: where it lives, that a second command reuses the kernel,
+and when it is refused.  And the bytecode of
 jrme's modules, which lives in Python's own `__pycache__` beside the
 sources, where a command keeps it even under PYTHONDONTWRITEBYTECODE.
 
@@ -11,15 +12,15 @@ in `os._exit`, which skips any write at the end.
 """
 
 import os
+import re
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import jrme
-from reference import child_env
+from reference import run_python
 
 TRAIN = "".join(f"e{i % 5}\tr{i % 3}\te{(i + 1) % 5}\tw{i % 3}\n" for i in range(30))
 
@@ -44,27 +45,23 @@ def package(tmp_path):
     return root
 
 
-def run_child(root, tmp_path, code, *argv, cwd=None, ok=True, **env):
-    """Run `code` with `argv` in a fresh interpreter that imports jrme from
-    `root`, with PYTHONDONTWRITEBYTECODE set; by default its cache is
-    `tmp_path/cache/jrme`.  Returns the finished process, which must exit 0
-    when `ok`, and the name of each package file it compiled, sorted, once
-    per compile."""
-    env = child_env(**{"XDG_CACHE_HOME": str(tmp_path / "cache"),
-                       "PYTHONDONTWRITEBYTECODE": "1", **env})
-    env["PYTHONPATH"] = os.pathsep.join([str(root), env["PYTHONPATH"]])
+def logged(root, tmp_path, code, *argv, **kwargs):
+    """`run_python(..., **kwargs)` of `code` with `argv` behind the audit
+    hook, importing jrme from `root`, with PYTHONDONTWRITEBYTECODE set and,
+    unless `kwargs` set another, the cache `tmp_path/cache/jrme`.  Returns
+    the finished process and the name of each package file it compiled,
+    sorted, once per compile."""
     log = tmp_path / "compiled.log"
     log.write_text("")
-    proc = subprocess.run([sys.executable, "-c", HOOK + code, str(log), *map(str, argv)],
-                          capture_output=True, text=True, env=env, cwd=cwd)
-    assert proc.returncode == 0 or not ok, proc.stderr
+    kwargs = {"XDG_CACHE_HOME": str(tmp_path / "cache"), "PYTHONDONTWRITEBYTECODE": "1", **kwargs}
+    proc = run_python("-c", HOOK + code, log, *argv, PYTHONPATH=str(root), **kwargs)
     pkg = str(root / "jrme")
     return proc, sorted(os.path.basename(p) for p in log.read_text().splitlines()
                         if os.path.dirname(p) == pkg)
 
 
 def command(root, tmp_path, *argv, **kwargs):
-    return run_child(root, tmp_path, COMMAND, *argv, **kwargs)
+    return logged(root, tmp_path, COMMAND, *argv, **kwargs)
 
 
 def pycache(root):
@@ -87,14 +84,19 @@ class TestBytecodeCache:
         files = sorted(set(compiled))
         assert {"__init__.py", "cli.py", "kernels.py", "training.py", "evaluation.py"} <= set(files)
         assert sorted(pycache(package)) == files
-        # a second command compiles none, __init__.py and __main__ included
+        # the per-user cache is this user's alone and holds the kernel
+        # alone: no temp file, no module bytecode
+        cache = tmp_path / "cache" / "jrme"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        built = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
+        assert [name for name in built if not re.fullmatch(r"epoch-[0-9a-f]+\.so", name)] == []
+        # a second command compiles none, __init__.py and __main__ included,
+        # and reuses the kernel, rewriting nothing in the cache
         second, compiled = command(package, tmp_path, *argv)
         assert compiled == []
         assert (second.stdout, second.stderr) == (first.stdout, first.stderr)
         assert sorted(pycache(package)) == files
-        # the per-user cache holds the kernel alone
-        cache = tmp_path / "cache" / "jrme"
-        assert [p.name for p in cache.iterdir() if not p.match("epoch-*.so")] == []
+        assert {p.name: p.stat().st_mtime_ns for p in cache.iterdir()} == built
 
     def test_an_edited_source_is_recompiled(self, package, tmp_path):
         train = tmp_path / "train.tsv"
@@ -111,7 +113,7 @@ class TestBytecodeCache:
         assert sorted(after) == sorted(before)
         assert [name for name in after if after[name] != before[name]] == ["errors.py"]
         assert command(package, tmp_path, *argv)[1] == []
-        assert run_child(package, tmp_path, "import jrme.errors\nprint(jrme.errors.EDITED)")[
+        assert logged(package, tmp_path, "import jrme.errors\nprint(jrme.errors.EDITED)")[
             0].stdout == "True\n"
 
     def test_a_truncated_entry_is_recompiled_and_replaced(self, package, tmp_path):
@@ -160,7 +162,7 @@ class TestBytecodeCache:
             "    frame = traceback.extract_tb(e.__traceback__)[-1]\n"
             "    print(frame.filename, frame.lineno, frame.line, sep='\\n')\n"
         )
-        proc, compiled = run_child(package, tmp_path, code)
+        proc, compiled = logged(package, tmp_path, code)
         assert compiled == []
         filename, lineno, line = proc.stdout.splitlines()
         source = package / "jrme" / "config.py"
@@ -171,7 +173,7 @@ class TestBytecodeCache:
     def test_a_module_with_pycache_bytecode_is_left_to_it(self, package, tmp_path):
         # as pip installs a copy: Python loads its bytecode, and a command
         # that builds no kernel makes no cache and rewrites no pyc
-        subprocess.run([sys.executable, "-m", "compileall", "-q", str(package)], check=True)
+        run_python("-m", "compileall", "-q", package)
         installed = pycache(package)
         train = tmp_path / "train.tsv"
         train.write_text(TRAIN)
@@ -182,8 +184,7 @@ class TestBytecodeCache:
     def test_hash_based_bytecode_is_left_to_python(self, package, tmp_path):
         # as a build with SOURCE_DATE_EPOCH set installs a copy: Python checks
         # each pyc against its source's hash, and a command rewrites none
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "--invalidation-mode",
-                        "checked-hash", str(package)], check=True)
+        run_python("-m", "compileall", "-q", "--invalidation-mode", "checked-hash", package)
         installed = pycache(package)
         train = tmp_path / "train.tsv"
         train.write_text(TRAIN)
@@ -224,7 +225,7 @@ class TestBytecodeCache:
         train = tmp_path / "train.tsv"
         train.write_text(TRAIN)
         code = f"import jrme.cli\nassert jrme.cli.main(['stats', '--train', {str(train)!r}]) == 0\n"
-        assert "config.py" in run_child(package, tmp_path, code)[1]
+        assert "config.py" in logged(package, tmp_path, code)[1]
         assert not (package / "jrme" / "__pycache__").exists()
 
 

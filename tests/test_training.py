@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from jrme.config import (
-    VARIANTS, ModelConfig, grid_configs, step_bound, variant_flags, variant_margin,
+    VARIANTS, ModelConfig, grid_configs, negatives_per_example, step_bound, variant_flags,
+    variant_margin,
 )
 from jrme.data import Dataset, PackedBeliefs
 from jrme.embeddings import EmbeddingTable, init_embeddings
@@ -16,7 +17,6 @@ from jrme.errors import ConfigError, DataError, TrainingDivergedError
 from jrme.training import (
     _sample_negative_rows, enum_negative_table, grid_search, max_row_norm, run_epoch, train,
 )
-from gradcheck import check_gradients
 from reference import (
     Belief, belief_at, example_loss, mention_distance, pack, random_beliefs,
     table_from, tables_equal, triple_distance,
@@ -103,16 +103,21 @@ class TestSampleNegativeRows:
         # about six standard deviations of a binomial count
         np.testing.assert_allclose(np.delete(counts, own), expected, rtol=0.1)
 
-    def test_oversized_sample_rejected(self, rng):
-        for n_relations, k in ((4, 4), (1, 1)):
-            with pytest.raises(ConfigError, match=f"cannot sample {k} distinct negatives"):
-                _sample_negative_rows(np.zeros(3, dtype=np.int64), n_relations, k, rng)
-
 
 class TestStepBound:
     def test_counts_negatives_per_example(self):
         assert step_bound(ModelConfig(learning_rate=0.01), 201) == pytest.approx(2.0)
         assert step_bound(ModelConfig(learning_rate=0.1, neg_mode="sample:5"), 201) == 0.5
+        assert negatives_per_example(ModelConfig(neg_mode="sample:200"), 201) == 200
+
+    def test_oversized_sample_rejected(self):
+        for n_relations, k in ((4, 4), (4, 9)):
+            with pytest.raises(ConfigError, match=f"^cannot sample {k} distinct negatives "
+                                                  f"from 3 other relations$"):
+                negatives_per_example(ModelConfig(neg_mode=f"sample:{k}"), n_relations)
+        for neg_mode in ("all", "sample:1"):
+            with pytest.raises(ConfigError, match="^need at least 2 relations"):
+                negatives_per_example(ModelConfig(neg_mode=neg_mode), 1)
 
 
 class TestExampleLosses:
@@ -218,14 +223,6 @@ class TestExampleLosses:
         t = table_from(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((1, 2)))
         with pytest.raises(ConfigError):
             example_loss(t, Belief(0, 0, 1, ()), [], "kre", 1.0)
-
-
-class TestGradients:
-    def test_analytic_matches_finite_differences(self, rng):
-        """Each epoch kernel's step is the gradient of `example_loss`."""
-        for variant in VARIANTS:
-            for _ in range(5):
-                check_gradients(rng, variant, 4)
 
 
 class TestSgdStep:
