@@ -1024,19 +1024,22 @@ class TestStartup:
         # only the training module opens the per-user cache
         assert not (tmp_path / "cache").exists()
 
-    def test_the_engine_loads_with_the_collector_paused(self, corpus, tmp_path):
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_engine_loads_with_the_collector_paused(self, corpus, tmp_path, enabled):
         """`run()`, the process entry point, collects nothing while a
-        `train` runs: a `gc.callbacks` hook that writes to fd 2 sees only
-        the one collection made before it.  `main()` in-process leaves
-        the caller's collector as it was, on and then off."""
+        `train` runs, whether the collector was on or off: a `gc.callbacks`
+        hook that writes to fd 2 sees only the one collection made before
+        it.  `main()` in-process leaves the caller's collector as it was."""
         tmp, train, _ = corpus
         argv = ["train", "--train", str(train), "--out", str(tmp / "model.bin"),
                 "--dim", "4", "--epochs", "2"]
+        gc_state = "gc.enable()" if enabled else "gc.disable()"
         cache = str(tmp_path / "cache")
         child = run_python("-c", (
             "import gc, os, sys, jrme.cli\n"
             "gc.callbacks.append(lambda phase, info: phase == 'start'"
             " and os.write(2, b'gc: collection\\n'))\n"
+            f"{gc_state}\n"
             "gc.collect()\n"  # the hook sees a collection
             f"sys.argv[1:] = {argv!r}\n"
             "jrme.cli.run()\n"
@@ -1045,11 +1048,10 @@ class TestStartup:
         assert child.stderr.startswith("gc: collection\n")
         child = run_python(*no_site(
             "import gc, jrme.cli\n"
-            "for enabled in (True, False):\n"
-            "    (gc.enable if enabled else gc.disable)()\n"
-            f"    print(jrme.cli.main({argv!r}), gc.isenabled())\n"
+            f"{gc_state}\n"
+            f"print(jrme.cli.main({argv!r}), gc.isenabled())\n"
         ), XDG_CACHE_HOME=cache)
-        assert child.stdout.splitlines() == ["0 True", "0 False"]
+        assert child.stdout.splitlines() == [f"0 {enabled}"]
 
     def test_refused_train_loads_no_training_code(self, corpus, tmp_path):
         """A `train` refused for its --out, for --threads 2 without
